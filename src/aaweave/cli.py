@@ -11,13 +11,13 @@ Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
 from . import analysis, sim
-from .language import AaSyntaxError, parse_aa
-from .merge import CallWithoutOriginal, DelegateClash
+from .language import AaSyntaxError, parse_aa, rule_refs
 from .model import assembly_from_json, assembly_to_json, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
@@ -45,9 +45,7 @@ def _load_assembly(path: str):
         return assembly_from_json(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InputError(f"cannot read assembly {path!r}") from None
-    except (json.JSONDecodeError, Exception) as exc:  # model errors included
-        if isinstance(exc, InputError):
-            raise
+    except Exception as exc:  # JSON and model errors alike
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -162,11 +160,9 @@ def cmd_bench(args) -> int:
 def cmd_analyze(args) -> int:
     result: dict = {}
     if args.fit:
-        import csv as csv_mod
-
         try:
             with open(args.fit, newline="", encoding="utf-8") as handle:
-                rows = list(csv_mod.DictReader(handle))
+                rows = list(csv.DictReader(handle))
         except FileNotFoundError:
             raise InputError(f"cannot read benchmark CSV {args.fit!r}") from None
         try:
@@ -224,8 +220,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .language import Instantiate
-
     status = EXIT_OK
     for path in args.aa:
         try:
@@ -234,26 +228,12 @@ def cmd_validate(args) -> int:
             print(str(exc), file=sys.stderr)
             status = EXIT_INVALID
             continue
-        used = {ref.base for rule in aa.rules if not isinstance(rule, Instantiate) for ref in _rule_refs(rule)}
+        used = {ref.base for rule in aa.rules for ref in rule_refs(rule)}
         for local in aa.locals:
             if local not in used:
                 print(f"{path}: note: {local!r} is instantiated but never linked", file=sys.stderr)
         print(f"{path}: ok ({aa.name}, {len(aa.pointcut)} pointcut rules, {len(aa.rules)} advice rules)")
     return status
-
-
-def _rule_refs(rule):
-    from .language import Link, PortExpr, Rewrite
-    from .optree import iter_refs
-
-    refs = []
-    if isinstance(rule, Link):
-        refs.append(rule.source)
-        refs.extend(r for r in iter_refs(rule.tree) if isinstance(r, PortExpr))
-    elif isinstance(rule, Rewrite):
-        refs.append(rule.target)
-        refs.extend(r for r in iter_refs(rule.tree) if isinstance(r, PortExpr))
-    return refs
 
 
 def _sweep(text: str) -> tuple[int, int, int]:
@@ -287,7 +267,6 @@ def build_parser() -> _ArgumentParser:
     simulate.add_argument("--script", required=True, help="JSONL event script")
     simulate.add_argument("--trace", help="write the trace JSON here (default stdout)")
     simulate.add_argument("--weave-duration", type=int, default=0, help="logical weave busy window (ms)")
-    simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(fn=cmd_simulate)
 
     bench = sub.add_parser("bench", help="run the workload sweep")
@@ -332,7 +311,7 @@ def main(argv=None) -> int:
     except (InputError, sim.ScriptError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    except (DelegateClash, CallWithoutOriginal, NameCollision) as exc:
+    except NameCollision as exc:
         print(f"weave failed: {exc}", file=sys.stderr)
         return EXIT_WEAVE
 

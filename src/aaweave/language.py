@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, par_of, seq_of
+from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
 # Tokens the grammar is built from; reviewed by tests to prove there is no
 # negation or deletion vocabulary.
@@ -319,12 +319,6 @@ class AspectOfAssembly:
     @property
     def locals(self) -> tuple[str, ...]:
         return tuple(r.local_name for r in self.rules if isinstance(r, Instantiate))
-
-    def pointcut_rule(self, variable: str) -> PointcutRule:
-        for rule in self.pointcut:
-            if rule.variable == variable:
-                return rule
-        raise KeyError(variable)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +631,9 @@ class _Parser:
             if isinstance(rule, Instantiate):
                 rules.append(rule)
                 continue
-            lhs, tree = rule.source, rule.tree
-            check_expr(lhs, tok)
-            for ref in _tree_refs(tree):
+            for ref in rule_refs(rule):
                 check_expr(ref, tok)
-            rules.append(self._classify(lhs, tree, by_var, locals_seen, tok))
+            rules.append(self._classify(rule.source, rule.tree, by_var, locals_seen, tok))
         return AspectOfAssembly(name, tuple(pointcut), tuple(params), tuple(rules))
 
     def _classify(self, lhs: PortExpr, tree, by_var, locals_seen, tok) -> AdviceRule:
@@ -658,10 +650,13 @@ class _Parser:
         return Link(lhs, tree) if pattern.port_required else Rewrite(lhs, tree)
 
 
-def _tree_refs(tree) -> list[PortExpr]:
-    from .optree import iter_refs
-
-    return [r for r in iter_refs(tree) if isinstance(r, PortExpr)]
+def rule_refs(rule: AdviceRule) -> list[PortExpr]:
+    """Port expressions an advice rule mentions: the arrow's left side, then
+    the references in its tree; none for an instantiation."""
+    if isinstance(rule, Instantiate):
+        return []
+    lhs = rule.source if isinstance(rule, Link) else rule.target
+    return [lhs, *(r for r in iter_refs(rule.tree) if isinstance(r, PortExpr))]
 
 
 def parse_aa(text: str, path: str | None = None) -> AspectOfAssembly:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .matching import GroundLink, GroundRewrite
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -87,18 +88,16 @@ def normalize(tree: OperatorTree) -> OperatorTree:
                 flat.extend(child.children if isinstance(child, Seq) else (child,))
             return flat[0] if len(flat) == 1 else Seq(tuple(flat))
         case Par(children=ch):
-            flat = []
-            for child in ch:
-                child = normalize(child)
-                flat.extend(child.children if isinstance(child, Par) else (child,))
-            return _par_normal(flat)
+            return _par_normal([normalize(child) for child in ch])
     raise TypeError(f"not an operator tree: {tree!r}")
 
 
 def _par_normal(children: list[OperatorTree]) -> OperatorTree:
+    """Parallel union of normalized trees, flattening any Par among them."""
     uniq: dict[tuple, OperatorTree] = {}
     for child in children:
-        uniq.setdefault(sort_key(child), child)
+        for item in child.children if isinstance(child, Par) else (child,):
+            uniq.setdefault(sort_key(item), item)
     items = [uniq[k] for k in sorted(uniq)]
     if len(items) > 1:
         items = [c for c in items if not isinstance(c, Call)]
@@ -148,9 +147,7 @@ def _merge(a: OperatorTree, b: OperatorTree, anchor) -> OperatorTree:
         return b
     # Leaf, Seq and Par remain: a parallel union resolves them, and its
     # dedup step realizes idempotency for equal leaves and equal seqs.
-    flat = list(a.children) if isinstance(a, Par) else [a]
-    flat.extend(b.children if isinstance(b, Par) else (b,))
-    return _par_normal(flat)
+    return _par_normal([a, b])
 
 
 @dataclass(frozen=True)
@@ -170,10 +167,7 @@ def merge_group(group: RewriteGroup) -> OperatorTree:
     trees = sorted((normalize(t) for t in group.trees), key=sort_key)
     result = trees[0]
     for tree in trees[1:]:
-        try:
-            result = _merge(result, tree, group.anchor)
-        except DelegateClash as clash:
-            raise DelegateClash(group.anchor, clash.a, clash.b) from None
+        result = _merge(result, tree, group.anchor)
     return result
 
 
@@ -203,8 +197,6 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Anchors that end up with a single leaf are plain new links; everything
     else is a :class:`RewriteGroup` for :func:`merge_group`.
     """
-    from .matching import GroundLink, GroundRewrite
-
     per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str] | None]]] = {}
     plan = MergedPlan()
 

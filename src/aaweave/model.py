@@ -134,10 +134,6 @@ class Binding:
         )
 
 
-def _binding_order(b: Binding) -> tuple:
-    return b.endpoints()
-
-
 @dataclass(frozen=True)
 class Assembly:
     components: dict[str, Component]
@@ -166,19 +162,13 @@ class Assembly:
             seen.add(key)
             out.append(b)
         comps = {cid: comps[cid] for cid in sorted(comps)}
-        return Assembly(comps, tuple(sorted(out, key=_binding_order)))
+        return Assembly(comps, tuple(sorted(out, key=Binding.endpoints)))
 
     def component(self, component_id: str) -> Component:
         try:
             return self.components[component_id]
         except KeyError:
             raise UnknownComponent(f"no component {component_id!r}") from None
-
-    def bindings_from(self, source: PortRef) -> list[Binding]:
-        return [b for b in self.bindings if b.source == source]
-
-    def bindings_into(self, target: PortRef) -> list[Binding]:
-        return [b for b in self.bindings if b.target == target]
 
 
 def _check_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -260,7 +250,7 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     # The loop validated each mutation, so assemble directly instead of
     # paying Assembly.build's re-validation pass.
     comps = {cid: comps[cid] for cid in sorted(comps)}
-    return Assembly(comps, tuple(sorted(bindings.values(), key=_binding_order)))
+    return Assembly(comps, tuple(sorted(bindings.values(), key=Binding.endpoints)))
 
 
 def _admit_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -316,7 +306,7 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
     out.extend(sorted(remove_b, key=lambda i: (i.source.key(), i.target.key())))
     out.extend(RemoveComponent(cid) for cid in sorted(removed_ids))
     out.extend(AddComponent(target.components[cid]) for cid in sorted(added_ids))
-    out.extend(sorted(add_b, key=lambda i: _binding_order(i.binding)))
+    out.extend(sorted(add_b, key=lambda i: i.binding.endpoints()))
     return out
 
 

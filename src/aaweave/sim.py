@@ -40,7 +40,7 @@ from .model import (
     component_to_json,
     to_json_dict,
 )
-from .weaver import Cascade, WeaveReport, reweave, weave_cascade
+from .weaver import PHASES, Cascade, WeaveReport, reweave, weave_cascade
 
 
 class ScriptError(Exception):
@@ -384,11 +384,7 @@ BENCH_COLUMNS = (
     "joinpoints",
     "p_i",
     "rep",
-    "match_us",
-    "combine_us",
-    "factory_us",
-    "merge_us",
-    "lower_us",
+    *(f"{phase}_us" for phase in PHASES),
     "total_us",
     "merge_ops",
     "conflict_groups",
@@ -404,12 +400,16 @@ def run_bench(
     rules_per_aa: int = 2,
     seed: int = 0,
 ) -> list[dict]:
-    """Sweep the workload grid; one warm-up weave per point is discarded.
+    """Sweep the workload grid; rows come in (p, joinpoints, rep) order.
 
-    The collector is paused while a point is being timed so the wall-clock
-    columns measure the weave, not allocator housekeeping.
+    Every point is built and woven once as a discarded warm-up before any
+    timing.  Repetitions then run outermost, one pass over the whole grid
+    each, so a stretch of slow host speed lands on many points once rather
+    than on every repetition of one point.  The collector stays paused for
+    the timed sweep so the wall-clock columns measure the weave, not
+    allocator housekeeping.
     """
-    rows: list[dict] = []
+    points = []
     for p in p_values:
         for j in joinpoints:
             spec = WorkloadSpec(
@@ -421,41 +421,27 @@ def run_bench(
             )
             assembly, cascades = generate_workload(spec)
             weave_cascade(assembly, cascades)  # warm-up
-            gc_was_enabled = gc.isenabled()
-            gc.collect()
-            gc.disable()
-            try:
-                for rep in range(repetitions):
-                    t0 = time.perf_counter_ns()
-                    _, reports = weave_cascade(assembly, cascades)
-                    total_us = (time.perf_counter_ns() - t0) / 1000.0
-                    durations = {k: 0.0 for k in ("match", "combine", "factory", "merge", "lower")}
-                    merge_ops = 0
-                    conflicts = 0
-                    for report in reports:
-                        for key in durations:
-                            durations[key] += report.durations_us.get(key, 0.0)
-                        merge_ops += report.merge_ops
-                        conflicts += report.conflict_groups
-                    rows.append(
-                        {
-                            "joinpoints": j,
-                            "p_i": p,
-                            "rep": rep,
-                            "match_us": round(durations["match"], 3),
-                            "combine_us": round(durations["combine"], 3),
-                            "factory_us": round(durations["factory"], 3),
-                            "merge_us": round(durations["merge"], 3),
-                            "lower_us": round(durations["lower"], 3),
-                            "total_us": round(total_us, 3),
-                            "merge_ops": merge_ops,
-                            "conflict_groups": conflicts,
-                        }
-                    )
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-    return rows
+            points.append((j, p, assembly, cascades, []))
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for rep in range(repetitions):
+            for j, p, assembly, cascades, rows in points:
+                t0 = time.perf_counter_ns()
+                _, reports = weave_cascade(assembly, cascades)
+                total_us = (time.perf_counter_ns() - t0) / 1000.0
+                row = {"joinpoints": j, "p_i": p, "rep": rep}
+                for phase in PHASES:
+                    row[f"{phase}_us"] = round(sum(r.durations_us[phase] for r in reports), 3)
+                row["total_us"] = round(total_us, 3)
+                row["merge_ops"] = sum(r.merge_ops for r in reports)
+                row["conflict_groups"] = sum(r.conflict_groups for r in reports)
+                rows.append(row)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return [row for *_, rows in points for row in rows]
 
 
 def bench_rows_to_csv(rows) -> str:

@@ -27,8 +27,13 @@ from .matching import (
     instantiate_advice,
     match_pointcut,
 )
-from .merge import DelegateClash, detect_conflicts, lower, merge_group
-from .model import Assembly, Instruction, apply_instructions, diff
+from .merge import CallWithoutOriginal, DelegateClash, detect_conflicts, lower, merge_group
+from .model import Assembly, Instruction, ModelError, apply_instructions, diff
+
+# Timed phases of one cycle, in pipeline order; every report carries
+# exactly these ``durations_us`` keys.  ``merge`` spans conflict detection
+# plus the fold, ``lower`` spans lowering plus applying the instructions.
+PHASES = ("match", "combine", "factory", "merge", "lower")
 
 
 class NameCollision(Exception):
@@ -68,9 +73,6 @@ class WeaveReport:
     cross_aspect_matches: list[tuple[str, str]] = field(default_factory=list)
     failure: str | None = None
 
-    def total_us(self) -> float:
-        return sum(self.durations_us.values())
-
     def to_json_dict(self) -> dict:
         return {
             "cycle": self.cycle,
@@ -89,8 +91,11 @@ class WeaveReport:
         }
 
 
-def _now_us() -> float:
-    return time.perf_counter_ns() / 1000.0
+def _lap(durations: dict[str, float], phase: str, since: int) -> int:
+    """Charge the time since ``since`` to ``phase``; return the new mark."""
+    now = time.perf_counter_ns()
+    durations[phase] += (now - since) / 1000.0
+    return now
 
 
 def _weave_cycle(
@@ -99,15 +104,15 @@ def _weave_cycle(
     cycle_index: int,
     fresh: FreshNames,
 ) -> tuple[Assembly, WeaveReport]:
-    report = WeaveReport(cycle=cycle_index)
-    durations = {"match": 0.0, "combine": 0.0, "factory": 0.0, "merge": 0.0, "lower": 0.0}
+    report = WeaveReport(cycle=cycle_index, durations_us=dict.fromkeys(PHASES, 0.0))
+    durations = report.durations_us
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
     joinpoints_by_ns: dict[str, list] = {}
     match_cache_by_ns: dict[str, dict] = {}
 
     for aa, namespace in sorted(pairs, key=lambda p: (p[1], p[0].name)):
-        t0 = _now_us()
+        mark = time.perf_counter_ns()
         joinpoints = joinpoints_by_ns.get(namespace)
         if joinpoints is None:
             vis = Visibility(cycle_index, namespace)
@@ -115,22 +120,18 @@ def _weave_cycle(
             joinpoints_by_ns[namespace] = joinpoints
             match_cache_by_ns[namespace] = {}
         candidates = match_pointcut(joinpoints, aa, match_cache_by_ns[namespace])
-        durations["match"] += _now_us() - t0
-
-        t0 = _now_us()
+        mark = _lap(durations, "match", mark)
         combos = combinations(candidates)
-        durations["combine"] += _now_us() - t0
+        mark = _lap(durations, "combine", mark)
         if not combos:
             dry = sorted(v for v, js in candidates.items() if not js)
             report.skipped.append((aa.name, f"no joinpoint for {', '.join(dry)}"))
             continue
-
-        t0 = _now_us()
         for combo in combos:
             instances.append(
                 instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace)
             )
-        durations["factory"] += _now_us() - t0
+        _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
         crossed = {
             (aa.name, jp.provenance.aa_name)
@@ -140,29 +141,26 @@ def _weave_cycle(
         }
         report.cross_aspect_matches.extend(sorted(crossed))
 
-    t0 = _now_us()
-    groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
+    # Any weave-time error aborts the cycle atomically: its input assembly
+    # is returned unchanged and the message lands in ``report.failure``.
+    mark, phase = time.perf_counter_ns(), "merge"
     try:
+        groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
         for group in groups:
             plan.groups[group.anchor] = merge_group(group)
             report.merge_ops += len(group.trees) - 1
-    except DelegateClash as clash:
-        durations["merge"] += _now_us() - t0
-        report.durations_us = durations
-        report.failure = str(clash)
+        mark, phase = _lap(durations, phase, mark), "lower"
+        result = apply_instructions(base, lower(plan, fresh, cycle=cycle_index))
+    except (DelegateClash, CallWithoutOriginal, ModelError) as exc:
+        report.failure = str(exc)
         return base, report
-    durations["merge"] += _now_us() - t0
+    finally:
+        _lap(durations, phase, mark)
 
     conflicts = sum(1 for g in groups if g.is_conflict())
     anchors = len(groups) + len(plan.plain_bindings)
     report.conflict_groups = conflicts
     report.conflict_fraction = conflicts / anchors if anchors else 0.0
-
-    t0 = _now_us()
-    instructions = lower(plan, fresh, cycle=cycle_index)
-    result = apply_instructions(base, instructions)
-    durations["lower"] += _now_us() - t0
-    report.durations_us = durations
     return result, report
 
 

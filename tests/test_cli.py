@@ -65,22 +65,43 @@ def test_syntax_error_names_position(tmp_path, fixtures_dir, capsys):
 
 
 def test_weave_failure_exit_code(tmp_path, fixtures_dir, capsys):
-    left = tmp_path / "left.aa"
-    right = tmp_path / "right.aa"
-    left.write_text(
-        "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema left(s):\n  s -> (delegate(nop))\n"
+    left = "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema left(s):\n  s -> (delegate(nop))\n"
+    right = "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema right(s):\n  s -> (delegate(call))\n"
+    stray = "Pointcut:\n  s := /brightness1.^NewValue/\nAdvice:\nschema stray(s):\n  s -> (call)\n"
+    dangling = (
+        "Pointcut:\n  s := /brightness1.^NewValue/\n  t := /light1.SetState/\nAdvice:\n"
+        "schema dangling(s, t):\n  s -> (t.Missing)\n"
     )
-    right.write_text(
-        "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema right(s):\n  s -> (delegate(call))\n"
-    )
+    cases = {
+        "delegate": [left, right],
+        "no original interaction": [stray],
+        "declares no provided port": [dangling],
+    }
+    for message, sources in cases.items():
+        argv = ["weave", "--base", str(fixtures_dir / "hospital_base.json")]
+        for k, source in enumerate(sources):
+            path = tmp_path / f"aspect{k}.aa"
+            path.write_text(source)
+            argv += ["--aa", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "weave failed in cycle 0" in err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_simulate_rejects_seed(fixtures_dir, capsys):
     code, _, err = run(
         capsys,
-        "weave",
-        "--base", str(fixtures_dir / "hospital_base.json"),
-        "--aa", str(left), "--aa", str(right),
+        "simulate",
+        "--base", str(fixtures_dir / "empty_base.json"),
+        "--cascade", str(fixtures_dir / "scenario.cascade.json"),
+        "--script", str(fixtures_dir / "hospital_script.jsonl"),
+        "--seed", "1",
     )
-    assert code == 3
-    assert "delegate" in err
+    assert code == 1
+    assert "--seed" in err
 
 
 def test_analyze_scenario_counts(fixtures_dir, capsys):

@@ -17,7 +17,8 @@ from aaweave.sim import (
     run_scenario,
     spearman_rho,
 )
-from aaweave.weaver import weave_cascade
+from aaweave.language import parse_aa
+from aaweave.weaver import PHASES, Cascade, weave_cascade
 
 
 def hospital_script(fixtures_dir):
@@ -227,3 +228,17 @@ def test_bench_rows_deterministic_except_timing():
     a = run_bench(joinpoints=(0, 20), p_values=(0.33,), repetitions=2, seed=9)
     b = run_bench(joinpoints=(0, 20), p_values=(0.33,), repetitions=2, seed=9)
     assert strip(a) == strip(b)
+    assert [(r["joinpoints"], r["rep"]) for r in a] == [(0, 0), (0, 1), (20, 0), (20, 1)]
+    assert all(tuple(r) == BENCH_COLUMNS for r in a)
+    assert BENCH_COLUMNS[3:8] == tuple(f"{phase}_us" for phase in PHASES)
+
+
+def test_replay_continues_past_weave_errors(hospital_base):
+    stray = parse_aa(
+        "Pointcut:\n  s := /brightness1.^NewValue/\nAdvice:\nschema stray(s):\n  s -> (call)\n"
+    )
+    script = [EnvEvent(0, "unselect", aa_name="stray"), EnvEvent(1, "select", aa_name="stray")]
+    trace = run_scenario(hospital_base, [Cascade("c", "", ((stray,),))], script)
+    assert "no original interaction" in trace.initial_reports[0].failure
+    assert [r.reports[0].failure is None for r in trace.records] == [True, False]
+    assert trace.final_assembly == hospital_base

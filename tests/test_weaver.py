@@ -4,7 +4,7 @@ import pytest
 
 from aaweave.language import parse_aa
 from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
-from aaweave.weaver import Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
+from aaweave.weaver import PHASES, Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
 
 
 def weave_mono(base, aas):
@@ -16,6 +16,7 @@ def weave_mono(base, aas):
 def test_hospital_mono_weave(fixtures_dir, hospital_base, mono_cascade):
     woven, reports = weave_cascade(hospital_base, [mono_cascade])
     report = reports[0]
+    assert tuple(report.durations_us) == PHASES
     assert {aa for aa, _, _ in report.applied} == {"IdentityManagement", "brightness_light"}
     for cid in ("Decision1", "Timer1", "threshold1", "Average1", "if1"):
         assert cid in woven.components
@@ -193,12 +194,30 @@ def clashing_aas():
     return a1, a2
 
 
+# A call at an anchor that never had a binding, and a link to a port the
+# base component does not declare: both fail after the merge, in lowering
+# and in applying the instructions.
+STRAY_CALL_AA = (
+    "Pointcut:\n  s := /brightness1.^NewValue/\nAdvice:\nschema stray(s):\n  s -> (call)\n"
+)
+UNDECLARED_PORT_AA = (
+    "Pointcut:\n  s := /brightness1.^NewValue/\n  t := /light1.SetState/\nAdvice:\n"
+    "schema dangling(s, t):\n  s -> (t.Missing)\n"
+)
+
+
 def test_merge_failure_aborts_cycle_atomically(hospital_base):
-    a1, a2 = clashing_aas()
-    woven, report = weave_cycle(hospital_base, [a1, a2])
-    assert woven == hospital_base
-    assert report.failure is not None
-    assert "delegate" in report.failure
+    failing = {
+        "delegate": clashing_aas(),
+        "no original interaction": [parse_aa(STRAY_CALL_AA)],
+        "declares no provided port 'Missing'": [parse_aa(UNDECLARED_PORT_AA)],
+    }
+    for message, aas in failing.items():
+        woven, report = weave_cycle(hospital_base, aas)
+        assert woven == hospital_base
+        assert report.failure is not None
+        assert message in report.failure
+        assert tuple(report.durations_us) == PHASES
 
 
 def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
