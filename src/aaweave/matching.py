@@ -96,7 +96,7 @@ def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset())
                 continue
             if p.namespace not in (GLOBAL_NAMESPACE, vis.requesting_namespace):
                 continue
-        for port in sorted(c.ports, key=lambda s: (s.direction, s.name)):
+        for port in c.ports:
             out.append(Joinpoint(PortRef(cid, port.name, port.direction), c.metadata, p))
     return out
 
@@ -183,10 +183,7 @@ def _factory_plan(aa: AspectOfAssembly) -> _FactoryPlan:
                 arrows.append((GroundRewrite, tgt, tree))
     plan = _FactoryPlan(
         inits,
-        {
-            name: tuple(sorted(specs, key=lambda s: (s.direction, s.name)))
-            for name, specs in local_ports.items()
-        },
+        {name: tuple(specs) for name, specs in local_ports.items()},
         tuple(arrows),
     )
     object.__setattr__(aa, "_factory_plan", plan)

@@ -226,9 +226,8 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
         plan.originals[anchor] = originals
         plan.contributors[anchor] = contributors
         if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
-            aa, ns = contributors[0]
             plan.plain_bindings.append(
-                Binding(anchor, trees[0].target, Woven(aa, cycle, ns))
+                Binding(anchor, trees[0].target, _joint_provenance(contributors, cycle))
             )
             continue
         groups.append(RewriteGroup(anchor, tuple(trees), contributors))
@@ -250,7 +249,8 @@ def lower(plan: MergedPlan, fresh, cycle: int = 0) -> list[Instruction]:
     provided ``in`` port and a required port per child; the anchor's former
     bindings are redirected into the tree root.  Call leaves reconnect the
     anchor's original destinations and fail with
-    :class:`CallWithoutOriginal` when there were none.
+    :class:`CallWithoutOriginal` when there were none.  An anchor whose
+    tree lowers to exactly its original destinations emits nothing.
     """
     op_adds: list[AddComponent] = []
     removes: list[RemoveBinding] = []
@@ -263,19 +263,10 @@ def lower(plan: MergedPlan, fresh, cycle: int = 0) -> list[Instruction]:
         tree = plan.groups[anchor]
         originals = plan.originals.get(anchor, ())
         prov = _joint_provenance(plan.contributors.get(anchor, ()), cycle)
-        if isinstance(tree, Leaf):
-            if originals == (tree.target,):
-                continue
-            removes.extend(RemoveBinding(anchor, o) for o in originals)
-            adds.append(AddBinding(Binding(anchor, tree.target, prov)))
+        roots = _TreeBuilder(anchor, originals, prov, fresh, op_adds, adds).build(tree)
+        if tuple(roots) == originals:
             continue
-        if isinstance(tree, Call):
-            if not originals:
-                raise CallWithoutOriginal(anchor)
-            continue  # the original interaction already stands
         removes.extend(RemoveBinding(anchor, o) for o in originals)
-        builder = _TreeBuilder(anchor, originals, prov, fresh, op_adds, adds)
-        roots = builder.build(tree)
         adds.extend(AddBinding(Binding(anchor, root, prov)) for root in roots)
 
     out: list[Instruction] = [AddComponent(c) for c in plan.component_adds]

@@ -71,6 +71,12 @@ class Component:
     ports: tuple[PortSpec, ...] = ()
     provenance: Woven | None = None
 
+    def __post_init__(self):
+        # Ports are a set kept in one canonical order, so equality, export
+        # and joinpoint order never depend on how the caller listed them.
+        ports = sorted(set(self.ports), key=lambda p: (p.direction, p.name))
+        object.__setattr__(self, "ports", tuple(ports))
+
     def has_port(self, name: str, direction: str) -> bool:
         cache = self.__dict__.get("_port_index")
         if cache is None:
@@ -79,20 +85,7 @@ class Component:
         return (name, direction) in cache
 
     def with_port(self, spec: PortSpec) -> "Component":
-        ports = tuple(sorted(self.ports + (spec,), key=lambda p: (p.direction, p.name)))
-        return replace(self, ports=ports)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Component):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and self.type_name == other.type_name
-            and self.properties == other.properties
-            and self.metadata == other.metadata
-            and set(self.ports) == set(other.ports)
-            and self.provenance == other.provenance
-        )
+        return replace(self, ports=self.ports + (spec,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,11 +227,15 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
                     if b.source.component_id != cid and b.target.component_id != cid
                 }
             case AddBinding(binding=b):
-                _admit_endpoint(comps, b.source, REQUIRED)
-                _admit_endpoint(comps, b.target, PROVIDED)
                 key = b.endpoints()
-                if key in bindings:
-                    raise DuplicateBinding(f"binding {b.source} -> {b.target} already present")
+                try:
+                    _admit_endpoint(comps, b.source, REQUIRED)
+                    _admit_endpoint(comps, b.target, PROVIDED)
+                    if key in bindings:
+                        raise DuplicateBinding("already present")
+                except ModelError as exc:
+                    by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
+                    raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
                 bindings[key] = b
             case RemoveBinding(source=s, target=t):
                 key = (s.component_id, s.port_name, t.component_id, t.port_name)
@@ -434,10 +431,7 @@ def component_to_json(c: Component) -> dict:
         "type": c.type_name,
         "properties": dict(sorted(c.properties.items())),
         "metadata": dict(sorted(c.metadata.items())),
-        "ports": [
-            {"name": p.name, "direction": p.direction}
-            for p in sorted(c.ports, key=lambda p: (p.direction, p.name))
-        ],
+        "ports": [{"name": p.name, "direction": p.direction} for p in c.ports],
         "provenance": _provenance_to_json(c.provenance),
     }
 

@@ -151,7 +151,11 @@ def _weave_cycle(
             report.merge_ops += len(group.trees) - 1
         mark, phase = _lap(durations, phase, mark), "lower"
         result = apply_instructions(base, lower(plan, fresh, cycle=cycle_index))
-    except (DelegateClash, CallWithoutOriginal, ModelError) as exc:
+    except (DelegateClash, CallWithoutOriginal) as exc:
+        aspects = sorted({aa for aa, _ in plan.contributors[exc.anchor]})
+        report.failure = f"{exc} (aspects: {', '.join(aspects)})"
+        return base, report
+    except ModelError as exc:
         report.failure = str(exc)
         return base, report
     finally:
@@ -162,19 +166,6 @@ def _weave_cycle(
     report.conflict_groups = conflicts
     report.conflict_fraction = conflicts / anchors if anchors else 0.0
     return result, report
-
-
-def weave_cycle(
-    base: Assembly,
-    aas,
-    cycle_index: int = 0,
-    namespace: str = GLOBAL_NAMESPACE,
-    fresh: FreshNames | None = None,
-) -> tuple[Assembly, WeaveReport]:
-    """One mono-cycle weave of an aspect set over a base assembly."""
-    fresh = fresh or FreshNames(taken=base.components)
-    pairs = [(aa, aa.namespace if aa.namespace is not None else namespace) for aa in aas]
-    return _weave_cycle(base, _dedupe(pairs), cycle_index, fresh)
 
 
 def _dedupe(pairs) -> list[tuple[AspectOfAssembly, str]]:
@@ -210,6 +201,12 @@ def weave_cascade(base: Assembly, cascades) -> tuple[Assembly, list[WeaveReport]
         if report.failure:
             break
     return current, reports
+
+
+def weave_cycle(base: Assembly, aas) -> tuple[Assembly, WeaveReport]:
+    """One mono-cycle weave of an aspect set: a one-cycle cascade."""
+    woven, (report,) = weave_cascade(base, [Cascade("mono", cycles=(tuple(aas),))])
+    return woven, report
 
 
 def union(ca: Cascade, cb: Cascade) -> Cascade:
@@ -260,6 +257,9 @@ def reweave(
 ) -> tuple[Assembly, list[Instruction], list[WeaveReport]]:
     """Recompute the target from the aspect-free base and diff against
     what is deployed, so withdrawing an aspect removes exactly its
-    contributions."""
+    contributions.  When a cycle fails, the deployed assembly stands and
+    no instruction is emitted."""
     target, reports = weave_cascade(base, select_aspects(cascades, selection))
+    if any(r.failure for r in reports):
+        return current, [], reports
     return target, diff(current, target), reports

@@ -27,6 +27,7 @@ from aaweave.model import (
     Component,
     PortSpec,
     RemoveBinding,
+    Woven,
     apply_instructions,
     provided,
     required,
@@ -333,6 +334,38 @@ def test_lower_par_fan_out():
     assert par.type_name == "op.Par"
     outs = [b for b in woven.bindings if b.source.component_id == "par1"]
     assert len(outs) == 2
+
+
+def test_lower_root_standing_for_the_originals_emits_nothing():
+    anchor = required("switch", "value")
+    on, reached = provided("light", "on"), provided("threshold", "IsReached")
+    from aaweave.merge import MergedPlan
+
+    # a root call over the originals, and a root leaf equal to the sole one
+    for tree, originals in ((CALL, (on, reached)), (Leaf(on), (on,))):
+        plan = MergedPlan(
+            groups={anchor: tree},
+            originals={anchor: originals},
+            contributors={anchor: (("x", ""),)},
+        )
+        assert lower(plan, FreshNames()) == []
+
+
+def test_lower_root_leaf_replaces_every_original():
+    anchor = required("switch", "value")
+    on, reached, shut = provided("light", "on"), provided("threshold", "IsReached"), provided("shutter", "open")
+    from aaweave.merge import MergedPlan
+
+    plan = MergedPlan(
+        groups={anchor: Leaf(shut)},
+        originals={anchor: (on, reached)},
+        contributors={anchor: (("x", ""),)},
+    )
+    assert lower(plan, FreshNames()) == [
+        RemoveBinding(anchor, on),
+        RemoveBinding(anchor, reached),
+        AddBinding(Binding(anchor, shut, Woven("x", 0, ""))),
+    ]
 
 
 def test_call_without_original_raises():

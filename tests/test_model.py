@@ -96,6 +96,16 @@ def test_woven_components_accept_undeclared_ports():
         apply_instructions(base, [AddBinding(Binding(required("rfid", "out"), provided("rfid", "Manage")))])
 
 
+def test_component_ports_are_a_canonical_set():
+    pa, pb, ra = PortSpec("a", PROVIDED), PortSpec("b", PROVIDED), PortSpec("a", REQUIRED)
+    c = comp("x", ra, pb, pa)
+    assert c == comp("x", pb, pa, ra, pb)
+    assert c != comp("x", pa, pb)
+    assert c.ports == (pa, pb, ra)
+    assert c.with_port(PortSpec("0", REQUIRED)).ports == (pa, pb, PortSpec("0", REQUIRED), ra)
+    assert c.with_port(pb).ports == (pa, pb, ra)
+
+
 # ---------------------------------------------------------------------------
 # diff
 

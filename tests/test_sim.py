@@ -1,7 +1,10 @@
 import json
 import statistics
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaweave.model import Component, PortSpec, PROVIDED, canonical_equal
 from aaweave.sim import (
@@ -172,6 +175,26 @@ def test_multi_cycle_workload():
     assert len(reports) == 3
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    cycles=st.integers(1, 3),
+    p=st.sampled_from((0.0, 0.33, 0.5)),
+    shuffler=st.randoms(use_true_random=False),
+)
+def test_weave_is_independent_of_aspect_order(seed, cycles, p, shuffler):
+    spec = WorkloadSpec(seed=seed, joinpoint_count=12, aa_count=6, conflict_probability=p, cycles=cycles)
+    base, cascades = generate_workload(spec)
+    shuffled = [
+        replace(c, cycles=tuple(tuple(shuffler.sample(rank, len(rank))) for rank in c.cycles))
+        for c in cascades
+    ]
+    woven, reports = weave_cascade(base, cascades)
+    again, _ = weave_cascade(base, shuffled)
+    assert len(reports) == cycles and not any(r.failure for r in reports)
+    assert canonical_equal(woven, again)
+
+
 def test_continuum_workload_shape():
     assembly, cascades = continuum_workload()
     aas = [aa for rank in cascades[0].cycles for aa in rank]
@@ -233,7 +256,7 @@ def test_bench_rows_deterministic_except_timing():
     assert BENCH_COLUMNS[3:8] == tuple(f"{phase}_us" for phase in PHASES)
 
 
-def test_replay_continues_past_weave_errors(hospital_base):
+def test_replay_continues_past_weave_errors(fixtures_dir, hospital_base):
     stray = parse_aa(
         "Pointcut:\n  s := /brightness1.^NewValue/\nAdvice:\nschema stray(s):\n  s -> (call)\n"
     )
@@ -242,3 +265,13 @@ def test_replay_continues_past_weave_errors(hospital_base):
     assert "no original interaction" in trace.initial_reports[0].failure
     assert [r.reports[0].failure is None for r in trace.records] == [True, False]
     assert trace.final_assembly == hospital_base
+
+    # A failing re-weave keeps what is deployed: Decision1, deployed by the
+    # re-weave before it, survives and the failure emits no instruction.
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    trace = run_scenario(hospital_base, [Cascade("c", "", ((dec, stray),))], script)
+    assert trace.initial_reports[0].failure is not None
+    deployed, failed = trace.records
+    assert deployed.reports[0].failure is None and deployed.instructions > 0
+    assert failed.reports[0].failure is not None and failed.instructions == 0
+    assert "Decision1" in trace.final_assembly.components

@@ -1,0 +1,39 @@
+"""The benchmark's tracer must keep finding every function it wraps.
+
+``perfbench/tracer.py`` patches functions at the names their callers
+imported; a rename in the package would leave a layer untraced and its
+metrics silently at zero.  The tracer is loaded by path, read only.
+"""
+import importlib.util
+from pathlib import Path
+
+from aaweave import sim, weaver
+from aaweave.merge import merge_group
+from aaweave.sim import WorkloadSpec, generate_workload
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_binds_every_patch_point():
+    spec = WorkloadSpec(seed=5, joinpoint_count=12, aa_count=4, conflict_probability=0.5, cycles=2)
+    base, cascades = generate_workload(spec)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        current, reports = weaver.weave_cascade(base, cascades)
+        _, _, again = sim.reweave(current, base, cascades, None)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert weaver.merge_group is merge_group  # uninstall restored the names
+    reports += again
+    assert sum(r.merge_ops for r in reports) > 0
+    assert tracer.counts["merge.fold_steps"] == sum(r.merge_ops for r in reports)
+    assert tracer.counts["weaver.cycles"] == len(reports)

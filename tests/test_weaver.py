@@ -207,16 +207,24 @@ UNDECLARED_PORT_AA = (
 
 
 def test_merge_failure_aborts_cycle_atomically(hospital_base):
-    failing = {
-        "delegate": clashing_aas(),
-        "no original interaction": [parse_aa(STRAY_CALL_AA)],
-        "declares no provided port 'Missing'": [parse_aa(UNDECLARED_PORT_AA)],
-    }
-    for message, aas in failing.items():
+    # Each failure names what broke and the aspects behind it.
+    failing = [
+        (("delegate", "(aspects: left, right)"), clashing_aas()),
+        (("no original interaction", "(aspects: stray)"), [parse_aa(STRAY_CALL_AA)]),
+        (
+            (
+                "declares no provided port 'Missing'",
+                "binding brightness1.^NewValue -> light1.Missing woven by 'dangling'",
+            ),
+            [parse_aa(UNDECLARED_PORT_AA)],
+        ),
+    ]
+    for messages, aas in failing:
         woven, report = weave_cycle(hospital_base, aas)
         assert woven == hospital_base
         assert report.failure is not None
-        assert message in report.failure
+        for message in messages:
+            assert message in report.failure
         assert tuple(report.durations_us) == PHASES
 
 
