@@ -55,7 +55,6 @@ from .merge import (
     RewriteGroup,
     detect_conflicts,
     lower,
-    merge,
     merge_group,
     normalize,
 )

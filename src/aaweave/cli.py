@@ -186,10 +186,7 @@ def cmd_analyze(args) -> int:
         print(json.dumps(result, indent=2))
         return EXIT_OK
 
-    cascades = _gather_cascades(args)
-    combined = cascades[0]
-    for extra in cascades[1:]:
-        combined = union(combined, extra)
+    combined = union(*_gather_cascades(args))
     shape = analysis.derive_shape(combined)
     groups = analysis.dependency_groups(combined)
     card_app0 = 1

@@ -34,7 +34,8 @@ from functools import lru_cache
 
 from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
-# Tokens the grammar is built from; reviewed by tests to prove there is no
+# Tokens the grammar is built from, in the order the tokenizer tries them
+# (multi-character symbols first); reviewed by tests to prove there is no
 # negation or deletion vocabulary.
 SYMBOLS = (":=", "->", "||", "(", ")", "{", "}", ":", ";", ",", ".", "^", "=", "<", ">", "&", "@")
 KEYWORDS = ("Pointcut", "Advice", "schema", "if", "else", "nop", "call", "delegate", "true", "false")
@@ -384,19 +385,14 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
             col += m.end()
             i += m.end()
             continue
-        for sym in (":=", "->", "||"):
+        for sym in SYMBOLS:
             if text.startswith(sym, i):
                 tokens.append(_Token(sym, sym, line, col))
                 i += len(sym)
                 col += len(sym)
                 break
         else:
-            if ch in "(){}:;,.^=<>&@":
-                tokens.append(_Token(ch, ch, line, col))
-                i += 1
-                col += 1
-            else:
-                raise AaSyntaxError(f"unexpected character {ch!r}", line, col, path)
+            raise AaSyntaxError(f"unexpected character {ch!r}", line, col, path)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
 
@@ -698,7 +694,10 @@ def print_pattern(pattern: Pattern, filters: tuple[MetadataFilter, ...] = ()) ->
 def _filter_text(f: MetadataFilter) -> str:
     op = {"eq": "=", "lt": "<", "gt": ">"}[f.op]
     value = f.value
-    if isinstance(value, str) and not re.fullmatch(r"[A-Za-z0-9_.:-]+", value):
+    # Quote a string unless it is a plain word that reads back as itself.
+    if isinstance(value, str) and (
+        not re.fullmatch(r"[A-Za-z0-9_.:-]+", value) or _parse_filter_value(value, 0, 0, None) != value
+    ):
         value = f"'{value}'"
     return f"@{f.key}{op}{value}"
 

@@ -29,9 +29,6 @@ class Joinpoint:
     metadata: dict
     provenance: Woven | None = None
 
-    def key(self) -> tuple:
-        return self.port.key()
-
 
 @dataclass(frozen=True, slots=True)
 class Visibility:

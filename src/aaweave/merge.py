@@ -44,7 +44,7 @@ from .model import (
     RemoveBinding,
     Woven,
 )
-from .optree import NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, sort_key
+from .optree import NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, normalize, par_normal, sort_key
 
 
 class DelegateClash(Exception):
@@ -65,45 +65,6 @@ class CallWithoutOriginal(Exception):
     def __init__(self, anchor):
         super().__init__(f"call at {anchor} has no original interaction to stand for")
         self.anchor = anchor
-
-
-# ---------------------------------------------------------------------------
-# Normal form
-
-
-def normalize(tree: OperatorTree) -> OperatorTree:
-    """Canonical form: flat sorted deduplicated pars, flat seqs, no trivial
-    single-child wrappers, no neutral call among par siblings."""
-    match tree:
-        case Leaf() | Nop() | Call():
-            return tree
-        case Delegate(child=c):
-            return Delegate(normalize(c))
-        case If(cond=c, then=a, orelse=b):
-            return If(c, normalize(a), normalize(b))
-        case Seq(children=ch):
-            flat: list[OperatorTree] = []
-            for child in ch:
-                child = normalize(child)
-                flat.extend(child.children if isinstance(child, Seq) else (child,))
-            return flat[0] if len(flat) == 1 else Seq(tuple(flat))
-        case Par(children=ch):
-            return _par_normal([normalize(child) for child in ch])
-    raise TypeError(f"not an operator tree: {tree!r}")
-
-
-def _par_normal(children: list[OperatorTree]) -> OperatorTree:
-    """Parallel union of normalized trees, flattening any Par among them."""
-    uniq: dict[tuple, OperatorTree] = {}
-    for child in children:
-        for item in child.children if isinstance(child, Par) else (child,):
-            uniq.setdefault(sort_key(item), item)
-    items = [uniq[k] for k in sorted(uniq)]
-    if len(items) > 1:
-        items = [c for c in items if not isinstance(c, Call)]
-    if len(items) == 1:
-        return items[0]
-    return Par(tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +108,12 @@ def _merge(a: OperatorTree, b: OperatorTree, anchor) -> OperatorTree:
         return b
     # Leaf, Seq and Par remain: a parallel union resolves them, and its
     # dedup step realizes idempotency for equal leaves and equal seqs.
-    return _par_normal([a, b])
+    return par_normal([a, b])
 
 
 @dataclass(frozen=True)
 class RewriteGroup:
-    """All trees that landed on one shared anchor."""
+    """All trees that landed on one shared anchor, each in normal form."""
 
     anchor: PortRef
     trees: tuple[OperatorTree, ...]
@@ -164,7 +125,7 @@ class RewriteGroup:
 
 def merge_group(group: RewriteGroup) -> OperatorTree:
     """Fold ⊗ over the group's trees in canonical order."""
-    trees = sorted((normalize(t) for t in group.trees), key=sort_key)
+    trees = sorted(group.trees, key=sort_key)
     result = trees[0]
     for tree in trees[1:]:
         result = _merge(result, tree, group.anchor)
@@ -197,7 +158,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Anchors that end up with a single leaf are plain new links; everything
     else is a :class:`RewriteGroup` for :func:`merge_group`.
     """
-    per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str] | None]]] = {}
+    per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
     plan = MergedPlan()
 
     incoming: dict[PortRef, list[Binding]] = {}
@@ -222,7 +183,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
         originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
         trees = [Leaf(target) for target in originals]
         trees.extend(t for t, _ in entries)
-        contributors = tuple(sorted({who for _, who in entries if who is not None}))
+        contributors = tuple(sorted({who for _, who in entries}))
         plan.originals[anchor] = originals
         plan.contributors[anchor] = contributors
         if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:

@@ -8,6 +8,11 @@ anchor already had) and ``delegate`` (claims the anchor exclusively).
 Leaves and conditions hold either a source-level port expression or, after
 grounding, a concrete :class:`~aaweave.model.PortRef`.  Both carry a
 ``key()`` method so trees can be ordered canonically.
+
+Trees have one normal form: sequences flat, parallel nodes flat, sorted by
+:func:`sort_key` and deduplicated, no neutral call among parallel
+siblings, no single-child wrappers.  :func:`map_leaves` builds it, so a
+grounded tree is normal; the parser keeps source order instead.
 """
 from __future__ import annotations
 
@@ -90,8 +95,29 @@ def par_of(children) -> OperatorTree:
     return children[0] if len(children) == 1 else Par(children)
 
 
+def seq_normal(children) -> OperatorTree:
+    """Sequence of normal trees, splicing in any Seq among them."""
+    flat: list[OperatorTree] = []
+    for child in children:
+        flat.extend(child.children if isinstance(child, Seq) else (child,))
+    return flat[0] if len(flat) == 1 else Seq(tuple(flat))
+
+
+def par_normal(children) -> OperatorTree:
+    """Parallel union of normal trees, splicing in any Par among them."""
+    uniq: dict[tuple, OperatorTree] = {}
+    for child in children:
+        for item in child.children if isinstance(child, Par) else (child,):
+            uniq.setdefault(sort_key(item), item)
+    items = [uniq[k] for k in sorted(uniq)]
+    if len(items) > 1:
+        items = [c for c in items if not isinstance(c, Call)]
+    return items[0] if len(items) == 1 else Par(tuple(items))
+
+
 def map_leaves(tree: OperatorTree, fn) -> OperatorTree:
-    """Rebuild the tree with ``fn`` applied to every leaf target and condition."""
+    """The normal form of the tree with ``fn`` applied to every leaf target
+    and condition."""
     match tree:
         case Leaf(target=t):
             return Leaf(fn(t))
@@ -102,10 +128,19 @@ def map_leaves(tree: OperatorTree, fn) -> OperatorTree:
         case If(cond=c, then=a, orelse=b):
             return If(fn(c), map_leaves(a, fn), map_leaves(b, fn))
         case Seq(children=ch):
-            return Seq(tuple(map_leaves(c, fn) for c in ch))
+            return seq_normal(map_leaves(c, fn) for c in ch)
         case Par(children=ch):
-            return Par(tuple(map_leaves(c, fn) for c in ch))
+            return par_normal([map_leaves(c, fn) for c in ch])
     raise TypeError(f"not an operator tree: {tree!r}")
+
+
+def normalize(tree: OperatorTree) -> OperatorTree:
+    """The tree's normal form."""
+    return map_leaves(tree, _same)
+
+
+def _same(ref):
+    return ref
 
 
 def iter_refs(tree: OperatorTree):

@@ -8,9 +8,9 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-Aspects inside one cycle are processed in a canonical order, which
-together with the symmetric merge operator makes results independent of
-how callers happen to order their aspect sets.
+Several cascades weave as their union, whose ranks list the aspects in a
+canonical order; together with the symmetric merge operator this makes
+results independent of how callers hand in and order their aspect sets.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ def _weave_cycle(
     joinpoints_by_ns: dict[str, list] = {}
     match_cache_by_ns: dict[str, dict] = {}
 
-    for aa, namespace in sorted(pairs, key=lambda p: (p[1], p[0].name)):
+    for aa, namespace in pairs:
         mark = time.perf_counter_ns()
         joinpoints = joinpoints_by_ns.get(namespace)
         if joinpoints is None:
@@ -168,35 +168,17 @@ def _weave_cycle(
     return result, report
 
 
-def _dedupe(pairs) -> list[tuple[AspectOfAssembly, str]]:
-    """The input is a set: repeats collapse, same-name different bodies clash."""
-    seen: dict[tuple[str, str], AspectOfAssembly] = {}
-    out = []
-    for aa, ns in pairs:
-        key = (ns, aa.name)
-        prior = seen.get(key)
-        if prior is None:
-            seen[key] = aa
-            out.append((aa, ns))
-        elif prior != aa:
-            raise NameCollision(f"aspect {aa.name!r} defined twice in namespace {ns!r}")
-    return out
-
-
 def weave_cascade(base: Assembly, cascades) -> tuple[Assembly, list[WeaveReport]]:
-    """Fold all cascades cycle by cycle; same-rank sets weave together.
+    """Weave the union of the cascades cycle by cycle.
 
     A failing cycle aborts the fold: the output of the cycles before it is
     returned together with the failure report.
     """
-    resolved = [c.resolved() for c in cascades]
-    depth = max((len(r) for r in resolved), default=0)
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
     current = base
-    for i in range(depth):
-        rank = [pair for r in resolved if i < len(r) for pair in r[i]]
-        current, report = _weave_cycle(current, _dedupe(rank), i, fresh)
+    for i, pairs in enumerate(union(*cascades).resolved()):
+        current, report = _weave_cycle(current, pairs, i, fresh)
         reports.append(report)
         if report.failure:
             break
@@ -209,33 +191,31 @@ def weave_cycle(base: Assembly, aas) -> tuple[Assembly, WeaveReport]:
     return woven, report
 
 
-def union(ca: Cascade, cb: Cascade) -> Cascade:
-    """Rank-wise set union.
+def union(*cascades: Cascade) -> Cascade:
+    """Rank-wise set union, each rank in (namespace, name) order.
 
     Aspects keep their effective namespace: ones that inherited it from
-    their cascade get it pinned when the union's own namespace would
-    resolve differently.
+    their cascade get it pinned when the union's own namespace, shared by
+    every cascade or else the global one, would resolve differently.  An
+    aspect given twice in one namespace weaves once; two different aspects
+    with one name in one namespace clash.
     """
-    result_ns = ca.namespace if ca.namespace == cb.namespace else GLOBAL_NAMESPACE
-    ra, rb = ca.resolved(), cb.resolved()
-    depth = max(len(ra), len(rb))
+    namespaces = {c.namespace for c in cascades}
+    result_ns = namespaces.pop() if len(namespaces) == 1 else GLOBAL_NAMESPACE
+    resolved = [c.resolved() for c in cascades]
     cycles: list[tuple[AspectOfAssembly, ...]] = []
-    for i in range(depth):
+    for i in range(max((len(r) for r in resolved), default=0)):
         merged: dict[tuple[str, str], AspectOfAssembly] = {}
-        for r in (ra, rb):
-            if i < len(r):
-                for aa, ns in r[i]:
-                    resolved_ns = aa.namespace if aa.namespace is not None else result_ns
-                    pinned = aa if resolved_ns == ns else aa.with_namespace(ns)
-                    key = (ns, aa.name)
-                    prior = merged.get(key)
-                    if prior is not None and prior != pinned:
-                        raise NameCollision(
-                            f"aspect {aa.name!r} defined twice in namespace {ns!r}"
-                        )
-                    merged[key] = pinned
+        for r in resolved:
+            for aa, ns in r[i] if i < len(r) else ():
+                resolved_ns = aa.namespace if aa.namespace is not None else result_ns
+                pinned = aa if resolved_ns == ns else aa.with_namespace(ns)
+                key = (ns, aa.name)
+                prior = merged.setdefault(key, pinned)
+                if prior is not pinned and prior.with_namespace(ns) != pinned.with_namespace(ns):
+                    raise NameCollision(f"aspect {aa.name!r} defined twice in namespace {ns!r}")
         cycles.append(tuple(merged[k] for k in sorted(merged)))
-    return Cascade(f"{ca.name}+{cb.name}", result_ns, tuple(cycles))
+    return Cascade("+".join(c.name for c in cascades), result_ns, tuple(cycles))
 
 
 def select_aspects(cascades, selection) -> list[Cascade]:

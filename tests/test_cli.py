@@ -91,6 +91,24 @@ def test_weave_failure_exit_code(tmp_path, fixtures_dir, capsys):
         assert "Traceback" not in err
 
 
+def test_weave_accepts_an_aspect_pinned_to_its_namespace_twice(tmp_path, fixtures_dir, capsys):
+    decision = str(fixtures_dir / "aa" / "decision.aa")
+    inherited = {"name": "a", "namespace": "x", "cycles": [[decision]]}
+    pinned = {"name": "b", "cycles": [[{"file": decision, "namespace": "x"}]]}
+    argv = ["weave", "--base", str(fixtures_dir / "hospital_base.json")]
+    for name, manifest in (("a", inherited), ("b", pinned)):
+        path = tmp_path / f"{name}.cascade.json"
+        path.write_text(json.dumps(manifest))
+        argv += ["--cascade", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    woven = json.loads(out)
+    assert "Decision1" in {c["id"] for c in woven["components"]}
+    code, out, _ = run(capsys, "analyze", *argv[3:])
+    assert code == 0
+    assert json.loads(out)["aspects"] == 1
+
+
 def test_simulate_rejects_seed(fixtures_dir, capsys):
     code, _, err = run(
         capsys,

@@ -1,4 +1,8 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaweave.language import (
     DIGIT,
@@ -11,9 +15,11 @@ from aaweave.language import (
     MetadataFilter,
     NegationRejected,
     Pattern,
+    PointcutRule,
     PortExpr,
     Rewrite,
     UnboundVariable,
+    _tokenize,
     literal,
     parse_aa,
     parse_operator_expr,
@@ -218,6 +224,65 @@ def test_print_parse_round_trip(fixtures_dir):
         aa = parse_aa(path.read_text(), path=path.name)
         again = parse_aa(print_aa(aa), path=path.name)
         assert again == aa, path.name
+
+
+def test_tokenizer_reads_the_symbol_set():
+    tokens = _tokenize(" ".join(SYMBOLS), None)
+    assert tuple(t.kind for t in tokens[:-1]) == SYMBOLS
+
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# A filter value cannot hold '&' (it separates filters), '/' (it ends the
+# pattern) or a newline (it ends the line).
+_FILTER_STRINGS = st.text(st.characters(exclude_characters="&/\n", exclude_categories=("Cs",)), max_size=8)
+_FILTERS = st.one_of(
+    st.builds(MetadataFilter, _IDENT, st.just("eq"), _FILTER_STRINGS),
+    st.builds(
+        MetadataFilter,
+        _IDENT,
+        st.sampled_from(("eq", "lt", "gt")),
+        st.one_of(st.integers(), st.floats(allow_nan=False)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filters=st.lists(_FILTERS, min_size=1, max_size=3))
+def test_filters_print_parse_round_trip(filters):
+    aa = parse_aa("Pointcut:\n  a := /x.p/\nAdvice:\nschema s(a):\n  a -> (nop)\n")
+    (rule,) = aa.pointcut
+    aa = replace(aa, pointcut=(PointcutRule(rule.variable, rule.pattern, tuple(filters)),))
+    again = parse_aa(print_aa(aa))
+    assert again == aa
+    for f, g in zip(aa.pointcut[0].filters, again.pointcut[0].filters):
+        assert type(f.value) is type(g.value)
+
+
+def _port_exprs():
+    base = _IDENT.filter(lambda name: name not in KEYWORDS)
+    bare = st.builds(PortExpr, base)
+    with_port = st.builds(PortExpr, base, _IDENT, st.booleans())
+    return st.one_of(bare, with_port)
+
+
+def _op_trees():
+    leaf = st.one_of(st.builds(Leaf, _port_exprs()), st.just(NOP), st.just(CALL))
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.builds(Delegate, sub),
+            st.builds(If, _port_exprs(), sub, sub),
+            st.builds(Seq, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+            st.builds(Par, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_op_trees())
+def test_operator_expressions_print_parse_round_trip(tree):
+    assert parse_operator_expr(print_operator_expr(tree)) == tree
 
 
 def test_corpus_reaches_every_construct(fixtures_dir):

@@ -1,9 +1,13 @@
+import functools
 import itertools
+import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aaweave import weaver
 from aaweave.language import parse_aa
 from aaweave.matching import FreshNames, Visibility, collect_joinpoints, combinations, instantiate_advice, match_pointcut
 from aaweave.merge import (
@@ -33,6 +37,7 @@ from aaweave.model import (
     required,
 )
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, sort_key
+from aaweave.sim import WorkloadSpec, generate_workload
 
 light_on = Leaf(provided("light", "on"))
 shutter_open = Leaf(provided("shutter", "open"))
@@ -266,6 +271,45 @@ def test_instantiations_never_conflict(fixtures_dir, hospital_base):
     assert added == {"Decision1", "Timer1", "threshold1", "Average1"}
     # adding a component is never itself an anchor
     assert not {g.anchor.component_id for g in groups} & added
+
+
+def test_grounding_builds_the_normal_form(hospital_base):
+    aa = parse_aa(
+        "Pointcut:\n  s := /switch.^value_Evented_NewValue/\n  t := /light1.SetState/\n"
+        "Advice:\nschema n(s, t):\n  s -> (t ; (t ; t) || call || t)\n"
+    )
+    raw = aa.rules[0].tree
+    assert raw != normalize(raw)  # the parser keeps source order
+    (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, Visibility(0)), aa))
+    (rule,) = instantiate_advice(aa, combo, FreshNames()).grounded_rules
+    leaf = Leaf(provided("light1", "SetState"))
+    assert rule.tree == Par((leaf, Seq((leaf, leaf, leaf))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), cycles=st.integers(1, 3), p=st.sampled_from((0.33, 0.5)))
+def test_rewrite_groups_hold_normal_trees(seed, cycles, p):
+    spec = WorkloadSpec(seed=seed, joinpoint_count=12, aa_count=6, conflict_probability=p, cycles=cycles)
+    base, cascades = generate_workload(spec)
+    groups = []
+
+    def spy(group):
+        groups.append(group)
+        return merge_group(group)
+
+    with mock.patch.object(weaver, "merge_group", spy):
+        weaver.weave_cascade(base, cascades)
+    assert groups
+    for group in groups:
+        assert all(tree == normalize(tree) for tree in group.trees)
+        assert merge_group(group) == functools.reduce(merge, map(normalize, group.trees))
+
+
+def test_aaweave_merge_is_the_module():
+    import aaweave.merge as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.merge_group is merge_group
 
 
 # ---------------------------------------------------------------------------

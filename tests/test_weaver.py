@@ -138,6 +138,43 @@ def test_union_name_collision():
         union(Cascade("a", "", ((a1,),)), Cascade("b", "", ((a2,),)))
 
 
+def test_pinned_namespace_pair_weaves_as_its_union(fixtures_dir, hospital_base):
+    # One aspect twice in namespace x: inherited from its cascade in c1,
+    # pinned explicitly in c2, whatever c2's own namespace is.
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    c1 = Cascade("c1", "x", ((dec,),))
+    for c2_namespace in ("", "x"):
+        c2 = Cascade("c2", c2_namespace, ((dec.with_namespace("x"),),))
+        woven_pair, reports = weave_cascade(hospital_base, [c1, c2])
+        assert reports[0].failure is None
+        assert reports[0].applied == [("dec", 0, 1)]
+        assert {c.provenance.namespace for c in woven_pair.components.values() if c.provenance} == {"x"}
+        woven_union, _ = weave_cascade(hospital_base, [union(c1, c2)])
+        assert canonical_equal(woven_pair, woven_union)
+
+
+def test_union_of_no_cascade_is_empty(hospital_base):
+    empty = union()
+    assert (empty.name, empty.namespace, empty.cycles) == ("", "", ())
+    woven, reports = weave_cascade(hospital_base, [])
+    assert woven is hospital_base and reports == []
+
+
+def test_three_way_union(hospital_base, assistance_cascade, energy_cascade, mono_cascade):
+    three = union(assistance_cascade, energy_cascade, mono_cascade)
+    assert three.name == "assistance+energy+hospital"
+    assert three.cycles == union(union(assistance_cascade, energy_cascade), mono_cascade).cycles
+    for rank in three.cycles:
+        assert [aa.name for aa in rank] == sorted(aa.name for aa in rank)
+    woven_three, _ = weave_cascade(hospital_base, [three])
+    woven_each, _ = weave_cascade(hospital_base, [mono_cascade, energy_cascade, assistance_cascade])
+    assert canonical_equal(woven_three, woven_each)
+    # the namespace is shared only when every cascade has it
+    cascades = [Cascade(str(k), "x") for k in range(3)]
+    assert union(*cascades).namespace == "x"
+    assert union(*cascades, Cascade("3", "y")).namespace == ""
+
+
 # ---------------------------------------------------------------------------
 # re-weave
 
