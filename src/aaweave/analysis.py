@@ -155,7 +155,7 @@ def _produces_match(earlier: AspectOfAssembly, later: AspectOfAssembly) -> bool:
     ]
     for pc in later.pointcut:
         for name, metadata in products:
-            if pc.pattern.matches_component(name) and all(f.evaluate(metadata) for f in pc.filters):
+            if pc.accepts_component(name, metadata):
                 return True
     return False
 

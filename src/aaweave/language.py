@@ -131,6 +131,16 @@ class PointcutRule:
     pattern: Pattern
     filters: tuple[MetadataFilter, ...] = ()
 
+    def accepts_component(self, component_id: str, metadata: dict) -> bool:
+        """The component half of matching: the component pattern, then
+        every metadata filter."""
+        if not self.pattern.matches_component(component_id):
+            return False
+        for f in self.filters:
+            if not f.evaluate(metadata):
+                return False
+        return True
+
 
 def _scan_atoms(text: str, line: int, col: int, path) -> tuple:
     atoms: list[tuple] = []
@@ -315,7 +325,20 @@ class AspectOfAssembly:
     namespace: str | None = None
 
     def with_namespace(self, namespace: str | None) -> "AspectOfAssembly":
-        return replace(self, namespace=namespace)
+        """A copy in ``namespace``.  It shares this aspect's ``stash``:
+        values stashed there depend on ``rules`` alone."""
+        copy = replace(self, namespace=namespace)
+        copy.__dict__["_stash"] = self.stash
+        return copy
+
+    @property
+    def stash(self) -> dict:
+        """Values computed from ``rules`` and kept with the aspect, such as
+        the advice factory's plan."""
+        stash = self.__dict__.get("_stash")
+        if stash is None:
+            stash = self.__dict__["_stash"] = {}
+        return stash
 
     @property
     def locals(self) -> tuple[str, ...]:
@@ -694,6 +717,10 @@ def print_pattern(pattern: Pattern, filters: tuple[MetadataFilter, ...] = ()) ->
 def _filter_text(f: MetadataFilter) -> str:
     op = {"eq": "=", "lt": "<", "gt": ">"}[f.op]
     value = f.value
+    # '&' separates filters, '/' ends the pattern and a newline ends the
+    # line; the dialect has no escape for them, quoted or not.
+    if isinstance(value, str) and any(ch in value for ch in "&/\n"):
+        raise ValueError(f"metadata filter {f.key!r}: value {value!r} cannot be printed")
     # Quote a string unless it is a plain word that reads back as itself.
     if isinstance(value, str) and (
         not re.fullmatch(r"[A-Za-z0-9_.:-]+", value) or _parse_filter_value(value, 0, 0, None) != value

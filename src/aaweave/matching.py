@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .language import AspectOfAssembly, Instantiate, Link, PortExpr, Rewrite
+from .language import AspectOfAssembly, Instantiate, Link, PointcutRule, PortExpr, Rewrite
 from .model import PROVIDED, REQUIRED, Component, PortRef, PortSpec, Woven
 from .optree import OperatorTree, iter_refs, map_leaves
 
@@ -98,37 +98,82 @@ def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset())
     return out
 
 
-def match_pointcut(joinpoints, aa: AspectOfAssembly, _cache: dict | None = None) -> dict[str, list[Joinpoint]]:
-    """Candidate joinpoints per pointcut variable, in canonical order.
+class JoinpointIndex:
+    """A joinpoint list prepared for matching many pointcut rules.
 
-    ``_cache`` may be shared across aspects matched against the same
-    joinpoint list; rules repeated verbatim are then evaluated once.
+    Joinpoints are grouped by component, keeping the list's order, so a
+    rule's component pattern and metadata filters run once per component
+    and only the ports of accepted components meet the port pattern.  A
+    rule with an equality filter on a string value visits only the groups
+    that a per-key table lists under that value: exactly the groups the
+    filter accepts.  Every other rule scans all groups.  Groups and
+    tables are built on first use, so their cost lands in matching, not in
+    the caller.  Results are kept per (pattern, filters), so a rule
+    repeated verbatim across aspects is matched once.
     """
-    out: dict[str, list[Joinpoint]] = {}
-    for rule in aa.pointcut:
-        cache_key = (rule.pattern, rule.filters)
-        if _cache is not None and cache_key in _cache:
-            out[rule.variable] = _cache[cache_key]
-            continue
-        matched = []
-        by_component: dict[str, bool] = {}
-        for jp in joinpoints:
-            cid = jp.port.component_id
-            ok = by_component.get(cid)
-            if ok is None:
-                ok = rule.pattern.matches_component(cid)
-                by_component[cid] = ok
-            if not ok:
-                continue
-            if not rule.pattern.matches_port(jp.port.port_name, jp.port.direction):
-                continue
-            if rule.filters and not all(f.evaluate(jp.metadata) for f in rule.filters):
-                continue
-            matched.append(jp)
-        out[rule.variable] = matched
-        if _cache is not None:
-            _cache[cache_key] = matched
-    return out
+
+    def __init__(self, joinpoints):
+        self.joinpoints = joinpoints
+        self._groups: list[tuple[str, dict, list[Joinpoint]]] | None = None
+        self._tables: dict[str, dict[str, list]] = {}
+        self._matched: dict[tuple, list[Joinpoint]] = {}
+
+    def __len__(self) -> int:
+        return len(self.joinpoints)
+
+    def _all_groups(self) -> list:
+        if self._groups is None:
+            self._groups = []
+            group = None
+            for jp in self.joinpoints:
+                cid = jp.port.component_id
+                if group is None or cid != group[0] or jp.metadata is not group[1]:
+                    group = (cid, jp.metadata, [])
+                    self._groups.append(group)
+                group[2].append(jp)
+        return self._groups
+
+    def _groups_with(self, key: str, value: str) -> list:
+        table = self._tables.get(key)
+        if table is None:
+            table = {}
+            for group in self._all_groups():
+                have = group[1].get(key)
+                if isinstance(have, str):
+                    table.setdefault(have, []).append(group)
+            self._tables[key] = table
+        return table.get(value, [])
+
+    def candidates(self, rule: PointcutRule) -> list[Joinpoint]:
+        """The joinpoints ``rule`` matches, in list order."""
+        key = (rule.pattern, rule.filters)
+        matched = self._matched.get(key)
+        if matched is None:
+            groups = self._all_groups()
+            for f in rule.filters:
+                if f.op == "eq" and isinstance(f.value, str):
+                    groups = self._groups_with(f.key, f.value)
+                    break
+            matches_port = rule.pattern.matches_port
+            matched = [
+                jp
+                for cid, metadata, run in groups
+                if rule.accepts_component(cid, metadata)
+                for jp in run
+                if matches_port(jp.port.port_name, jp.port.direction)
+            ]
+            self._matched[key] = matched
+        return matched
+
+
+def match_pointcut(joinpoints, aa: AspectOfAssembly) -> dict[str, list[Joinpoint]]:
+    """Candidate joinpoints per pointcut variable, in the order of ``joinpoints``.
+
+    ``joinpoints`` is a list or a ``JoinpointIndex`` over one; aspects
+    matched through one index share its groups, tables and results.
+    """
+    index = joinpoints if isinstance(joinpoints, JoinpointIndex) else JoinpointIndex(joinpoints)
+    return {rule.variable: index.candidates(rule) for rule in aa.pointcut}
 
 
 def combinations(candidates: dict[str, list[Joinpoint]]) -> list[Combination]:
@@ -145,7 +190,7 @@ def combinations(candidates: dict[str, list[Joinpoint]]) -> list[Combination]:
 
 @dataclass(frozen=True)
 class _FactoryPlan:
-    """Per-aspect grounding plan, computed once and stashed on the aspect."""
+    """Per-aspect grounding plan, computed once and kept in the aspect's stash."""
 
     inits: tuple[Instantiate, ...]
     local_ports: dict[str, tuple[PortSpec, ...]]
@@ -153,7 +198,7 @@ class _FactoryPlan:
 
 
 def _factory_plan(aa: AspectOfAssembly) -> _FactoryPlan:
-    plan = aa.__dict__.get("_factory_plan")
+    plan = aa.stash.get("factory_plan")
     if plan is not None:
         return plan
     inits = tuple(r for r in aa.rules if isinstance(r, Instantiate))
@@ -183,7 +228,7 @@ def _factory_plan(aa: AspectOfAssembly) -> _FactoryPlan:
         {name: tuple(specs) for name, specs in local_ports.items()},
         tuple(arrows),
     )
-    object.__setattr__(aa, "_factory_plan", plan)
+    aa.stash["factory_plan"] = plan
     return plan
 
 

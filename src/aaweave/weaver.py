@@ -21,6 +21,7 @@ from .language import AspectOfAssembly
 from .matching import (
     GLOBAL_NAMESPACE,
     FreshNames,
+    JoinpointIndex,
     Visibility,
     collect_joinpoints,
     combinations,
@@ -108,18 +109,16 @@ def _weave_cycle(
     durations = report.durations_us
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
-    joinpoints_by_ns: dict[str, list] = {}
-    match_cache_by_ns: dict[str, dict] = {}
+    index_by_ns: dict[str, JoinpointIndex] = {}
 
     for aa, namespace in pairs:
         mark = time.perf_counter_ns()
-        joinpoints = joinpoints_by_ns.get(namespace)
-        if joinpoints is None:
+        index = index_by_ns.get(namespace)
+        if index is None:
             vis = Visibility(cycle_index, namespace)
-            joinpoints = collect_joinpoints(base, vis, weaving_names)
-            joinpoints_by_ns[namespace] = joinpoints
-            match_cache_by_ns[namespace] = {}
-        candidates = match_pointcut(joinpoints, aa, match_cache_by_ns[namespace])
+            index = JoinpointIndex(collect_joinpoints(base, vis, weaving_names))
+            index_by_ns[namespace] = index
+        candidates = match_pointcut(index, aa)
         mark = _lap(durations, "match", mark)
         combos = combinations(candidates)
         mark = _lap(durations, "combine", mark)

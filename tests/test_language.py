@@ -232,9 +232,12 @@ def test_tokenizer_reads_the_symbol_set():
 
 
 _IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
-# A filter value cannot hold '&' (it separates filters), '/' (it ends the
-# pattern) or a newline (it ends the line).
-_FILTER_STRINGS = st.text(st.characters(exclude_characters="&/\n", exclude_categories=("Cs",)), max_size=8)
+# A filter value holding '&' (it separates filters), '/' (it ends the
+# pattern) or a newline (it ends the line) cannot be printed.
+UNPRINTABLE = "&/\n"
+_FILTER_STRINGS = st.text(
+    st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from(UNPRINTABLE)), max_size=8
+)
 _FILTERS = st.one_of(
     st.builds(MetadataFilter, _IDENT, st.just("eq"), _FILTER_STRINGS),
     st.builds(
@@ -252,6 +255,12 @@ def test_filters_print_parse_round_trip(filters):
     aa = parse_aa("Pointcut:\n  a := /x.p/\nAdvice:\nschema s(a):\n  a -> (nop)\n")
     (rule,) = aa.pointcut
     aa = replace(aa, pointcut=(PointcutRule(rule.variable, rule.pattern, tuple(filters)),))
+    unprintable = [f for f in filters if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE)]
+    if unprintable:
+        with pytest.raises(ValueError) as raised:
+            print_aa(aa)
+        assert f"{unprintable[0].key!r}: value {unprintable[0].value!r}" in str(raised.value)
+        return
     again = parse_aa(print_aa(aa))
     assert again == aa
     for f, g in zip(aa.pointcut[0].filters, again.pointcut[0].filters):

@@ -1,8 +1,21 @@
-from aaweave.language import parse_aa
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aaweave.language import (
+    DIGIT,
+    STAR,
+    AspectOfAssembly,
+    MetadataFilter,
+    Pattern,
+    PointcutRule,
+    literal,
+    parse_aa,
+)
 from aaweave.matching import (
     Combination,
     FreshNames,
     GroundLink,
+    JoinpointIndex,
     Visibility,
     collect_joinpoints,
     combinations,
@@ -99,6 +112,108 @@ def test_empty_assembly_matches_nothing():
     aa = parse_aa(LIGHT_AA)
     got = match_pointcut(collect_joinpoints(Assembly.empty(), Visibility(0)), aa)
     assert got == {"light": []}
+
+
+def scan(joinpoints, rule):
+    """Reference matcher: every joinpoint meets the component pattern, then
+    the port pattern and direction, then every filter."""
+    return [
+        jp
+        for jp in joinpoints
+        if rule.pattern.matches_component(jp.port.component_id)
+        and rule.pattern.matches_port(jp.port.port_name, jp.port.direction)
+        and all(f.evaluate(jp.metadata) for f in rule.filters)
+    ]
+
+
+DIRECTIONS = (PROVIDED, REQUIRED)
+_NAMES = ("dev1", "Dev1", "DEV1", "dev12", "light1", "Light2", "hub", "x")
+_KEYS = ("type", "level")
+# Few values, so that components share them: strings differing in case or
+# reading as numbers, and numbers equal across int, float and bool.
+_STRINGS = st.sampled_from(("light", "Light", "10"))
+_VALUES = _STRINGS | st.sampled_from((10, 10.0, 1.5, -2, 1, True, False))
+_NUMBERS = st.sampled_from((10, 1.5, -2, 0, 1.0))
+_PORTS = st.lists(
+    st.builds(PortSpec, st.sampled_from(("in", "In", "out", "SetState", "set1")), st.sampled_from(DIRECTIONS)),
+    min_size=1,
+    max_size=4,
+)
+_COMPONENTS = st.lists(
+    st.builds(
+        lambda cid, ports, metadata: Component(cid, "t", metadata=metadata, ports=tuple(ports)),
+        st.sampled_from(_NAMES),
+        _PORTS,
+        st.fixed_dictionaries({}, optional={"type": _STRINGS | _VALUES, "level": _VALUES}),
+    ),
+    min_size=3,
+    max_size=len(_NAMES),
+    unique_by=lambda c: c.id,
+)
+_ATOMS = st.one_of(
+    st.just((STAR,)),
+    st.sampled_from(
+        (
+            (literal("dev"), DIGIT),
+            (literal("DEV"), STAR),
+            (literal("light"), STAR),
+            (STAR, literal("1")),
+            (literal("in"),),
+            (literal("set"), DIGIT),
+            (STAR, literal("state")),
+        )
+    ),
+    st.lists(
+        st.sampled_from((literal("dev"), literal("light"), literal("1"), literal("in"), STAR, DIGIT)), max_size=3
+    ).map(tuple),
+)
+
+
+def _rules(components):
+    """Rules whose filters mostly name a key and value some component
+    holds, so that they select something."""
+    held = [MetadataFilter(k, "eq", v) for c in components for k, v in c.metadata.items()]
+    held = st.sampled_from(held) if held else st.nothing()
+    filters = st.one_of(
+        held,
+        held,  # drawn twice as often as either kind below
+        st.builds(MetadataFilter, st.sampled_from(_KEYS), st.just("eq"), _VALUES),
+        st.builds(MetadataFilter, st.sampled_from(_KEYS), st.sampled_from(("lt", "gt")), _NUMBERS),
+    )
+    return st.builds(
+        lambda atoms, port_atoms, required, filters: (Pattern(atoms, port_atoms, required), tuple(filters)),
+        _ATOMS,
+        st.one_of(st.none(), _ATOMS),
+        st.booleans(),
+        st.lists(filters, max_size=2),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(components=_COMPONENTS, data=st.data())
+def test_index_matches_the_reference_scan(components, data):
+    listed = collect_joinpoints(Assembly.build(components, []), Visibility(0))
+    shuffled = data.draw(st.permutations(listed), label="shuffled")
+    aspects = data.draw(st.lists(st.lists(_rules(components), min_size=1, max_size=3), min_size=1, max_size=4))
+    for jps in (listed, shuffled):
+        index = JoinpointIndex(jps)
+        assert len(index) == len(jps)
+        for n, rules in enumerate(aspects):
+            pointcut = tuple(PointcutRule(f"v{i}", pattern, filters) for i, (pattern, filters) in enumerate(rules))
+            aa = AspectOfAssembly(f"a{n}", pointcut, tuple(r.variable for r in pointcut), ())
+            want = {rule.variable: scan(jps, rule) for rule in pointcut}
+            assert match_pointcut(index, aa) == want
+            assert match_pointcut(jps, aa) == want
+
+
+def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital_base):
+    jps = collect_joinpoints(hospital_base, Visibility(0))
+    index = JoinpointIndex(jps)
+    for path in sorted((fixtures_dir / "aa").glob("*.aa")):
+        aa = parse_aa(path.read_text(), path=path.name)
+        want = {rule.variable: scan(jps, rule) for rule in aa.pointcut}
+        assert match_pointcut(index, aa) == want, path.name
+        assert match_pointcut(jps, aa) == want, path.name
 
 
 # ---------------------------------------------------------------------------

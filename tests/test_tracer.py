@@ -37,3 +37,6 @@ def test_benchmark_tracer_binds_every_patch_point():
     assert sum(r.merge_ops for r in reports) > 0
     assert tracer.counts["merge.fold_steps"] == sum(r.merge_ops for r in reports)
     assert tracer.counts["weaver.cycles"] == len(reports)
+    # The match counts read what the weaver hands the matcher.
+    assert tracer.counts["matching.joinpoints"] > 0
+    assert tracer.counts["matching.candidates"] > 0
