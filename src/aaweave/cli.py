@@ -70,24 +70,35 @@ def load_cascade_manifest(path: str) -> Cascade:
         raise InputError(f"cannot read cascade manifest {path!r}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise InputError(f"{path}: a cascade manifest is a JSON object")
+    ranks = manifest.get("cycles", [])
+    if not isinstance(ranks, list) or not all(isinstance(rank, list) for rank in ranks):
+        raise InputError(f'{path}: "cycles" must be a list of lists of aspect entries')
+    name = manifest.get("name", manifest_path.stem)
+    cascade_ns = manifest.get("namespace", "")
+    if not isinstance(name, str) or not isinstance(cascade_ns, str):
+        raise InputError(f'{path}: "name" and "namespace" must be strings')
     cycles = []
-    for rank in manifest.get("cycles", ()):
+    for rank in ranks:
         aas = []
         for entry in rank:
             if isinstance(entry, str):
                 file_name, namespace = entry, None
-            else:
+            elif isinstance(entry, dict) and isinstance(entry.get("file"), str):
                 file_name, namespace = entry["file"], entry.get("namespace")
+            else:
+                raise InputError(
+                    f'{path}: cycle entry {json.dumps(entry)} is neither a file name nor an object with a string "file"'
+                )
+            if namespace is not None and not isinstance(namespace, str):
+                raise InputError(f"{path}: the namespace of {file_name!r} must be a string, not {json.dumps(namespace)}")
             aa = _load_aa(str(manifest_path.parent / file_name))
             if namespace is not None:
                 aa = aa.with_namespace(namespace)
             aas.append(aa)
         cycles.append(tuple(aas))
-    return Cascade(
-        name=manifest.get("name", manifest_path.stem),
-        namespace=manifest.get("namespace", ""),
-        cycles=tuple(cycles),
-    )
+    return Cascade(name=name, namespace=cascade_ns, cycles=tuple(cycles))
 
 
 def _gather_cascades(args) -> list[Cascade]:

@@ -1,10 +1,14 @@
 """Joinpoint collection, pointcut matching and the advice factory.
 
 A joinpoint is one port of one component, with the component's metadata
-along for filter evaluation.  Matching an aspect yields candidate
-joinpoints per variable; the cartesian product of the candidates gives the
-combinations and every combination turns into one grounded advice
-instance, with fresh names for instantiated components.
+along for filter evaluation.  A cycle matches against a
+``JoinpointIndex`` of the components it may see: the index groups their
+ports by component and builds a ``Joinpoint`` only for a port some rule
+matches, so a woven assembly with thousands of ports costs one pass over
+its components.  Matching an aspect yields candidate joinpoints per
+variable; the cartesian product of the candidates gives the combinations
+and every combination turns into one grounded advice instance, with fresh
+names for instantiated components.
 
 Visibility encodes the staging rules for cascades: base components are
 always eligible, woven components only when they were woven in a strictly
@@ -23,7 +27,7 @@ from .optree import OperatorTree, iter_refs, map_leaves
 GLOBAL_NAMESPACE = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Joinpoint:
     port: PortRef
     metadata: dict
@@ -81,10 +85,11 @@ class FreshNames:
         return candidate
 
 
-def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset()) -> list[Joinpoint]:
-    out: list[Joinpoint] = []
-    for cid in sorted(assembly.components):
-        c = assembly.components[cid]
+def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset()) -> JoinpointIndex:
+    """The joinpoints of every component ``vis`` lets a cycle match, in
+    component id order, as an index over those components."""
+    groups = []
+    for cid, c in assembly.components.items():
         p = c.provenance
         if p is not None:
             if p.aa_name in currently_weaving:
@@ -93,51 +98,66 @@ def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset())
                 continue
             if p.namespace not in (GLOBAL_NAMESPACE, vis.requesting_namespace):
                 continue
-        for port in c.ports:
-            out.append(Joinpoint(PortRef(cid, port.name, port.direction), c.metadata, p))
-    return out
+        groups.append((cid, c.metadata, c))
+    return JoinpointIndex(groups)
 
 
 class JoinpointIndex:
-    """A joinpoint list prepared for matching many pointcut rules.
+    """Joinpoints grouped by component, prepared for matching many pointcut rules.
 
-    Joinpoints are grouped by component, keeping the list's order, so a
-    rule's component pattern and metadata filters run once per component
-    and only the ports of accepted components meet the port pattern.  A
-    rule with an equality filter on a string value visits only the groups
-    that a per-key table lists under that value: exactly the groups the
-    filter accepts.  Every other rule scans all groups.  Groups and
-    tables are built on first use, so their cost lands in matching, not in
-    the caller.  Results are kept per (pattern, filters), so a rule
-    repeated verbatim across aspects is matched once.
+    Each group is ``(cid, metadata, owner)``: a component's id, its
+    metadata and the component itself, whose ports and provenance make up
+    the group's joinpoints.  A rule's component pattern and metadata
+    filters run once per group, and only the ports of accepted groups meet
+    the port pattern; a ``Joinpoint`` is built only for a port that passes.
+    A rule with an equality filter on a string value visits only the
+    groups that a per-key table lists under that value: exactly the groups
+    the filter accepts.  Every other rule scans all groups.  Tables are
+    built on first use, so their cost lands in matching, not in the
+    caller.  Results are kept per (pattern, filters), so a rule repeated
+    verbatim across aspects is matched once.
+
+    ``len()`` is the number of joinpoints (ports) and iterating yields them
+    all, in group order.
     """
 
-    def __init__(self, joinpoints):
-        self.joinpoints = joinpoints
-        self._groups: list[tuple[str, dict, list[Joinpoint]]] | None = None
+    def __init__(self, groups: list[tuple[str, dict, Component]]):
+        self._groups = groups
+        self._size = sum(len(owner.ports) for _, _, owner in groups)
         self._tables: dict[str, dict[str, list]] = {}
         self._matched: dict[tuple, list[Joinpoint]] = {}
 
-    def __len__(self) -> int:
-        return len(self.joinpoints)
+    @classmethod
+    def of(cls, joinpoints) -> JoinpointIndex:
+        """An index over a joinpoint list that keeps the list's order: each
+        joinpoint is a group of its own, owned by a one-port component."""
+        return cls([
+            (
+                jp.port.component_id,
+                jp.metadata,
+                Component(
+                    jp.port.component_id,
+                    "",
+                    ports=(PortSpec(jp.port.port_name, jp.port.direction),),
+                    provenance=jp.provenance,
+                ),
+            )
+            for jp in joinpoints
+        ])
 
-    def _all_groups(self) -> list:
-        if self._groups is None:
-            self._groups = []
-            group = None
-            for jp in self.joinpoints:
-                cid = jp.port.component_id
-                if group is None or cid != group[0] or jp.metadata is not group[1]:
-                    group = (cid, jp.metadata, [])
-                    self._groups.append(group)
-                group[2].append(jp)
-        return self._groups
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        for cid, metadata, owner in self._groups:
+            for p in owner.ports:
+                yield Joinpoint(PortRef(cid, p.name, p.direction), metadata, owner.provenance)
 
     def _groups_with(self, key: str, value: str) -> list:
         table = self._tables.get(key)
         if table is None:
             table = {}
-            for group in self._all_groups():
+            for group in self._groups:
                 have = group[1].get(key)
                 if isinstance(have, str):
                     table.setdefault(have, []).append(group)
@@ -145,22 +165,22 @@ class JoinpointIndex:
         return table.get(value, [])
 
     def candidates(self, rule: PointcutRule) -> list[Joinpoint]:
-        """The joinpoints ``rule`` matches, in list order."""
+        """The joinpoints ``rule`` matches, in index order."""
         key = (rule.pattern, rule.filters)
         matched = self._matched.get(key)
         if matched is None:
-            groups = self._all_groups()
+            groups = self._groups
             for f in rule.filters:
                 if f.op == "eq" and isinstance(f.value, str):
                     groups = self._groups_with(f.key, f.value)
                     break
             matches_port = rule.pattern.matches_port
             matched = [
-                jp
-                for cid, metadata, run in groups
+                Joinpoint(PortRef(cid, p.name, p.direction), metadata, owner.provenance)
+                for cid, metadata, owner in groups
                 if rule.accepts_component(cid, metadata)
-                for jp in run
-                if matches_port(jp.port.port_name, jp.port.direction)
+                for p in owner.ports
+                if matches_port(p.name, p.direction)
             ]
             self._matched[key] = matched
         return matched
@@ -169,10 +189,10 @@ class JoinpointIndex:
 def match_pointcut(joinpoints, aa: AspectOfAssembly) -> dict[str, list[Joinpoint]]:
     """Candidate joinpoints per pointcut variable, in the order of ``joinpoints``.
 
-    ``joinpoints`` is a list or a ``JoinpointIndex`` over one; aspects
-    matched through one index share its groups, tables and results.
+    ``joinpoints`` is a ``JoinpointIndex`` or a list of joinpoints; aspects
+    matched through one index share its tables and results.
     """
-    index = joinpoints if isinstance(joinpoints, JoinpointIndex) else JoinpointIndex(joinpoints)
+    index = joinpoints if isinstance(joinpoints, JoinpointIndex) else JoinpointIndex.of(joinpoints)
     return {rule.variable: index.candidates(rule) for rule in aa.pointcut}
 
 

@@ -129,6 +129,16 @@ class Binding:
 
 @dataclass(frozen=True)
 class Assembly:
+    """Components by id, in id order, and bindings in endpoint order.
+
+    ``by_endpoints()`` keys the bindings by ``Binding.endpoints()``.  The
+    map is built once per assembly and kept on the instance, the way
+    ``Component`` keeps its port index; ``apply_instructions`` and
+    ``build`` hand the map they worked on to their result, so a chain of
+    weaves never re-keys its bindings.  The map is shared: read it, never
+    mutate it.
+    """
+
     components: dict[str, Component]
     bindings: tuple[Binding, ...]
 
@@ -144,24 +154,42 @@ class Assembly:
             if c.id in comps:
                 raise DuplicateComponent(f"duplicate component id {c.id!r}")
             comps[c.id] = c
-        seen: set[tuple] = set()
-        out: list[Binding] = []
+        by_endpoints: dict[tuple, Binding] = {}
         for b in bindings:
             _check_endpoint(comps, b.source, REQUIRED)
             _check_endpoint(comps, b.target, PROVIDED)
             key = b.endpoints()
-            if key in seen:
+            if key in by_endpoints:
                 raise DuplicateBinding(f"duplicate binding {b.source} -> {b.target}")
-            seen.add(key)
-            out.append(b)
-        comps = {cid: comps[cid] for cid in sorted(comps)}
-        return Assembly(comps, tuple(sorted(out, key=Binding.endpoints)))
+            by_endpoints[key] = b
+        return _assembled(comps, by_endpoints)
 
     def component(self, component_id: str) -> Component:
         try:
             return self.components[component_id]
         except KeyError:
             raise UnknownComponent(f"no component {component_id!r}") from None
+
+    def by_endpoints(self) -> dict[tuple[str, str, str, str], Binding]:
+        cache = self.__dict__.get("_by_endpoints")
+        if cache is None:
+            cache = {b.endpoints(): b for b in self.bindings}
+            object.__setattr__(self, "_by_endpoints", cache)
+        return cache
+
+
+def _assembled(comps: dict[str, Component], by_endpoints: dict[tuple, Binding]) -> Assembly:
+    """An assembly in canonical order that keeps ``by_endpoints`` as its map.
+
+    Sorting the keys orders the bindings by their endpoints with tuple
+    compares alone.
+    """
+    assembly = Assembly(
+        {cid: comps[cid] for cid in sorted(comps)},
+        tuple([by_endpoints[k] for k in sorted(by_endpoints)]),
+    )
+    object.__setattr__(assembly, "_by_endpoints", by_endpoints)
+    return assembly
 
 
 def _check_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -210,7 +238,7 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     port; base components reject unknown ports with :class:`DanglingBinding`.
     """
     comps = dict(assembly.components)
-    bindings = {b.endpoints(): b for b in assembly.bindings}
+    bindings = dict(assembly.by_endpoints())
     for ins in instructions:
         match ins:
             case AddComponent(component=c):
@@ -246,8 +274,7 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
                 raise ModelError(f"unknown instruction {ins!r}")
     # The loop validated each mutation, so assemble directly instead of
     # paying Assembly.build's re-validation pass.
-    comps = {cid: comps[cid] for cid in sorted(comps)}
-    return Assembly(comps, tuple(sorted(bindings.values(), key=Binding.endpoints)))
+    return _assembled(comps, bindings)
 
 
 def _admit_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -272,8 +299,8 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
     die with a removed component are left to the cascade, which keeps the
     instruction list short.
     """
-    cur_b = {b.endpoints(): b for b in current.bindings}
-    tgt_b = {b.endpoints(): b for b in target.bindings}
+    cur_b = current.by_endpoints()
+    tgt_b = target.by_endpoints()
 
     removed_ids = {
         cid
@@ -289,21 +316,17 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
     def touches(key: tuple, ids: set[str]) -> bool:
         return key[0] in ids or key[2] in ids
 
-    remove_b = [
-        RemoveBinding(b.source, b.target)
-        for k, b in cur_b.items()
-        if (k not in tgt_b or tgt_b[k] != b) and not touches(k, removed_ids)
-    ]
-    add_b = [
-        AddBinding(b)
-        for k, b in tgt_b.items()
-        if k not in cur_b or cur_b[k] != b or touches(k, removed_ids)
-    ]
+    remove_b = sorted(
+        k for k, b in cur_b.items() if tgt_b.get(k) != b and not touches(k, removed_ids)
+    )
+    add_b = sorted(
+        k for k, b in tgt_b.items() if cur_b.get(k) != b or touches(k, removed_ids)
+    )
     out: list[Instruction] = []
-    out.extend(sorted(remove_b, key=lambda i: (i.source.key(), i.target.key())))
+    out.extend(RemoveBinding(cur_b[k].source, cur_b[k].target) for k in remove_b)
     out.extend(RemoveComponent(cid) for cid in sorted(removed_ids))
     out.extend(AddComponent(target.components[cid]) for cid in sorted(added_ids))
-    out.extend(sorted(add_b, key=lambda i: i.binding.endpoints()))
+    out.extend(AddBinding(tgt_b[k]) for k in add_b)
     return out
 
 
@@ -436,13 +459,28 @@ def component_to_json(c: Component) -> dict:
     }
 
 
+def _text(value, what: str) -> str:
+    """``value`` if it is a string; names and ids are compared and sorted
+    against each other, so any other type fails here, not mid-weave."""
+    if not isinstance(value, str):
+        raise ModelError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _port_from_json(d: dict) -> PortSpec:
+    direction = d["direction"]
+    if direction not in (PROVIDED, REQUIRED):
+        raise ModelError(f"port direction must be {PROVIDED!r} or {REQUIRED!r}, not {direction!r}")
+    return PortSpec(_text(d["name"], "port name"), direction)
+
+
 def component_from_json(d: dict) -> Component:
     return Component(
-        id=d["id"],
-        type_name=d.get("type", ""),
+        id=_text(d["id"], "component id"),
+        type_name=_text(d.get("type", ""), "component type"),
         properties=dict(d.get("properties", {})),
         metadata=dict(d.get("metadata", {})),
-        ports=tuple(PortSpec(p["name"], p["direction"]) for p in d.get("ports", ())),
+        ports=tuple(_port_from_json(p) for p in d.get("ports", ())),
         provenance=_provenance_from_json(d.get("provenance")),
     )
 
@@ -461,12 +499,16 @@ def to_json_dict(assembly: Assembly) -> dict:
     }
 
 
+def _endpoint_from_json(d: dict, direction: str) -> PortRef:
+    return PortRef(_text(d["component"], "binding component"), _text(d["port"], "binding port"), direction)
+
+
 def from_json_dict(d: dict) -> Assembly:
     comps = [component_from_json(cd) for cd in d.get("components", ())]
     bindings = [
         Binding(
-            source=required(bd["source"]["component"], bd["source"]["port"]),
-            target=provided(bd["target"]["component"], bd["target"]["port"]),
+            source=_endpoint_from_json(bd["source"], REQUIRED),
+            target=_endpoint_from_json(bd["target"], PROVIDED),
             provenance=_provenance_from_json(bd.get("provenance")),
         )
         for bd in d.get("bindings", ())

@@ -86,7 +86,7 @@ def parse_script(text: str) -> list[EnvEvent]:
             continue
         try:
             events.append(event_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, ModelError) as exc:
             raise ScriptError(f"script line {lineno}: {exc}") from None
     return events
 

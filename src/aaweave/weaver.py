@@ -115,8 +115,7 @@ def _weave_cycle(
         mark = time.perf_counter_ns()
         index = index_by_ns.get(namespace)
         if index is None:
-            vis = Visibility(cycle_index, namespace)
-            index = JoinpointIndex(collect_joinpoints(base, vis, weaving_names))
+            index = collect_joinpoints(base, Visibility(cycle_index, namespace), weaving_names)
             index_by_ns[namespace] = index
         candidates = match_pointcut(index, aa)
         mark = _lap(durations, "match", mark)

@@ -205,15 +205,17 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_simulate_bad_script_is_invalid(tmp_path, fixtures_dir, capsys):
     script = tmp_path / "script.jsonl"
-    script.write_text('{"at": 0, "kind": "disappear", "id": "ghost"}\n')
-    code, _, _ = run(
-        capsys,
-        "simulate",
-        "--base", str(fixtures_dir / "empty_base.json"),
-        "--cascade", str(fixtures_dir / "scenario.cascade.json"),
-        "--script", str(script),
-    )
-    assert code == 2
+    for line in ('{"at": 0, "kind": "disappear", "id": "ghost"}', '{"at": 0, "kind": "appear", "component": {"id": 5}}'):
+        script.write_text(line + "\n")
+        code, _, err = run(
+            capsys,
+            "simulate",
+            "--base", str(fixtures_dir / "empty_base.json"),
+            "--cascade", str(fixtures_dir / "scenario.cascade.json"),
+            "--script", str(script),
+        )
+        assert code == 2
+        assert "Traceback" not in err
 
 
 def test_analyze_fit_from_bench_csv(tmp_path, capsys):
@@ -224,3 +226,55 @@ def test_analyze_fit_from_bench_csv(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc) == {"a1", "a2", "rms_residual_us"}
+
+
+def test_weave_rejects_non_string_names_in_the_base(tmp_path, fixtures_dir, capsys):
+    light = {"id": "light1", "type": "light", "ports": [{"name": "SetState", "direction": "provided"}]}
+    switch = {"id": "switch", "type": "switch", "ports": [{"name": "out", "direction": "required"}]}
+    link = {"source": {"component": "switch", "port": "out"}, "target": {"component": "light1", "port": "SetState"}}
+    cases = {
+        "component id": {"components": [{**light, "id": 5}]},
+        "component type": {"components": [{**light, "type": 7}]},
+        "port name": {"components": [{**light, "ports": [{"name": 1, "direction": "provided"}]}]},
+        "port direction": {"components": [{**light, "ports": [{"name": "SetState", "direction": "up"}]}]},
+        "binding component": {
+            "components": [light, switch],
+            "bindings": [{**link, "target": {"component": 5, "port": "SetState"}}],
+        },
+        "binding port": {
+            "components": [light, switch],
+            "bindings": [{**link, "source": {"component": "switch", "port": 2}}],
+        },
+    }
+    base = tmp_path / "base.json"
+    for what, doc in cases.items():
+        base.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "weave", "--base", str(base), "--aa", str(fixtures_dir / "aa" / "decision.aa"))
+        assert code == 2, what
+        assert out == ""
+        assert f"{base}: {what}" in err
+        assert "Traceback" not in err
+
+
+def test_weave_rejects_malformed_cascade_manifests(tmp_path, fixtures_dir, capsys):
+    decision = str(fixtures_dir / "aa" / "decision.aa")
+    cases = {
+        "cycles 5": ({"cycles": [[5]]}, "cycle entry 5"),
+        "empty entry": ({"cycles": [[{}]]}, "cycle entry {}"),
+        "file not a string": ({"cycles": [[{"file": ["a.aa"]}]]}, 'object with a string "file"'),
+        "cycles not a list": ({"cycles": 5}, '"cycles" must be a list of lists'),
+        "cycle not a list": ({"cycles": [decision]}, '"cycles" must be a list of lists'),
+        "entry namespace": ({"cycles": [[{"file": decision, "namespace": 5}]]}, "must be a string, not 5"),
+        "cascade namespace": ({"namespace": ["x"], "cycles": [[decision]]}, '"namespace" must be strings'),
+        "not an object": ([[decision]], "a cascade manifest is a JSON object"),
+    }
+    manifest = tmp_path / "m.cascade.json"
+    for case, (doc, message) in cases.items():
+        manifest.write_text(json.dumps(doc))
+        argv = ["--base", str(fixtures_dir / "hospital_base.json"), "--cascade", str(manifest)]
+        for command in ("weave", "analyze"):
+            code, out, err = run(capsys, command, *argv)
+            assert code == 2, (case, command)
+            assert out == ""
+            assert message in err, case
+            assert "Traceback" not in err

@@ -15,14 +15,14 @@ from aaweave.matching import (
     Combination,
     FreshNames,
     GroundLink,
-    JoinpointIndex,
+    Joinpoint,
     Visibility,
     collect_joinpoints,
     combinations,
     instantiate_advice,
     match_pointcut,
 )
-from aaweave.model import PROVIDED, REQUIRED, Assembly, Component, PortSpec, Woven
+from aaweave.model import PROVIDED, REQUIRED, Assembly, Component, PortRef, PortSpec, Woven
 
 
 def dev(cid, type_tag="dev", prov=None, **metadata):
@@ -59,7 +59,7 @@ def test_earlier_cycle_same_namespace_is_visible():
     woven = dev("Decision1", prov=Woven("dec", 0, "ns"))
     base = Assembly.build([woven], [])
     assert jp_by_port(collect_joinpoints(base, Visibility(1, "ns")))
-    assert collect_joinpoints(base, Visibility(1, "other")) == []
+    assert list(collect_joinpoints(base, Visibility(1, "other"))) == []
     # global-namespace products are matchable by everyone
     glob = Assembly.build([dev("Decision1", prov=Woven("dec", 0, ""))], [])
     assert jp_by_port(collect_joinpoints(glob, Visibility(1, "other")))
@@ -68,14 +68,14 @@ def test_earlier_cycle_same_namespace_is_visible():
 def test_current_cycle_products_are_never_matchable():
     woven = dev("Decision1", prov=Woven("dec", 1, ""))
     base = Assembly.build([woven], [])
-    assert collect_joinpoints(base, Visibility(1, "")) == []
-    assert collect_joinpoints(base, Visibility(2, "")) != []
+    assert list(collect_joinpoints(base, Visibility(1, ""))) == []
+    assert list(collect_joinpoints(base, Visibility(2, ""))) != []
 
 
 def test_currently_weaving_aspects_are_excluded():
     woven = dev("Decision1", prov=Woven("dec", 0, ""))
     base = Assembly.build([woven], [])
-    assert collect_joinpoints(base, Visibility(1, ""), currently_weaving={"dec"}) == []
+    assert list(collect_joinpoints(base, Visibility(1, ""), currently_weaving={"dec"})) == []
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,23 @@ def scan(joinpoints, rule):
     ]
 
 
+def reference_joinpoints(assembly, vis, weaving=frozenset()):
+    """Reference collection: one joinpoint per port of every component the
+    staging rules let the cycle see, in component id order."""
+
+    def visible(p):
+        return p is None or (
+            p.aa_name not in weaving and p.cycle < vis.cycle_index and p.namespace in ("", vis.requesting_namespace)
+        )
+
+    return [
+        Joinpoint(PortRef(c.id, port.name, port.direction), c.metadata, c.provenance)
+        for c in sorted(assembly.components.values(), key=lambda c: c.id)
+        if visible(c.provenance)
+        for port in c.ports
+    ]
+
+
 DIRECTIONS = (PROVIDED, REQUIRED)
 _NAMES = ("dev1", "Dev1", "DEV1", "dev12", "light1", "Light2", "hub", "x")
 _KEYS = ("type", "level")
@@ -139,12 +156,18 @@ _PORTS = st.lists(
     min_size=1,
     max_size=4,
 )
+_ASPECT_NAMES = ("a0", "a1", "dec")
+_NAMESPACES = ("", "ns", "other")
+_PROVENANCE = st.none() | st.builds(
+    Woven, st.sampled_from(_ASPECT_NAMES), st.integers(0, 2), st.sampled_from(_NAMESPACES)
+)
 _COMPONENTS = st.lists(
     st.builds(
-        lambda cid, ports, metadata: Component(cid, "t", metadata=metadata, ports=tuple(ports)),
+        lambda cid, ports, metadata, prov: Component(cid, "t", metadata=metadata, ports=tuple(ports), provenance=prov),
         st.sampled_from(_NAMES),
         _PORTS,
         st.fixed_dictionaries({}, optional={"type": _STRINGS | _VALUES, "level": _VALUES}),
+        _PROVENANCE,
     ),
     min_size=3,
     max_size=len(_NAMES),
@@ -190,25 +213,33 @@ def _rules(components):
 
 
 @settings(max_examples=300, deadline=None)
-@given(components=_COMPONENTS, data=st.data())
-def test_index_matches_the_reference_scan(components, data):
-    listed = collect_joinpoints(Assembly.build(components, []), Visibility(0))
+@given(
+    components=_COMPONENTS,
+    vis=st.builds(Visibility, st.integers(0, 3), st.sampled_from(_NAMESPACES)),
+    weaving=st.frozensets(st.sampled_from(_ASPECT_NAMES)),
+    data=st.data(),
+)
+def test_index_matches_the_reference_scan(components, vis, weaving, data):
+    assembly = Assembly.build(components, [])
+    index = collect_joinpoints(assembly, vis, weaving)
+    listed = reference_joinpoints(assembly, vis, weaving)
+    assert list(index) == listed
+    assert len(index) == len(listed)
     shuffled = data.draw(st.permutations(listed), label="shuffled")
     aspects = data.draw(st.lists(st.lists(_rules(components), min_size=1, max_size=3), min_size=1, max_size=4))
-    for jps in (listed, shuffled):
-        index = JoinpointIndex(jps)
-        assert len(index) == len(jps)
-        for n, rules in enumerate(aspects):
-            pointcut = tuple(PointcutRule(f"v{i}", pattern, filters) for i, (pattern, filters) in enumerate(rules))
-            aa = AspectOfAssembly(f"a{n}", pointcut, tuple(r.variable for r in pointcut), ())
-            want = {rule.variable: scan(jps, rule) for rule in pointcut}
-            assert match_pointcut(index, aa) == want
-            assert match_pointcut(jps, aa) == want
+    for n, rules in enumerate(aspects):
+        pointcut = tuple(PointcutRule(f"v{i}", pattern, filters) for i, (pattern, filters) in enumerate(rules))
+        aa = AspectOfAssembly(f"a{n}", pointcut, tuple(r.variable for r in pointcut), ())
+        want = {rule.variable: scan(listed, rule) for rule in pointcut}
+        assert match_pointcut(index, aa) == want
+        assert match_pointcut(listed, aa) == want
+        assert match_pointcut(shuffled, aa) == {rule.variable: scan(shuffled, rule) for rule in pointcut}
 
 
 def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital_base):
-    jps = collect_joinpoints(hospital_base, Visibility(0))
-    index = JoinpointIndex(jps)
+    index = collect_joinpoints(hospital_base, Visibility(0))
+    jps = reference_joinpoints(hospital_base, Visibility(0))
+    assert list(index) == jps
     for path in sorted((fixtures_dir / "aa").glob("*.aa")):
         aa = parse_aa(path.read_text(), path=path.name)
         want = {rule.variable: scan(jps, rule) for rule in aa.pointcut}
@@ -222,7 +253,7 @@ def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital
 
 def fake_jp(cid):
     base = Assembly.build([dev(cid)], [])
-    return collect_joinpoints(base, Visibility(0))[0]
+    return next(iter(collect_joinpoints(base, Visibility(0))))
 
 
 def test_cartesian_product():

@@ -245,6 +245,61 @@ def test_apply_output_survives_revalidation():
         assert Assembly.build(out.components.values(), out.bindings) == out
 
 
+_POOL = tuple(f"c{i}" for i in range(7)) + ("n0", "n1")
+
+
+def _instruction(state: Assembly, data) -> object:
+    """One instruction that applies cleanly to ``state``."""
+    present = sorted(state.components)
+    held = {b.endpoints() for b in state.bindings}
+
+    def ports(c, direction, extra):
+        # A woven component also takes a port it does not declare yet.
+        return [p.name for p in c.ports if p.direction == direction] + ([extra] if c.provenance else [])
+
+    links = [
+        (s, sp, t, tp)
+        for s in present
+        for sp in ports(state.components[s], REQUIRED, "x")
+        for t in present
+        for tp in ports(state.components[t], PROVIDED, "y")
+        if (s, sp, t, tp) not in held
+    ]
+    kinds = [k for k, ok in (("add", len(present) < len(_POOL)), ("remove", present),
+                             ("link", links), ("unlink", held)) if ok]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "add":
+        cid = data.draw(st.sampled_from([c for c in _POOL if c not in state.components]), label="id")
+        prov = data.draw(st.none() | st.just(Woven("w", 0)), label="provenance")
+        ports = (PortSpec("in", PROVIDED), PortSpec("out", REQUIRED))
+        return AddComponent(Component(cid, "t", ports=ports, provenance=prov))
+    if kind == "remove":
+        return RemoveComponent(data.draw(st.sampled_from(present), label="id"))
+    if kind == "link":
+        s, sp, t, tp = data.draw(st.sampled_from(links), label="link")
+        prov = data.draw(st.none() | st.just(Woven("w", 1)), label="provenance")
+        return AddBinding(Binding(required(s, sp), provided(t, tp), prov))
+    s, sp, t, tp = data.draw(st.sampled_from(sorted(held)), label="unlink")
+    return RemoveBinding(required(s, sp), provided(t, tp))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9), data=st.data())
+def test_binding_map_travels_with_the_assembly(seed, data):
+    current = random_assembly(random.Random(seed))
+    state, instructions = current, []
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        instructions.append(_instruction(state, data))
+        state = apply_instructions(state, instructions[-1:])
+    result = apply_instructions(current, instructions)
+    assert result == state
+    for a in (current, state, result):
+        assert a.by_endpoints() == {b.endpoints(): b for b in a.bindings}
+        assert list(a.bindings) == sorted(a.bindings, key=Binding.endpoints)
+    assert apply_instructions(current, diff(current, result)) == result
+    assert apply_instructions(result, diff(result, current)) == current
+
+
 def test_remove_missing_binding_raises():
     from aaweave.model import UnknownBinding
 

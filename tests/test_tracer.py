@@ -5,6 +5,7 @@ imported; a rename in the package would leave a layer untraced and its
 metrics silently at zero.  The tracer is loaded by path, read only.
 """
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 from aaweave import sim, weaver
@@ -19,6 +20,22 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def visible_ports(base, cascades, cycles: int) -> int:
+    """Ports of the components each (cycle, namespace) of a weave may see,
+    summed; a cycle's input is the weave of the cycles before it."""
+    ranks = weaver.union(*cascades).resolved()
+    total = 0
+    for i in range(cycles):
+        seen, _ = weaver.weave_cascade(base, [replace(c, cycles=c.cycles[:i]) for c in cascades])
+        weaving = {aa.name for aa, _ in ranks[i]}
+        for ns in {ns for _, ns in ranks[i]}:
+            for c in seen.components.values():
+                p = c.provenance
+                if p is None or (p.aa_name not in weaving and p.cycle < i and p.namespace in ("", ns)):
+                    total += len(c.ports)
+    return total
 
 
 def test_benchmark_tracer_binds_every_patch_point():
@@ -40,3 +57,8 @@ def test_benchmark_tracer_binds_every_patch_point():
     # The match counts read what the weaver hands the matcher.
     assert tracer.counts["matching.joinpoints"] > 0
     assert tracer.counts["matching.candidates"] > 0
+    # The joinpoint count is the summed ports of the visible components,
+    # once for the weave and once for the re-weave.
+    assert not any(r.failure for r in reports)
+    woven_cycles = len(reports) - len(again)
+    assert tracer.counts["matching.joinpoints"] == 2 * visible_ports(base, cascades, woven_cycles)
