@@ -124,6 +124,9 @@ def cmd_weave(args) -> int:
     base = _load_assembly(args.base)
     cascades = _gather_cascades(args)
     selection = set(args.select) if args.select else None
+    unknown = sorted(selection - {name for c in cascades for name in c.aa_names()}) if selection else []
+    if unknown:
+        raise InputError(f"--select names unknown aspects: {', '.join(map(repr, unknown))}")
     woven, instructions, reports = reweave(base, base, cascades, selection)
     failed = [r for r in reports if r.failure]
     if failed:
@@ -187,6 +190,10 @@ def cmd_analyze(args) -> int:
             shape_doc = json.loads(Path(args.shape).read_text(encoding="utf-8"))
         except (FileNotFoundError, json.JSONDecodeError) as exc:
             raise InputError(f"{args.shape}: {exc}") from None
+        if not isinstance(shape_doc, dict) or not all(
+            isinstance(shape_doc.get(k), list) and all(type(n) is int for n in shape_doc[k]) for k in "MR"
+        ):
+            raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
         shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
         result["multi_configurations"] = analysis.count_cascade_configurations(shape)
         mono = analysis.count_mono_configurations(

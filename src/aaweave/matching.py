@@ -7,8 +7,8 @@ ports by component and builds a ``Joinpoint`` only for a port some rule
 matches, so a woven assembly with thousands of ports costs one pass over
 its components.  Matching an aspect yields candidate joinpoints per
 variable; the cartesian product of the candidates gives the combinations
-and every combination turns into one grounded advice instance, with fresh
-names for instantiated components.
+(plain ``{variable: joinpoint}`` dicts) and every combination turns into
+one grounded advice instance, with fresh names for instantiated components.
 
 Visibility encodes the staging rules for cascades: base components are
 always eligible, woven components only when they were woven in a strictly
@@ -40,9 +40,8 @@ class Visibility:
     requesting_namespace: str = GLOBAL_NAMESPACE
 
 
-@dataclass(frozen=True)
-class Combination:
-    assignment: dict[str, Joinpoint]
+# One choice of joinpoint per pointcut variable.
+Combination = dict[str, Joinpoint]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +104,7 @@ def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset())
 class JoinpointIndex:
     """Joinpoints grouped by component, prepared for matching many pointcut rules.
 
+    ``collect_joinpoints`` builds it; it is all ``match_pointcut`` takes.
     Each group is ``(cid, metadata, owner)``: a component's id, its
     metadata and the component itself, whose ports and provenance make up
     the group's joinpoints.  A rule's component pattern and metadata
@@ -126,24 +126,6 @@ class JoinpointIndex:
         self._size = sum(len(owner.ports) for _, _, owner in groups)
         self._tables: dict[str, dict[str, list]] = {}
         self._matched: dict[tuple, list[Joinpoint]] = {}
-
-    @classmethod
-    def of(cls, joinpoints) -> JoinpointIndex:
-        """An index over a joinpoint list that keeps the list's order: each
-        joinpoint is a group of its own, owned by a one-port component."""
-        return cls([
-            (
-                jp.port.component_id,
-                jp.metadata,
-                Component(
-                    jp.port.component_id,
-                    "",
-                    ports=(PortSpec(jp.port.port_name, jp.port.direction),),
-                    provenance=jp.provenance,
-                ),
-            )
-            for jp in joinpoints
-        ])
 
     def __len__(self) -> int:
         return self._size
@@ -186,13 +168,11 @@ class JoinpointIndex:
         return matched
 
 
-def match_pointcut(joinpoints, aa: AspectOfAssembly) -> dict[str, list[Joinpoint]]:
-    """Candidate joinpoints per pointcut variable, in the order of ``joinpoints``.
+def match_pointcut(index: JoinpointIndex, aa: AspectOfAssembly) -> dict[str, list[Joinpoint]]:
+    """Candidate joinpoints per pointcut variable, in index order.
 
-    ``joinpoints`` is a ``JoinpointIndex`` or a list of joinpoints; aspects
-    matched through one index share its tables and results.
+    Aspects matched through one index share its tables and results.
     """
-    index = joinpoints if isinstance(joinpoints, JoinpointIndex) else JoinpointIndex.of(joinpoints)
     return {rule.variable: index.candidates(rule) for rule in aa.pointcut}
 
 
@@ -202,10 +182,7 @@ def combinations(candidates: dict[str, list[Joinpoint]]) -> list[Combination]:
     An aspect with no variables yields exactly one empty combination.
     """
     variables = sorted(candidates)
-    out = []
-    for choice in itertools.product(*(candidates[v] for v in variables)):
-        out.append(Combination(dict(zip(variables, choice))))
-    return out
+    return [dict(zip(variables, choice)) for choice in itertools.product(*(candidates[v] for v in variables))]
 
 
 @dataclass(frozen=True)
@@ -270,13 +247,12 @@ def instantiate_advice(
     prov = Woven(aa.name, cycle, ns)
     plan = _factory_plan(aa)
     local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in plan.inits}
-    assignment = combination.assignment
 
     def ground(expr: PortExpr) -> PortRef:
         local = local_ids.get(expr.base)
         if local is not None:
             return PortRef(local, expr.port, REQUIRED if expr.required else PROVIDED)
-        jp = assignment[expr.base].port
+        jp = combination[expr.base].port
         if expr.port is None:
             return jp
         return PortRef(jp.component_id, expr.port, REQUIRED if expr.required else PROVIDED)

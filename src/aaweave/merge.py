@@ -113,11 +113,15 @@ def _merge(a: OperatorTree, b: OperatorTree, anchor) -> OperatorTree:
 
 @dataclass(frozen=True)
 class RewriteGroup:
-    """All trees that landed on one shared anchor, each in normal form."""
+    """All trees that landed on one shared anchor, each in normal form, with
+    the anchor's original destinations (in port order) and the provenance
+    of everything lowering adds for it; one shape from detect to lower."""
 
     anchor: PortRef
     trees: tuple[OperatorTree, ...]
     contributors: tuple[tuple[str, str], ...]  # sorted (aa_name, namespace) pairs
+    originals: tuple[PortRef, ...]
+    provenance: Woven
 
     def is_conflict(self) -> bool:
         return len(self.trees) > 1
@@ -138,11 +142,10 @@ def merge_group(group: RewriteGroup) -> OperatorTree:
 
 @dataclass
 class MergedPlan:
-    groups: dict[PortRef, OperatorTree] = field(default_factory=dict)
+    """What a cycle adds besides its rewrite groups."""
+
     component_adds: list[Component] = field(default_factory=list)
     plain_bindings: list[Binding] = field(default_factory=list)
-    originals: dict[PortRef, tuple[PortRef, ...]] = field(default_factory=dict)
-    contributors: dict[PortRef, tuple[tuple[str, str], ...]] = field(default_factory=dict)
 
 
 def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[RewriteGroup], MergedPlan]:
@@ -156,7 +159,8 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Instantiations never conflict and pass through as component adds.
 
     Anchors that end up with a single leaf are plain new links; everything
-    else is a :class:`RewriteGroup` for :func:`merge_group`.
+    else is a :class:`RewriteGroup` for :func:`merge_group`, in anchor
+    order.  Both carry their contributors' joint provenance in ``cycle``.
     """
     per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
     plan = MergedPlan()
@@ -184,14 +188,11 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
         trees = [Leaf(target) for target in originals]
         trees.extend(t for t, _ in entries)
         contributors = tuple(sorted({who for _, who in entries}))
-        plan.originals[anchor] = originals
-        plan.contributors[anchor] = contributors
+        prov = _joint_provenance(contributors, cycle)
         if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
-            plan.plain_bindings.append(
-                Binding(anchor, trees[0].target, _joint_provenance(contributors, cycle))
-            )
+            plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))
             continue
-        groups.append(RewriteGroup(anchor, tuple(trees), contributors))
+        groups.append(RewriteGroup(anchor, tuple(trees), contributors, originals, prov))
     plan.component_adds.sort(key=lambda c: c.id)
     return groups, plan
 
@@ -203,27 +204,23 @@ _OP_TYPES = {Nop: "op.Nop", If: "op.If", Seq: "op.Seq", Par: "op.Par", Delegate:
 _OP_STEMS = {Nop: "nop", If: "if", Seq: "seq", Par: "par", Delegate: "delegate"}
 
 
-def lower(plan: MergedPlan, fresh, cycle: int = 0) -> list[Instruction]:
-    """Turn a merged plan into ordered add/remove instructions.
+def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
+    """Turn a plan and its ``(group, folded tree)`` pairs, in anchor order,
+    into ordered add/remove instructions.
 
     Operator nodes become synthetic components typed ``op.*`` with one
     provided ``in`` port and a required port per child; the anchor's former
     bindings are redirected into the tree root.  Call leaves reconnect the
-    anchor's original destinations and fail with
-    :class:`CallWithoutOriginal` when there were none.  An anchor whose
-    tree lowers to exactly its original destinations emits nothing.
+    group's originals and fail with :class:`CallWithoutOriginal` when there
+    were none.  All a group adds carries the group's provenance.  An anchor
+    whose tree lowers to exactly its originals emits nothing.
     """
     op_adds: list[AddComponent] = []
     removes: list[RemoveBinding] = []
-    adds: list[AddBinding] = []
+    adds = [AddBinding(b) for b in plan.plain_bindings]
 
-    for b in plan.plain_bindings:
-        adds.append(AddBinding(b))
-
-    for anchor in sorted(plan.groups, key=PortRef.key):
-        tree = plan.groups[anchor]
-        originals = plan.originals.get(anchor, ())
-        prov = _joint_provenance(plan.contributors.get(anchor, ()), cycle)
+    for group, tree in folded:
+        anchor, originals, prov = group.anchor, group.originals, group.provenance
         roots = _TreeBuilder(anchor, originals, prov, fresh, op_adds, adds).build(tree)
         if tuple(roots) == originals:
             continue

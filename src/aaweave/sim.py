@@ -68,14 +68,24 @@ class EnvEvent:
 
 def event_from_json(d: dict) -> EnvEvent:
     kind = d.get("kind")
-    at = int(d.get("at", 0))
+    try:
+        at = int(d.get("at", 0))
+    except (TypeError, ValueError):
+        raise ScriptError(f'"at" must be an integer, not {json.dumps(d["at"])}') from None
     if kind == "appear":
-        return EnvEvent(at, "appear", component=component_from_json(d["component"]))
+        return EnvEvent(at, "appear", component=component_from_json(_field(d, "component", dict, "an object")))
     if kind == "disappear":
-        return EnvEvent(at, "disappear", component_id=d["id"])
+        return EnvEvent(at, "disappear", component_id=_field(d, "id", str, "a string"))
     if kind in ("select", "unselect"):
-        return EnvEvent(at, kind, aa_name=d["aa"])
+        return EnvEvent(at, kind, aa_name=_field(d, "aa", str, "a string"))
     raise ScriptError(f"unknown event kind {kind!r}")
+
+
+def _field(d: dict, key: str, kind: type, noun: str):
+    value = d[key]
+    if not isinstance(value, kind):
+        raise ScriptError(f'"{key}" must be {noun}, not {json.dumps(value)}')
+    return value
 
 
 def parse_script(text: str) -> list[EnvEvent]:
@@ -85,8 +95,13 @@ def parse_script(text: str) -> list[EnvEvent]:
         if not line or line.startswith("#"):
             continue
         try:
-            events.append(event_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ModelError) as exc:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ScriptError(f"an event is a JSON object, not {line}")
+            events.append(event_from_json(doc))
+        except KeyError as exc:
+            raise ScriptError(f"script line {lineno}: missing key {exc}") from None
+        except (json.JSONDecodeError, ModelError, ScriptError) as exc:
             raise ScriptError(f"script line {lineno}: {exc}") from None
     return events
 

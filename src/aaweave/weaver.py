@@ -134,7 +134,7 @@ def _weave_cycle(
         crossed = {
             (aa.name, jp.provenance.aa_name)
             for combo in combos
-            for jp in combo.assignment.values()
+            for jp in combo.values()
             if jp.provenance is not None and jp.provenance.aa_name != aa.name
         }
         report.cross_aspect_matches.extend(sorted(crossed))
@@ -144,13 +144,13 @@ def _weave_cycle(
     mark, phase = time.perf_counter_ns(), "merge"
     try:
         groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
-        for group in groups:
-            plan.groups[group.anchor] = merge_group(group)
-            report.merge_ops += len(group.trees) - 1
+        folded = [(group, merge_group(group)) for group in groups]
+        report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
-        result = apply_instructions(base, lower(plan, fresh, cycle=cycle_index))
+        result = apply_instructions(base, lower(plan, folded, fresh))
     except (DelegateClash, CallWithoutOriginal) as exc:
-        aspects = sorted({aa for aa, _ in plan.contributors[exc.anchor]})
+        failing = next(g for g in groups if g.anchor == exc.anchor)
+        aspects = sorted({aa for aa, _ in failing.contributors})
         report.failure = f"{exc} (aspects: {', '.join(aspects)})"
         return base, report
     except ModelError as exc:

@@ -278,3 +278,50 @@ def test_weave_rejects_malformed_cascade_manifests(tmp_path, fixtures_dir, capsy
             assert out == ""
             assert message in err, case
             assert "Traceback" not in err
+
+
+def test_analyze_rejects_malformed_shapes(tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    for doc in ("{}", "[1,2]", '{"M":[1,2],"R":"ab"}'):
+        shape.write_text(doc)
+        code, out, err = run(capsys, "analyze", "--shape", str(shape))
+        assert code == 2, doc
+        assert out == ""
+        assert f'{shape}: a shape is {{"M": [...], "R": [...]}}' in err
+        assert "Traceback" not in err
+
+
+def test_simulate_names_the_line_of_a_malformed_event(tmp_path, fixtures_dir, capsys):
+    good = '{"at": 0, "kind": "unselect", "aa": "IdentityManagement"}'
+    cases = {
+        "[1,2]": "an event is a JSON object, not [1,2]",
+        '{"at": 1, "kind": "appear", "component": 5}': '"component" must be an object, not 5',
+        '{"at": "x", "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not "x"',
+        '{"at": 1, "kind": "select", "aa": [1]}': '"aa" must be a string, not [1]',
+        '{"at": 1, "kind": "disappear"}': "missing key 'id'",
+    }
+    script = tmp_path / "script.jsonl"
+    for line, message in cases.items():
+        script.write_text(f"{good}\n\n{line}\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--base", str(fixtures_dir / "empty_base.json"),
+            "--cascade", str(fixtures_dir / "scenario.cascade.json"),
+            "--script", str(script),
+        )
+        assert code == 2, line
+        assert out == ""
+        assert f"script line 3: {message}" in err, line
+        assert "Traceback" not in err
+
+
+def test_weave_rejects_unknown_selected_aspects(fixtures_dir, capsys):
+    argv = ["weave", "--base", str(fixtures_dir / "hospital_base.json"), "--cascade", str(fixtures_dir / "scenario.cascade.json")]
+    code, out, err = run(capsys, *argv, "--select", "dec", "--select", "nope", "--select", "gone")
+    assert code == 2
+    assert out == ""
+    assert "unknown aspects: 'gone', 'nope'" in err
+    code, out, _ = run(capsys, *argv, "--select", "dec")
+    assert code == 0
+    assert "Decision1" in out

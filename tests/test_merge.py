@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 
 from aaweave import weaver
 from aaweave.language import parse_aa
-from aaweave.matching import FreshNames, Visibility, collect_joinpoints, combinations, instantiate_advice, match_pointcut
+from aaweave.matching import (
+    FreshNames,
+    GroundLink,
+    Visibility,
+    collect_joinpoints,
+    combinations,
+    instantiate_advice,
+    match_pointcut,
+)
 from aaweave.merge import (
     CallWithoutOriginal,
     DelegateClash,
+    MergedPlan,
     RewriteGroup,
     detect_conflicts,
     lower,
@@ -44,6 +53,11 @@ shutter_open = Leaf(provided("shutter", "open"))
 a, b, c = (Leaf(provided(x, "p")) for x in "abc")
 c1, c2 = provided("cond1", "t"), provided("cond2", "t")
 threshold = provided("threshold", "IsReached")
+
+
+def rewrite_group(anchor, trees, originals=(), aa="x"):
+    """A group as detection builds it for one aspect in the global namespace."""
+    return RewriteGroup(anchor, tuple(trees), ((aa, ""),), originals, Woven(aa, 0, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +134,7 @@ def test_delegate_clash_is_symmetric_and_deterministic():
 
 
 def test_delegate_clash_propagates_from_group():
-    group = RewriteGroup(required("s", "p"), (Delegate(a), Delegate(b), c), ())
+    group = rewrite_group(required("s", "p"), (Delegate(a), Delegate(b), c))
     with pytest.raises(DelegateClash):
         merge_group(group)
 
@@ -216,17 +230,13 @@ def test_merge_group_spec_example():
     # Two-step evaluation: the if distributes over the plain leaf, so the
     # then branch gains the original message in parallel and the else
     # branch keeps it via the neutral call.
-    group = RewriteGroup(
-        required("switch", "on"),
-        (light_on, If(threshold, shutter_open, CALL)),
-        (),
-    )
+    group = rewrite_group(required("switch", "on"), (light_on, If(threshold, shutter_open, CALL)))
     got = merge_group(group)
     assert got == If(threshold, Par((light_on, shutter_open)), light_on)
 
 
 def test_merge_group_singleton():
-    group = RewriteGroup(required("s", "p"), (If(c1, a, b),), ())
+    group = rewrite_group(required("s", "p"), (If(c1, a, b),))
     assert merge_group(group) == If(c1, a, b)
 
 
@@ -329,11 +339,9 @@ def anchor_assembly():
 
 def test_lower_single_plain_binding():
     base = anchor_assembly()
-    from aaweave.merge import MergedPlan
-
     plan = MergedPlan()
     plan.plain_bindings.append(Binding(required("switch", "value"), provided("threshold", "IsReached")))
-    instrs = lower(plan, FreshNames(taken=base.components))
+    instrs = lower(plan, [], FreshNames(taken=base.components))
     assert instrs == [AddBinding(plan.plain_bindings[0])]
 
 
@@ -341,14 +349,8 @@ def test_lower_if_nop_call_tree():
     base = anchor_assembly()
     anchor = required("switch", "value")
     tree = merge(Leaf(provided("light", "on")), If(provided("threshold", "IsReached"), NOP, CALL))
-    from aaweave.merge import MergedPlan
-
-    plan = MergedPlan(
-        groups={anchor: tree},
-        originals={anchor: (provided("light", "on"),)},
-        contributors={anchor: (("brightness_light", ""),)},
-    )
-    instrs = lower(plan, FreshNames(taken=base.components))
+    group = rewrite_group(anchor, (tree,), (provided("light", "on"),), "brightness_light")
+    instrs = lower(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
     adds_c = [i.component.id for i in instrs if isinstance(i, AddComponent)]
     assert adds_c == ["if1", "nop1"]
     assert RemoveBinding(anchor, provided("light", "on")) in instrs
@@ -365,14 +367,9 @@ def test_lower_if_nop_call_tree():
 def test_lower_par_fan_out():
     base = anchor_assembly()
     anchor = required("switch", "value")
-    from aaweave.merge import MergedPlan
-
-    plan = MergedPlan(
-        groups={anchor: Par((Leaf(provided("light", "on")), Leaf(provided("threshold", "IsReached"))))},
-        originals={anchor: (provided("light", "on"),)},
-        contributors={anchor: (("x", ""),)},
-    )
-    instrs = lower(plan, FreshNames(taken=base.components))
+    tree = Par((Leaf(provided("light", "on")), Leaf(provided("threshold", "IsReached"))))
+    group = rewrite_group(anchor, (tree,), (provided("light", "on"),))
+    instrs = lower(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
     woven = apply_instructions(base, instrs)
     par = woven.components["par1"]
     assert par.type_name == "op.Par"
@@ -383,29 +380,17 @@ def test_lower_par_fan_out():
 def test_lower_root_standing_for_the_originals_emits_nothing():
     anchor = required("switch", "value")
     on, reached = provided("light", "on"), provided("threshold", "IsReached")
-    from aaweave.merge import MergedPlan
-
     # a root call over the originals, and a root leaf equal to the sole one
     for tree, originals in ((CALL, (on, reached)), (Leaf(on), (on,))):
-        plan = MergedPlan(
-            groups={anchor: tree},
-            originals={anchor: originals},
-            contributors={anchor: (("x", ""),)},
-        )
-        assert lower(plan, FreshNames()) == []
+        group = rewrite_group(anchor, (tree,), originals)
+        assert lower(MergedPlan(), [(group, tree)], FreshNames()) == []
 
 
 def test_lower_root_leaf_replaces_every_original():
     anchor = required("switch", "value")
     on, reached, shut = provided("light", "on"), provided("threshold", "IsReached"), provided("shutter", "open")
-    from aaweave.merge import MergedPlan
-
-    plan = MergedPlan(
-        groups={anchor: Leaf(shut)},
-        originals={anchor: (on, reached)},
-        contributors={anchor: (("x", ""),)},
-    )
-    assert lower(plan, FreshNames()) == [
+    group = rewrite_group(anchor, (Leaf(shut),), (on, reached))
+    assert lower(MergedPlan(), [(group, Leaf(shut))], FreshNames()) == [
         RemoveBinding(anchor, on),
         RemoveBinding(anchor, reached),
         AddBinding(Binding(anchor, shut, Woven("x", 0, ""))),
@@ -414,22 +399,35 @@ def test_lower_root_leaf_replaces_every_original():
 
 def test_call_without_original_raises():
     anchor = required("switch", "value")
-    from aaweave.merge import MergedPlan
-
-    plan = MergedPlan(
-        groups={anchor: Seq((Leaf(provided("light", "on")), CALL))},
-        originals={anchor: ()},
-        contributors={anchor: (("x", ""),)},
-    )
+    tree = Seq((Leaf(provided("light", "on")), CALL))
     with pytest.raises(CallWithoutOriginal):
-        lower(plan, FreshNames())
+        lower(MergedPlan(), [(rewrite_group(anchor, (tree,)), tree)], FreshNames())
 
 
 def test_lowering_soundness_on_hospital(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
     groups, plan = detect_conflicts(hospital_base, instances)
-    for g in groups:
-        plan.groups[g.anchor] = merge_group(g)
-    instrs = lower(plan, FreshNames(taken=hospital_base.components))
+    instrs = lower(plan, [(g, merge_group(g)) for g in groups], FreshNames(taken=hospital_base.components))
     woven = apply_instructions(hospital_base, instrs)  # validates invariants
     assert "if1" in woven.components
+
+
+def test_lowering_keeps_each_groups_stamp(fixtures_dir, hospital_base):
+    instances = _hospital_instances(fixtures_dir, hospital_base)
+    assert {inst.namespace for inst in instances} == {""}
+    groups, plan = detect_conflicts(hospital_base, instances, cycle=2)
+    linked_by: dict = {}
+    for inst in instances:
+        for rule in inst.grounded_rules:
+            if isinstance(rule, GroundLink):
+                linked_by.setdefault(rule.source, set()).add(inst.aa_name)
+    assert plan.plain_bindings
+    for b in plan.plain_bindings:
+        assert b.provenance == Woven("+".join(sorted(linked_by[b.source])), 2, "")
+    assert groups
+    for group in groups:
+        assert group.provenance == Woven("+".join(sorted({aa for aa, _ in group.contributors})), 2, "")
+        instrs = lower(MergedPlan(), [(group, merge_group(group))], FreshNames(taken=hospital_base.components))
+        added = [i.component if isinstance(i, AddComponent) else i.binding for i in instrs if not isinstance(i, RemoveBinding)]
+        assert added
+        assert all(x.provenance == group.provenance for x in added), group.anchor

@@ -7,6 +7,7 @@ metrics silently at zero.  The tracer is loaded by path, read only.
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from aaweave import sim, weaver
 from aaweave.merge import merge_group
@@ -42,12 +43,19 @@ def test_benchmark_tracer_binds_every_patch_point():
     spec = WorkloadSpec(seed=5, joinpoint_count=12, aa_count=4, conflict_probability=0.5, cycles=2)
     base, cascades = generate_workload(spec)
     tracer = load_tracer().Tracer()
-    tracer.install()
-    try:
-        current, reports = weaver.weave_cascade(base, cascades)
-        _, _, again = sim.reweave(current, base, cascades, None)
-    finally:
-        tracer.uninstall()
+    folded = []
+
+    def spy(group):
+        folded.append(group)
+        return merge_group(group)
+
+    with mock.patch.object(weaver, "merge_group", spy):  # the tracer wraps the spy
+        tracer.install()
+        try:
+            current, reports = weaver.weave_cascade(base, cascades)
+            _, _, again = sim.reweave(current, base, cascades, None)
+        finally:
+            tracer.uninstall()
     assert tracer.missing == []
     assert weaver.merge_group is merge_group  # uninstall restored the names
     reports += again
@@ -62,3 +70,8 @@ def test_benchmark_tracer_binds_every_patch_point():
     assert not any(r.failure for r in reports)
     woven_cycles = len(reports) - len(again)
     assert tracer.counts["matching.joinpoints"] == 2 * visible_ports(base, cascades, woven_cycles)
+    # The detect/fold hand-off: every group detection counts is folded,
+    # each is one anchor, and lowering turns them into instructions.
+    assert tracer.counts["merge.groups"] == len(folded) > 0
+    assert tracer.counts["merge.anchors"] >= tracer.counts["merge.groups"]
+    assert tracer.counts["merge.lower.instructions"] > 0

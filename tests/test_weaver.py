@@ -242,6 +242,12 @@ UNDECLARED_PORT_AA = (
     "Pointcut:\n  s := /brightness1.^NewValue/\n  t := /light1.SetState/\nAdvice:\n"
     "schema dangling(s, t):\n  s -> (t.Missing)\n"
 )
+# A bystander whose group (at rfid1) sorts after brightness1's and before
+# switch's, so a failure must name the failing group's aspects, not its.
+WATCH_AA = (
+    "Pointcut:\n  r := /rfid1.^value_Evented_NewValue/\n  t := /shutter1.SetState/\nAdvice:\n"
+    "schema watch(r, t):\n  r -> (t ; t)\n"
+)
 
 
 def test_merge_failure_aborts_cycle_atomically(hospital_base):
@@ -258,12 +264,13 @@ def test_merge_failure_aborts_cycle_atomically(hospital_base):
         ),
     ]
     for messages, aas in failing:
-        woven, report = weave_cycle(hospital_base, aas)
-        assert woven == hospital_base
-        assert report.failure is not None
-        for message in messages:
-            assert message in report.failure
-        assert tuple(report.durations_us) == PHASES
+        for bystanders in ((), (parse_aa(WATCH_AA),)):
+            woven, report = weave_cycle(hospital_base, [*aas, *bystanders])
+            assert woven == hospital_base
+            assert report.failure is not None
+            for message in messages:
+                assert message in report.failure
+            assert tuple(report.durations_us) == PHASES
 
 
 def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
