@@ -50,10 +50,18 @@ class CostModelParams:
     instances: tuple[tuple[int, float], ...]  # (w_i, p_i) pairs
 
 
-def count_mono_configurations(n: int, p_a: float = 0.0) -> float:
+def count_mono_configurations(n: int, p_a: float = 0.0) -> int | float:
+    """``2**n * (1 + p_a)``: the exact ``2**n`` when ``p_a`` is 0, and an
+    int whenever the count is integral."""
     if n < 0 or not 0.0 <= p_a <= 1.0:
         raise ValueError("need n >= 0 and p_a in [0, 1]")
-    return (2**n) * (1.0 + p_a)
+    if p_a == 0.0:
+        return 2**n
+    try:
+        count = math.ldexp(1.0 + p_a, n)
+    except OverflowError:
+        raise ValueError(f"2**{n} * (1 + {p_a}) configurations are too many to count as a float") from None
+    return int(count) if count.is_integer() else count
 
 
 def count_cascade_configurations(shape: CascadeShape) -> int:
@@ -206,5 +214,5 @@ def dependency_groups(cascade: Cascade) -> list[set[str]]:
     return sorted(groups.values(), key=lambda g: sorted(g)[0])
 
 
-def mono_collapse_count(cascade: Cascade, p_a: float = 0.0) -> float:
+def mono_collapse_count(cascade: Cascade, p_a: float = 0.0) -> int | float:
     return count_mono_configurations(len(dependency_groups(cascade)), p_a)

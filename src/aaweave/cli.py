@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, sim
-from .language import AaSyntaxError, parse_aa, rule_refs
+from .language import AaSyntaxError, Instantiate, parse_aa
 from .model import assembly_from_json, assembly_to_json, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
@@ -196,10 +196,9 @@ def cmd_analyze(args) -> int:
             raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
         shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
         result["multi_configurations"] = analysis.count_cascade_configurations(shape)
-        mono = analysis.count_mono_configurations(
+        result["mono_configurations"] = analysis.count_mono_configurations(
             sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers), args.p_a
         )
-        result["mono_configurations"] = int(mono) if float(mono).is_integer() else mono
         result["shape"] = {"M": list(shape.per_cycle_aas), "R": list(shape.per_cycle_producers)}
         print(json.dumps(result, indent=2))
         return EXIT_OK
@@ -216,13 +215,12 @@ def cmd_analyze(args) -> int:
     per_cycle_rules = analysis.nb_rules_per_cycle(combined)
     pointcut_sizes = [len(aa.advice_params) for rank in combined.cycles for aa in rank]
     per_cycle = [(n, card_app0) for n in per_cycle_rules]
-    mono = analysis.mono_collapse_count(combined, args.p_a)
     result = {
         "aspects": sum(shape.per_cycle_aas),
         "shape": {"M": list(shape.per_cycle_aas), "R": list(shape.per_cycle_producers)},
         "dependency_groups": [sorted(g) for g in groups],
         "multi_configurations": analysis.count_cascade_configurations(shape),
-        "mono_configurations": int(mono) if float(mono).is_integer() else mono,
+        "mono_configurations": analysis.mono_collapse_count(combined, args.p_a),
         "nb_rules_total": sum(per_cycle_rules),
         "nb_rules_per_cycle": per_cycle_rules,
         "merge_bound_mono": analysis.merge_upper_bound_mono(sum(per_cycle_rules), card_app0),
@@ -243,10 +241,9 @@ def cmd_validate(args) -> int:
             print(str(exc), file=sys.stderr)
             status = EXIT_INVALID
             continue
-        used = {ref.base for rule in aa.rules for ref in rule_refs(rule)}
-        for local in aa.locals:
-            if local not in used:
-                print(f"{path}: note: {local!r} is instantiated but never linked", file=sys.stderr)
+        for rule in aa.rules:
+            if isinstance(rule, Instantiate) and not rule.ports:
+                print(f"{path}: note: {rule.local_name!r} is instantiated but never linked", file=sys.stderr)
         print(f"{path}: ok ({aa.name}, {len(aa.pointcut)} pointcut rules, {len(aa.rules)} advice rules)")
     return status
 

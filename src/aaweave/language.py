@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
+from .model import PROVIDED, REQUIRED, PortSpec, canonical_ports
 from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
 # Tokens the grammar is built from, in the order the tokenizer tries them
@@ -296,9 +297,15 @@ class PortExpr:
 
 @dataclass(frozen=True)
 class Instantiate:
+    """An advice-local component.  The parser infers ``ports`` from how the
+    advice's arrows touch it: the left side of a link is required; the left
+    side of a rewrite and every reference in a tree are provided.  Ports
+    that only later aspects mention surface when their bindings apply."""
+
     local_name: str
     type_name: str
     init_props: dict = field(default_factory=dict)
+    ports: tuple[PortSpec, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,24 +332,7 @@ class AspectOfAssembly:
     namespace: str | None = None
 
     def with_namespace(self, namespace: str | None) -> "AspectOfAssembly":
-        """A copy in ``namespace``.  It shares this aspect's ``stash``:
-        values stashed there depend on ``rules`` alone."""
-        copy = replace(self, namespace=namespace)
-        copy.__dict__["_stash"] = self.stash
-        return copy
-
-    @property
-    def stash(self) -> dict:
-        """Values computed from ``rules`` and kept with the aspect, such as
-        the advice factory's plan."""
-        stash = self.__dict__.get("_stash")
-        if stash is None:
-            stash = self.__dict__["_stash"] = {}
-        return stash
-
-    @property
-    def locals(self) -> tuple[str, ...]:
-        return tuple(r.local_name for r in self.rules if isinstance(r, Instantiate))
+        return replace(self, namespace=namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +623,9 @@ class _Parser:
                 locals_seen.append(rule.local_name)
         by_var = {r.variable: r for r in pointcut}
         known = set(params) | set(locals_seen)
+        local_ports: dict[str, set[PortSpec]] = {name: set() for name in locals_seen}
 
-        def check_expr(expr: PortExpr, tok: _Token):
+        def check_expr(expr: PortExpr, direction: str, tok: _Token):
             if expr.base not in known:
                 raise UnboundVariable(
                     f"{expr.base!r} is neither a pointcut variable nor an instantiated component",
@@ -642,17 +633,27 @@ class _Parser:
                     tok.col,
                     self.path,
                 )
-            if expr.base in locals_seen and expr.port is None:
-                self.fail(f"reference to {expr.base!r} needs an explicit port", tok)
+            ports = local_ports.get(expr.base)
+            if ports is not None:
+                if expr.port is None:
+                    self.fail(f"reference to {expr.base!r} needs an explicit port", tok)
+                ports.add(PortSpec(expr.port, direction))
 
         rules: list[AdviceRule] = []
         for rule, tok in raw_rules:
             if isinstance(rule, Instantiate):
                 rules.append(rule)
                 continue
-            for ref in rule_refs(rule):
-                check_expr(ref, tok)
+            # A local's left side names its port, so ``^`` alone decides
+            # whether the rule is a link (required) or a rewrite (provided).
+            check_expr(rule.source, REQUIRED if rule.source.required else PROVIDED, tok)
+            for ref in iter_refs(rule.tree):
+                check_expr(ref, PROVIDED, tok)
             rules.append(self._classify(rule.source, rule.tree, by_var, locals_seen, tok))
+        rules = [
+            replace(r, ports=canonical_ports(local_ports[r.local_name])) if isinstance(r, Instantiate) else r
+            for r in rules
+        ]
         return AspectOfAssembly(name, tuple(pointcut), tuple(params), tuple(rules))
 
     def _classify(self, lhs: PortExpr, tree, by_var, locals_seen, tok) -> AdviceRule:
@@ -667,15 +668,6 @@ class _Parser:
                 tok,
             )
         return Link(lhs, tree) if pattern.port_required else Rewrite(lhs, tree)
-
-
-def rule_refs(rule: AdviceRule) -> list[PortExpr]:
-    """Port expressions an advice rule mentions: the arrow's left side, then
-    the references in its tree; none for an instantiation."""
-    if isinstance(rule, Instantiate):
-        return []
-    lhs = rule.source if isinstance(rule, Link) else rule.target
-    return [lhs, *(r for r in iter_refs(rule.tree) if isinstance(r, PortExpr))]
 
 
 def parse_aa(text: str, path: str | None = None) -> AspectOfAssembly:

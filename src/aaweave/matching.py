@@ -9,6 +9,8 @@ its components.  Matching an aspect yields candidate joinpoints per
 variable; the cartesian product of the candidates gives the combinations
 (plain ``{variable: joinpoint}`` dicts) and every combination turns into
 one grounded advice instance, with fresh names for instantiated components.
+The factory reads everything else straight from the parsed advice: its
+rules in order and the ports the parser inferred for each local.
 
 Visibility encodes the staging rules for cascades: base components are
 always eligible, woven components only when they were woven in a strictly
@@ -21,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 from .language import AspectOfAssembly, Instantiate, Link, PointcutRule, PortExpr, Rewrite
-from .model import PROVIDED, REQUIRED, Component, PortRef, PortSpec, Woven
-from .optree import OperatorTree, iter_refs, map_leaves
+from .model import PROVIDED, REQUIRED, Component, PortRef, Woven
+from .optree import OperatorTree, map_leaves
 
 GLOBAL_NAMESPACE = ""
 
@@ -185,50 +187,6 @@ def combinations(candidates: dict[str, list[Joinpoint]]) -> list[Combination]:
     return [dict(zip(variables, choice)) for choice in itertools.product(*(candidates[v] for v in variables))]
 
 
-@dataclass(frozen=True)
-class _FactoryPlan:
-    """Per-aspect grounding plan, computed once and kept in the aspect's stash."""
-
-    inits: tuple[Instantiate, ...]
-    local_ports: dict[str, tuple[PortSpec, ...]]
-    arrows: tuple[tuple[type, PortExpr, OperatorTree], ...]
-
-
-def _factory_plan(aa: AspectOfAssembly) -> _FactoryPlan:
-    plan = aa.stash.get("factory_plan")
-    if plan is not None:
-        return plan
-    inits = tuple(r for r in aa.rules if isinstance(r, Instantiate))
-    local_ports: dict[str, set[PortSpec]] = {r.local_name: set() for r in inits}
-
-    def note_local(expr: PortExpr, direction: str) -> None:
-        if expr.base in local_ports and expr.port:
-            local_ports[expr.base].add(PortSpec(expr.port, direction))
-
-    arrows = []
-    for rule in aa.rules:
-        match rule:
-            case Instantiate():
-                continue
-            case Link(source=src, tree=tree):
-                note_local(src, REQUIRED)
-                for ref in iter_refs(tree):
-                    note_local(ref, PROVIDED)
-                arrows.append((GroundLink, src, tree))
-            case Rewrite(target=tgt, tree=tree):
-                note_local(tgt, PROVIDED)
-                for ref in iter_refs(tree):
-                    note_local(ref, PROVIDED)
-                arrows.append((GroundRewrite, tgt, tree))
-    plan = _FactoryPlan(
-        inits,
-        {name: tuple(specs) for name, specs in local_ports.items()},
-        tuple(arrows),
-    )
-    aa.stash["factory_plan"] = plan
-    return plan
-
-
 def instantiate_advice(
     aa: AspectOfAssembly,
     combination: Combination,
@@ -239,14 +197,14 @@ def instantiate_advice(
 ) -> AdviceInstance:
     """Ground one combination: substitute variables, allocate fresh ids.
 
-    Instantiated components get a port list inferred from how the advice
-    itself touches them; ports referenced only by later aspects surface
-    when those bindings are applied.
+    Every ``Instantiate`` gets a fresh id, in rule order, and becomes a
+    component with the ports the parser inferred; every arrow becomes one
+    ``GroundLink`` or ``GroundRewrite``, in rule order.
     """
     ns = namespace if namespace is not None else (aa.namespace or GLOBAL_NAMESPACE)
     prov = Woven(aa.name, cycle, ns)
-    plan = _factory_plan(aa)
-    local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in plan.inits}
+    inits = [rule for rule in aa.rules if isinstance(rule, Instantiate)]
+    local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
 
     def ground(expr: PortExpr) -> PortRef:
         local = local_ids.get(expr.base)
@@ -257,18 +215,22 @@ def instantiate_advice(
             return jp
         return PortRef(jp.component_id, expr.port, REQUIRED if expr.required else PROVIDED)
 
-    grounded = tuple(
-        kind(ground(expr), map_leaves(tree, ground)) for kind, expr, tree in plan.arrows
-    )
+    grounded = []
+    for rule in aa.rules:
+        match rule:
+            case Link(source=src, tree=tree):
+                grounded.append(GroundLink(ground(src), map_leaves(tree, ground)))
+            case Rewrite(target=tgt, tree=tree):
+                grounded.append(GroundRewrite(ground(tgt), map_leaves(tree, ground)))
     components = tuple(
         Component(
             id=local_ids[rule.local_name],
             type_name=rule.type_name,
             properties=dict(rule.init_props),
             metadata={"type": rule.type_name},
-            ports=plan.local_ports[rule.local_name],
+            ports=rule.ports,
             provenance=prov,
         )
-        for rule in plan.inits
+        for rule in inits
     )
-    return AdviceInstance(aa.name, ns, combination, components, grounded)
+    return AdviceInstance(aa.name, ns, combination, components, tuple(grounded))

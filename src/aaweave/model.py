@@ -62,6 +62,11 @@ class PortSpec:
     direction: str  # PROVIDED or REQUIRED
 
 
+def canonical_ports(ports) -> tuple[PortSpec, ...]:
+    """A port set in the one order every component keeps: by direction, then name."""
+    return tuple(sorted(set(ports), key=lambda p: (p.direction, p.name)))
+
+
 @dataclass(frozen=True)
 class Component:
     id: str
@@ -74,8 +79,7 @@ class Component:
     def __post_init__(self):
         # Ports are a set kept in one canonical order, so equality, export
         # and joinpoint order never depend on how the caller listed them.
-        ports = sorted(set(self.ports), key=lambda p: (p.direction, p.name))
-        object.__setattr__(self, "ports", tuple(ports))
+        object.__setattr__(self, "ports", canonical_ports(self.ports))
 
     def has_port(self, name: str, direction: str) -> bool:
         cache = self.__dict__.get("_port_index")
@@ -163,12 +167,6 @@ class Assembly:
                 raise DuplicateBinding(f"duplicate binding {b.source} -> {b.target}")
             by_endpoints[key] = b
         return _assembled(comps, by_endpoints)
-
-    def component(self, component_id: str) -> Component:
-        try:
-            return self.components[component_id]
-        except KeyError:
-            raise UnknownComponent(f"no component {component_id!r}") from None
 
     def by_endpoints(self) -> dict[tuple[str, str, str, str], Binding]:
         cache = self.__dict__.get("_by_endpoints")

@@ -68,10 +68,9 @@ class EnvEvent:
 
 def event_from_json(d: dict) -> EnvEvent:
     kind = d.get("kind")
-    try:
-        at = int(d.get("at", 0))
-    except (TypeError, ValueError):
-        raise ScriptError(f'"at" must be an integer, not {json.dumps(d["at"])}') from None
+    at = d.get("at", 0)
+    if type(at) is not int:  # bool is an int subclass
+        raise ScriptError(f'"at" must be an integer, not {json.dumps(at)}')
     if kind == "appear":
         return EnvEvent(at, "appear", component=component_from_json(_field(d, "component", dict, "an object")))
     if kind == "disappear":

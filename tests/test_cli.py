@@ -291,12 +291,29 @@ def test_analyze_rejects_malformed_shapes(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_analyze_counts_a_shape_past_float_range(tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    shape.write_text('{"M": [2000], "R": [0]}')
+    code, out, _ = run(capsys, "analyze", "--shape", str(shape))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["multi_configurations"] == doc["mono_configurations"] == 2**2000
+    code, out, err = run(capsys, "analyze", "--shape", str(shape), "--p-a", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "too many to count" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_names_the_line_of_a_malformed_event(tmp_path, fixtures_dir, capsys):
     good = '{"at": 0, "kind": "unselect", "aa": "IdentityManagement"}'
     cases = {
         "[1,2]": "an event is a JSON object, not [1,2]",
         '{"at": 1, "kind": "appear", "component": 5}': '"component" must be an object, not 5',
         '{"at": "x", "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not "x"',
+        '{"at": 1.9, "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not 1.9',
+        '{"at": true, "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not true',
+        '{"at": "2", "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not "2"',
         '{"at": 1, "kind": "select", "aa": [1]}': '"aa" must be a string, not [1]',
         '{"at": 1, "kind": "disappear"}': "missing key 'id'",
     }

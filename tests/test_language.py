@@ -27,6 +27,7 @@ from aaweave.language import (
     print_aa,
     print_operator_expr,
 )
+from aaweave.model import PROVIDED, REQUIRED, PortSpec
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq
 
 
@@ -224,6 +225,22 @@ def test_print_parse_round_trip(fixtures_dir):
         aa = parse_aa(path.read_text(), path=path.name)
         again = parse_aa(print_aa(aa), path=path.name)
         assert again == aa, path.name
+
+
+def test_parser_infers_the_ports_of_advice_locals(fixtures_dir):
+    def ports(name, local):
+        (rule,) = (r for r in load(fixtures_dir, name).rules if isinstance(r, Instantiate) and r.local_name == local)
+        return rule.ports
+
+    assert ports("identity_management.aa", "Decision") == (
+        PortSpec("Manage", PROVIDED),
+        PortSpec("SetTime", PROVIDED),
+        PortSpec("LightManagementEvent", REQUIRED),
+        PortSpec("ShutterManagementEvent", REQUIRED),
+    )
+    # IsReached appears only as an if condition.
+    assert ports("brightness_light.aa", "threshold") == (PortSpec("IsReached", PROVIDED), PortSpec("SetValue", PROVIDED))
+    assert ports("decision.aa", "Average") == ()
 
 
 def test_tokenizer_reads_the_symbol_set():

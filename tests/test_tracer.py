@@ -75,3 +75,5 @@ def test_benchmark_tracer_binds_every_patch_point():
     assert tracer.counts["merge.groups"] == len(folded) > 0
     assert tracer.counts["merge.anchors"] >= tracer.counts["merge.groups"]
     assert tracer.counts["merge.lower.instructions"] > 0
+    # The factory hand-off: one advice instance per combination.
+    assert tracer.counts["matching.instantiate_advice.calls"] == tracer.counts["matching.combinations.count"] > 0

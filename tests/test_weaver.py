@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from aaweave import matching
 from aaweave.language import parse_aa
 from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
 from aaweave.weaver import PHASES, Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
@@ -361,24 +360,3 @@ def test_repeated_aspect_in_one_cycle_weaves_once(fixtures_dir, hospital_base):
     once, _ = weave_cycle(hospital_base, [identity])
     twice, _ = weave_cycle(hospital_base, [identity, identity])
     assert once == twice
-
-
-def test_namespace_copies_share_the_factory_plan(fixtures_dir, hospital_base, monkeypatch):
-    # Cascades with different namespaces weave as a union that pins each
-    # aspect to its namespace with a copy; every copy must reuse the plan.
-    builds = []
-    plan = matching._FactoryPlan
-
-    def counting(*args):
-        builds.append(args)
-        return plan(*args)
-
-    monkeypatch.setattr(matching, "_FactoryPlan", counting)
-    cascades = [
-        Cascade(namespace, namespace, ((parse_aa((fixtures_dir / "aa" / f"{stem}.aa").read_text()),),))
-        for namespace, stem in (("x", "identity_management"), ("y", "brightness_light"))
-    ]
-    for _ in range(5):
-        _, reports = weave_cascade(hospital_base, cascades)
-        assert reports[0].failure is None and len(reports[0].applied) == 2
-    assert len(builds) == 2
