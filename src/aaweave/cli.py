@@ -40,21 +40,33 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_assembly(path: str):
+def _read(path: str, what: str) -> str:
     try:
-        return assembly_from_json(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"cannot read assembly {path!r}") from None
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+
+
+def _write(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
+def _load_assembly(path: str):
+    text = _read(path, "assembly")
+    try:
+        return assembly_from_json(text)
     except Exception as exc:  # JSON and model errors alike
         raise InputError(f"{path}: {exc}") from None
 
 
 def _load_aa(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"cannot read aspect {path!r}") from None
-    return parse_aa(text, path=path)
+    return parse_aa(_read(path, "aspect"), path=path)
 
 
 def load_cascade_manifest(path: str) -> Cascade:
@@ -64,10 +76,9 @@ def load_cascade_manifest(path: str) -> Cascade:
     {"file": ..., "namespace": ...} to pin an aspect's own namespace.
     """
     manifest_path = Path(path)
+    text = _read(path, "cascade manifest")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"cannot read cascade manifest {path!r}") from None
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
     if not isinstance(manifest, dict):
@@ -113,13 +124,6 @@ def _gather_cascades(args) -> list[Cascade]:
     return cascades
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_weave(args) -> int:
     base = _load_assembly(args.base)
     cascades = _gather_cascades(args)
@@ -135,20 +139,17 @@ def cmd_weave(args) -> int:
         return EXIT_WEAVE
     _write(args.out, assembly_to_json(woven) + "\n")
     if args.dot:
-        Path(args.dot).write_text(to_dot(woven), encoding="utf-8")
+        _write(args.dot, to_dot(woven))
     if args.report:
         payload = {"cycles": [r.to_json_dict() for r in reports], "instructions": len(instructions)}
-        Path(args.report).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write(args.report, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     base = _load_assembly(args.base)
     cascades = _gather_cascades(args)
-    try:
-        script = sim.parse_script(Path(args.script).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"cannot read script {args.script!r}") from None
+    script = sim.parse_script(_read(args.script, "script"))
     trace = sim.run_scenario(base, cascades, script, weave_duration_ms=args.weave_duration)
     payload = json.dumps(trace.to_json_dict(), indent=2) + "\n"
     _write(args.trace, payload)
@@ -174,11 +175,7 @@ def cmd_bench(args) -> int:
 def cmd_analyze(args) -> int:
     result: dict = {}
     if args.fit:
-        try:
-            with open(args.fit, newline="", encoding="utf-8") as handle:
-                rows = list(csv.DictReader(handle))
-        except FileNotFoundError:
-            raise InputError(f"cannot read benchmark CSV {args.fit!r}") from None
+        rows = list(csv.DictReader(_read(args.fit, "benchmark CSV").splitlines()))
         try:
             a1, a2, residual = analysis.fit_cost_model_from_rows(rows)
         except (KeyError, ValueError) as exc:
@@ -186,9 +183,10 @@ def cmd_analyze(args) -> int:
         print(json.dumps({"a1": a1, "a2": a2, "rms_residual_us": residual}, indent=2))
         return EXIT_OK
     if args.shape:
+        text = _read(args.shape, "shape")
         try:
-            shape_doc = json.loads(Path(args.shape).read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError) as exc:
+            shape_doc = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise InputError(f"{args.shape}: {exc}") from None
         if not isinstance(shape_doc, dict) or not all(
             isinstance(shape_doc.get(k), list) and all(type(n) is int for n in shape_doc[k]) for k in "MR"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from functools import lru_cache
 
 from .model import PROVIDED, REQUIRED, PortSpec, canonical_ports
@@ -750,12 +751,24 @@ def _par_child(tree) -> str:
     return f"({text})" if isinstance(tree, Par) else text
 
 
-def _value_text(value) -> str:
+def _quoted(text: str, what: str) -> str:
+    # A string ends at the next quote of its own kind and has no escape.
+    quote = '"' if "'" in text else "'"
+    if quote in text:
+        raise ValueError(f"{what} {text!r} holds both quote kinds and cannot be printed")
+    return f"{quote}{text}{quote}"
+
+
+def _value_text(value, what: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
+        # The lexer reads no exponent, and reads a number as a float only with a '.'.
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
+    if isinstance(value, int):
         return str(value)
-    return f"'{value}'"
+    return _quoted(value, what)
 
 
 def print_aa(aa: AspectOfAssembly) -> str:
@@ -769,10 +782,12 @@ def print_aa(aa: AspectOfAssembly) -> str:
     for rule in aa.rules:
         match rule:
             case Instantiate(local_name=n, type_name=t, init_props=props):
-                prop_text = ""
+                text = f"  {n} : {_quoted(t, f'local {n!r}: type name')}"
                 if props:
-                    prop_text = " (" + ", ".join(f"{k} = {_value_text(v)}" for k, v in props.items()) + ")"
-                lines.append(f"  {n} : '{t}'{prop_text};")
+                    text += " (" + ", ".join(
+                        f"{k} = {_value_text(v, f'local {n!r} property {k!r}: value')}" for k, v in props.items()
+                    ) + ")"
+                lines.append(text + ";")
             case Link(source=s, tree=tree):
                 lines.append(f"  {s} -> ({print_operator_expr(tree)})")
             case Rewrite(target=t, tree=tree):

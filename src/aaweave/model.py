@@ -15,6 +15,7 @@ have closed port sets and reject unknown ports.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 PROVIDED = "provided"
@@ -332,36 +333,6 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
 # Canonical equality up to fresh-name renaming
 
 
-def _stem(component_id: str) -> str:
-    return component_id.rstrip("0123456789")
-
-
-def _woven_signature(assembly: Assembly, c: Component) -> tuple:
-    # One hop of neighborhood refinement keeps same-stem siblings apart
-    # (peer identity is its id for base components, its stem for woven
-    # ones, both stable under renaming), so the matcher rarely backtracks.
-    def peer_key(peer_id: str) -> tuple:
-        peer = assembly.components[peer_id]
-        if peer.provenance is None:
-            return ("base", peer.id)
-        return ("woven", _stem(peer.id), peer.type_name)
-
-    neighborhood = []
-    for b in assembly.bindings:
-        if b.source.component_id == c.id:
-            neighborhood.append(("out", b.source.port_name, b.target.port_name, peer_key(b.target.component_id)))
-        if b.target.component_id == c.id:
-            neighborhood.append(("in", b.target.port_name, b.source.port_name, peer_key(b.source.component_id)))
-    return (
-        _stem(c.id),
-        c.type_name,
-        c.provenance.aa_name if c.provenance else "",
-        tuple(sorted(c.properties.items())),
-        tuple(sorted(c.metadata.items())),
-        tuple(sorted(neighborhood)),
-    )
-
-
 def canonical_equal(a: Assembly, b: Assembly) -> bool:
     """Order-insensitive equality that forgives fresh-name renaming.
 
@@ -371,63 +342,77 @@ def canonical_equal(a: Assembly, b: Assembly) -> bool:
     renaming.  Ports are not compared directly; bindings pin down the ones
     that matter.
     """
-    a_base = {cid: c for cid, c in a.components.items() if c.provenance is None}
-    b_base = {cid: c for cid, c in b.components.items() if c.provenance is None}
-    if a_base != b_base:
+    sides = (a, b)
+    base = [{cid: c for cid, c in s.components.items() if c.provenance is None} for s in sides]
+    if base[0] != base[1] or len(a.components) != len(b.components) or len(a.bindings) != len(b.bindings):
         return False
+    # Each component's bindings as (direction, own port, peer port, peer id, provenance).
+    links = [{cid: [] for cid in s.components} for s in sides]
+    for s, adj in zip(sides, links):
+        for bd in s.bindings:
+            src, tgt, prov = bd.source, bd.target, bd.provenance
+            adj[src.component_id].append((REQUIRED, src.port_name, tgt.port_name, tgt.component_id, prov))
+            adj[tgt.component_id].append((PROVIDED, tgt.port_name, src.port_name, src.component_id, prov))
 
-    a_woven = [c for c in a.components.values() if c.provenance is not None]
-    b_woven = [c for c in b.components.values() if c.provenance is not None]
-    if len(a_woven) != len(b_woven) or len(a.bindings) != len(b.bindings):
-        return False
+    def wiring(side: int, rename: dict[str, str]) -> set[tuple]:
+        return {(rename.get(cid, cid), *link[:3], rename.get(link[3], link[3]), link[4])
+                for cid, adj in links[side].items() for link in adj}
 
-    groups_a: dict[tuple, list[str]] = {}
-    groups_b: dict[tuple, list[str]] = {}
-    for c in a_woven:
-        groups_a.setdefault(_woven_signature(a, c), []).append(c.id)
-    for c in b_woven:
-        groups_b.setdefault(_woven_signature(b, c), []).append(c.id)
-    if set(groups_a) != set(groups_b):
-        return False
-    if any(len(groups_a[s]) != len(groups_b[s]) for s in groups_a):
-        return False
+    def refine(colours: list[dict]) -> list[dict]:
+        # Colour refinement over both sides at once: woven components, on
+        # either side, that share a colour and a multiset of (binding, peer
+        # colour) share the next colour.  A base component's colour is its
+        # id.  Provenances do not sort, so a multiset is a frozenset of
+        # Counter items.
+        count = len({col for cols in colours for col in cols.values()})
+        while True:
+            labels: dict[tuple, int] = {}
+            colours = [
+                {cid: labels.setdefault((col, frozenset(Counter(
+                    (d, p, q, cols.get(peer, peer), prov) for d, p, q, peer, prov in adj[cid]
+                ).items())), len(labels)) for cid, col in cols.items()}
+                for cols, adj in zip(colours, links)
+            ]
+            if len(labels) == count:
+                return colours
+            count = len(labels)
 
-    def binding_key(bd: Binding, rename: dict[str, str]) -> tuple:
-        return (
-            rename.get(bd.source.component_id, bd.source.component_id),
-            bd.source.port_name,
-            rename.get(bd.target.component_id, bd.target.component_id),
-            bd.target.port_name,
-            bd.provenance,
-        )
-
-    b_multiset = sorted(binding_key(bd, {}) for bd in b.bindings)
-
-    # Backtrack over per-signature assignments; groups are tiny in practice.
-    slots: list[tuple[str, list[str]]] = []
-    for sig in sorted(groups_a):
-        for aid in sorted(groups_a[sig]):
-            slots.append((aid, sorted(groups_b[sig])))
-
-    used: set[str] = set()
-    rename: dict[str, str] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(slots):
-            return sorted(binding_key(bd, rename) for bd in a.bindings) == b_multiset
-        aid, candidates = slots[i]
-        for bid in candidates:
-            if bid in used:
-                continue
-            used.add(bid)
-            rename[aid] = bid
-            if assign(i + 1):
+    start: dict[tuple, int] = {}
+    colours = [
+        {cid: start.setdefault((cid.rstrip("0123456789"), c.type_name, c.provenance.aa_name,
+                                frozenset(c.properties.items()), frozenset(c.metadata.items())), len(start))
+         for cid, c in s.components.items() if c.provenance is not None}
+        for s in sides
+    ]
+    target = wiring(1, {})
+    # Depth-first search: each entry is a colouring and the (a id, b id)
+    # pairs that take fresh colours of their own before it is refined.
+    stack = [(colours, [])]
+    while stack:
+        colours, pins = stack.pop()
+        colours = refine([{**cols, **{pin[side]: -1 - i for i, pin in enumerate(pins)}}
+                          for side, cols in enumerate(colours)])
+        cells: dict[int, tuple[list[str], list[str]]] = {}
+        for side, cols in enumerate(colours):
+            for cid, col in cols.items():
+                cells.setdefault(col, ([], []))[side].append(cid)
+        if any(len(xs) != len(ys) for xs, ys in cells.values()):
+            continue
+        split = next(((xs, ys) for xs, ys in cells.values() if len(xs) > 1), None)
+        if split is None:
+            if wiring(0, {xs[0]: ys[0] for xs, ys in cells.values()}) == target:
                 return True
-            used.discard(bid)
-            del rename[aid]
-        return False
-
-    return assign(0)
+            continue
+        xs, ys = split
+        # Members with the same bindings to the same peers trade places under
+        # an automorphism (bindings among them, if any, join every pair), so
+        # any pairing of them holds; others are pinned to each candidate.
+        first = Counter(links[0][xs[0]])
+        if all(Counter(links[0][x]) == first for x in xs):
+            stack.append((colours, list(zip(xs, ys))))
+        else:
+            stack.extend((colours, [(xs[0], y)]) for y in ys)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,7 @@ def _provenance_to_json(p: Woven | None) -> dict:
 
 
 def _provenance_from_json(d: dict | None) -> Woven | None:
-    if d is None or d.get("kind", "base") == "base":
+    if d is None or _object(d, "provenance").get("kind", "base") == "base":
         return None
     return Woven(d["aa"], int(d.get("cycle", 0)), d.get("namespace", ""))
 
@@ -465,6 +450,12 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ModelError(f"{what} must be an object, not {value!r}")
+    return value
+
+
 def _port_from_json(d: dict) -> PortSpec:
     direction = d["direction"]
     if direction not in (PROVIDED, REQUIRED):
@@ -473,12 +464,15 @@ def _port_from_json(d: dict) -> PortSpec:
 
 
 def component_from_json(d: dict) -> Component:
+    ports = d.get("ports", [])
+    if not isinstance(ports, list):
+        raise ModelError(f"component ports must be a list, not {ports!r}")
     return Component(
         id=_text(d["id"], "component id"),
         type_name=_text(d.get("type", ""), "component type"),
-        properties=dict(d.get("properties", {})),
-        metadata=dict(d.get("metadata", {})),
-        ports=tuple(_port_from_json(p) for p in d.get("ports", ())),
+        properties=dict(_object(d.get("properties", {}), "component properties")),
+        metadata=dict(_object(d.get("metadata", {}), "component metadata")),
+        ports=tuple(_port_from_json(_object(p, "a port")) for p in ports),
         provenance=_provenance_from_json(d.get("provenance")),
     )
 

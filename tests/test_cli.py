@@ -316,6 +316,11 @@ def test_simulate_names_the_line_of_a_malformed_event(tmp_path, fixtures_dir, ca
         '{"at": "2", "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not "2"',
         '{"at": 1, "kind": "select", "aa": [1]}': '"aa" must be a string, not [1]',
         '{"at": 1, "kind": "disappear"}': "missing key 'id'",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "ports": ["a"]}}': "a port must be an object, not 'a'",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "ports": "a"}}': "component ports must be a list, not 'a'",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "properties": 5}}': "component properties must be an object, not 5",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "metadata": [1]}}': "component metadata must be an object, not [1]",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "provenance": 5}}': "provenance must be an object, not 5",
     }
     script = tmp_path / "script.jsonl"
     for line, message in cases.items():
@@ -342,3 +347,25 @@ def test_weave_rejects_unknown_selected_aspects(fixtures_dir, capsys):
     code, out, _ = run(capsys, *argv, "--select", "dec")
     assert code == 0
     assert "Decision1" in out
+
+
+def test_every_file_argument_rejects_a_directory(tmp_path, fixtures_dir, capsys):
+    base = str(fixtures_dir / "hospital_base.json")
+    cascade = str(fixtures_dir / "scenario.cascade.json")
+    simulate = ["simulate", "--base", str(fixtures_dir / "empty_base.json"), "--cascade", cascade]
+    folder = str(tmp_path)
+    cases = [
+        ("cannot read assembly", ["weave", "--base", folder, "--cascade", cascade]),
+        ("cannot read aspect", ["weave", "--base", base, "--aa", folder]),
+        ("cannot read cascade manifest", ["weave", "--base", base, "--cascade", folder]),
+        ("cannot read script", [*simulate, "--script", folder]),
+        ("cannot read shape", ["analyze", "--shape", folder]),
+        ("cannot read benchmark CSV", ["analyze", "--fit", folder]),
+        *(("cannot write", ["weave", "--base", base, "--cascade", cascade, flag, folder]) for flag in ("--out", "--dot", "--report")),
+        ("cannot write", [*simulate, "--script", str(fixtures_dir / "hospital_script.jsonl"), "--trace", folder]),
+        ("cannot write", ["bench", "--sweep", "0:0:1", "--p", "0", "--reps", "1", "--csv", folder]),
+    ]
+    for message, argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert f"{message} {folder!r}" in err, argv

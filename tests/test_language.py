@@ -284,6 +284,30 @@ def test_filters_print_parse_round_trip(filters):
         assert type(f.value) is type(g.value)
 
 
+_STRINGS = st.text(st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from("'\"")), max_size=8)
+_PROPERTY_VALUES = st.one_of(
+    _STRINGS, st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(type_name=_STRINGS, props=st.dictionaries(_IDENT, _PROPERTY_VALUES, max_size=3))
+def test_local_properties_print_parse_round_trip(type_name, props):
+    aa = parse_aa("Advice:\nschema s():\n  x : 'T';\n")
+    aa = replace(aa, rules=(replace(aa.rules[0], type_name=type_name, init_props=props),))
+    both_quotes = [text for text in (type_name, *props.values()) if isinstance(text, str) and {"'", '"'} <= set(text)]
+    if both_quotes:
+        with pytest.raises(ValueError) as raised:
+            print_aa(aa)
+        assert "local 'x'" in str(raised.value)
+        assert f"{both_quotes[0]!r} holds both quote kinds" in str(raised.value)
+        return
+    (again,) = parse_aa(print_aa(aa)).rules
+    assert again == aa.rules[0]
+    for key, value in props.items():
+        assert type(again.init_props[key]) is type(value)
+
+
 def _port_exprs():
     base = _IDENT.filter(lambda name: name not in KEYWORDS)
     bare = st.builds(PortExpr, base)

@@ -1,7 +1,10 @@
+import itertools
 import random
+import time
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aaweave.model import (
@@ -29,6 +32,8 @@ from aaweave.model import (
     provided,
     required,
 )
+from aaweave.sim import WorkloadSpec, generate_workload
+from aaweave.weaver import weave_cascade
 
 
 def comp(cid, *ports, prov=None):
@@ -328,3 +333,144 @@ def test_canonical_equal_distinguishes_same_stem_wiring():
     assert canonical_equal(build("devA", "devB"), build("devB", "devA"))
     # ... but genuinely different wiring is not
     assert not canonical_equal(build("devA", "devB"), build("devA", "devA"))
+
+
+def _renamed(assembly: Assembly, rename: dict[str, str]) -> Assembly:
+    def ref(r):
+        return replace(r, component_id=rename.get(r.component_id, r.component_id))
+
+    return Assembly.build(
+        [replace(c, id=rename.get(c.id, c.id)) for c in assembly.components.values()],
+        [replace(b, source=ref(b.source), target=ref(b.target)) for b in assembly.bindings],
+    )
+
+
+def brute_force_equal(a: Assembly, b: Assembly) -> bool:
+    """``canonical_equal`` by its definition: try every bijection between
+    the woven components that keeps stem, type, aspect, properties and
+    metadata, and compare the bindings under it."""
+    def label(c):
+        return (c.id.rstrip("0123456789"), c.type_name, c.provenance.aa_name, c.properties, c.metadata)
+
+    def keys(assembly, rename):
+        return {
+            (rename.get(s, s), sp, rename.get(t, t), tp, bd.provenance)
+            for bd in assembly.bindings
+            for s, sp, t, tp in [bd.endpoints()]
+        }
+
+    base_a, base_b = ({cid: c for cid, c in x.components.items() if c.provenance is None} for x in (a, b))
+    woven_a, woven_b = ([c for c in x.components.values() if c.provenance is not None] for x in (a, b))
+    if base_a != base_b or len(woven_a) != len(woven_b):
+        return False
+    target = keys(b, {})
+    return any(
+        all(label(x) == label(y) for x, y in zip(woven_a, perm))
+        and keys(a, {x.id: y.id for x, y in zip(woven_a, perm)}) == target
+        for perm in itertools.permutations(woven_b)
+    )
+
+
+_SMALL_PORTS = (PortSpec("i", PROVIDED), PortSpec("j", PROVIDED), PortSpec("o", REQUIRED))
+_PROVENANCES = (None, Woven("x"), Woven("y"))
+
+
+@st.composite
+def small_weaves(draw) -> Assembly:
+    """Two base components, up to six woven ones, and bindings among them.
+
+    In a uniform weave every woven component has the same label and every
+    binding the same ports and provenance, so only the wiring tells woven
+    components apart and the search must pin some of them.
+    """
+    uniform = draw(st.booleans())
+
+    def pick(options):
+        return options[0] if uniform else draw(st.sampled_from(options))
+
+    comps = [Component(f"b{k}", "B", ports=_SMALL_PORTS) for k in range(2)]
+    for k in range(draw(st.integers(0, 6))):
+        comps.append(Component(
+            f"{pick('uv')}{k}", "T", properties={"k": pick((0, 1))}, ports=_SMALL_PORTS, provenance=Woven(pick("xy")),
+        ))
+    ids = st.sampled_from([c.id for c in comps])
+    bindings = {}
+    for s, t in draw(st.lists(st.tuples(ids, ids), max_size=12)):
+        port = pick("ij")
+        bindings[s, t, port] = Binding(required(s, "o"), provided(t, port), pick(_PROVENANCES))
+    return Assembly.build(comps, bindings.values())
+
+
+def _perturbed(assembly: Assembly, draw) -> Assembly:
+    """``assembly`` with one binding retargeted or re-stamped, or one woven
+    component's aspect or property changed."""
+    comps, bindings = dict(assembly.components), list(assembly.bindings)
+    woven = [cid for cid, c in comps.items() if c.provenance is not None]
+    kinds = (["retarget", "restamp"] if bindings else []) + (["aspect", "property"] if woven else [])
+    assume(kinds)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("retarget", "restamp"):
+        i = draw(st.integers(0, len(bindings) - 1))
+        b = bindings[i]
+        if kind == "retarget":
+            b = replace(b, target=replace(b.target, component_id=draw(st.sampled_from(sorted(comps)))))
+            assume(b.endpoints() not in assembly.by_endpoints())
+        else:
+            b = replace(b, provenance=draw(st.sampled_from(_PROVENANCES + (Woven("x", 1),))))
+        bindings[i] = b
+    else:
+        c = comps[draw(st.sampled_from(woven))]
+        if kind == "aspect":
+            comps[c.id] = replace(c, provenance=Woven(draw(st.sampled_from("xyz"))))
+        else:
+            comps[c.id] = replace(c, properties={"k": draw(st.integers(0, 2))})
+    return Assembly.build(comps.values(), bindings)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=small_weaves(), numbers=st.permutations(range(10, 16)), perturb=st.booleans(), data=st.data())
+def test_canonical_equal_agrees_with_brute_force(a, numbers, perturb, data):
+    b = _perturbed(a, data.draw) if perturb else a
+    woven = [cid for cid, c in b.components.items() if c.provenance is not None]
+    b = _renamed(b, {cid: cid.rstrip("0123456789") + str(n) for cid, n in zip(woven, numbers)})
+    expected = brute_force_equal(a, b)
+    assert perturb or expected
+    assert canonical_equal(a, b) == expected
+    assert canonical_equal(b, a) == expected
+
+
+def test_canonical_equal_pins_what_refinement_cannot_split():
+    # Every relay has one binding in and one out, so colour refinement alone
+    # cannot tell two triangles from a hexagon, nor pair the relays of two
+    # triangles.
+    def rings(*rings):
+        relays = [Component(f"relay{k}", "T", ports=(PortSpec("i", PROVIDED), PortSpec("o", REQUIRED)),
+                            provenance=Woven("x")) for ring in rings for k in ring]
+        return Assembly.build(relays, [
+            Binding(required(f"relay{k}", "o"), provided(f"relay{ring[(n + 1) % len(ring)]}", "i"))
+            for ring in rings for n, k in enumerate(ring)
+        ])
+
+    triangles = rings((0, 1, 2), (3, 4, 5))
+    assert canonical_equal(triangles, rings((5, 4, 3), (2, 1, 0)))
+    assert canonical_equal(triangles, rings((0, 4, 2), (3, 1, 5)))
+    assert not canonical_equal(triangles, rings((0, 1, 2, 3, 4, 5)))
+
+
+def test_canonical_equal_forgives_a_reversed_numbering_of_a_large_weave():
+    woven, _ = weave_cascade(*generate_workload(WorkloadSpec(seed=1, joinpoint_count=40, conflict_probability=0.5)))
+    stems: dict[str, list[str]] = {}
+    for cid, c in woven.components.items():
+        if c.provenance is not None:
+            stems.setdefault(cid.rstrip("0123456789"), []).append(cid)
+    renamed = _renamed(woven, {x: y for ids in stems.values() for x, y in zip(ids, reversed(ids))})
+    assert renamed.bindings != woven.bindings
+    start = time.perf_counter()
+    assert canonical_equal(woven, renamed)
+    assert time.perf_counter() - start < 2
+
+
+def test_canonical_equal_pairs_many_unlinked_twins():
+    twins = [Component(f"twin{k}", "T", provenance=Woven("x")) for k in range(1500)]
+    renamed = [replace(c, id=f"twin{k + 1500}") for k, c in enumerate(twins)]
+    assert canonical_equal(Assembly.build(twins, []), Assembly.build(renamed, []))
