@@ -45,6 +45,8 @@ def _read(path: str, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -29,11 +29,12 @@ negation spelling is rejected outright.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import lru_cache
 
-from .model import PROVIDED, REQUIRED, PortSpec, canonical_ports
+from .model import PROVIDED, REQUIRED, PortSpec, canonical_ports, value
 from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
 # Tokens the grammar is built from, in the order the tokenizer tries them
@@ -75,7 +76,7 @@ def literal(text: str) -> tuple:
     return ("lit", text)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Pattern:
     component_atoms: tuple
     port_atoms: tuple | None = None
@@ -106,7 +107,7 @@ def _atoms_regex(atoms: tuple) -> re.Pattern:
     return re.compile("".join(parts), re.IGNORECASE)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MetadataFilter:
     key: str
     op: str  # "eq", "lt" or "gt"
@@ -127,7 +128,7 @@ class MetadataFilter:
         return have > self.value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PointcutRule:
     variable: str
     pattern: Pattern
@@ -278,7 +279,7 @@ def parse_pattern_with_filters(text: str, path: str | None = None, line: int = 1
 # Advice AST
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PortExpr:
     """A source-level port reference: pointcut variable or advice-local name."""
 
@@ -309,13 +310,13 @@ class Instantiate:
     ports: tuple[PortSpec, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Link:
     source: PortExpr
     tree: OperatorTree
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Rewrite:
     target: PortExpr
     tree: OperatorTree
@@ -340,12 +341,20 @@ class AspectOfAssembly:
 # Tokenizer
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class _Token:
     kind: str  # IDENT, NUMBER, STRING, PATTERN, symbol text, or EOF
     value: str
     line: int
     col: int
+
+
+# Numbers and names are ASCII only: any other letter or digit outside a
+# string or pattern is an unexpected character.
+_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+_NUMBER_START = frozenset("-0123456789")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 
 def _tokenize(text: str, path: str | None) -> list[_Token]:
@@ -387,17 +396,18 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
             col += end + 1 - i
             i = end + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            m = re.match(r"-?\d+(\.\d+)?", text[i:])
-            tokens.append(_Token("NUMBER", m.group(0), line, col))
-            col += m.end()
-            i += m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-            tokens.append(_Token("IDENT", m.group(0), line, col))
-            col += m.end()
-            i += m.end()
+        if ch in _NUMBER_START:
+            m = _NUMBER.match(text, i)
+            if m is not None:
+                tokens.append(_Token("NUMBER", m.group(), line, col))
+                col += m.end() - i
+                i = m.end()
+                continue
+        if ch in _IDENT_START:
+            m = _IDENT.match(text, i)
+            tokens.append(_Token("IDENT", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
             continue
         for sym in SYMBOLS:
             if text.startswith(sym, i):

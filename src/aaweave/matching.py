@@ -23,20 +23,20 @@ import itertools
 from dataclasses import dataclass
 
 from .language import AspectOfAssembly, Instantiate, Link, PointcutRule, PortExpr, Rewrite
-from .model import PROVIDED, REQUIRED, Component, PortRef, Woven
+from .model import PROVIDED, REQUIRED, Component, PortRef, Woven, value
 from .optree import OperatorTree, map_leaves
 
 GLOBAL_NAMESPACE = ""
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Joinpoint:
     port: PortRef
     metadata: dict
     provenance: Woven | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Visibility:
     cycle_index: int = 0
     requesting_namespace: str = GLOBAL_NAMESPACE
@@ -46,13 +46,13 @@ class Visibility:
 Combination = dict[str, Joinpoint]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GroundLink:
     source: PortRef
     tree: OperatorTree
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GroundRewrite:
     target: PortRef
     tree: OperatorTree

@@ -43,6 +43,7 @@ from .model import (
     PortSpec,
     RemoveBinding,
     Woven,
+    canonical_ports,
 )
 from .optree import NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, normalize, par_normal, sort_key
 
@@ -218,10 +219,11 @@ def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
     op_adds: list[AddComponent] = []
     removes: list[RemoveBinding] = []
     adds = [AddBinding(b) for b in plan.plain_bindings]
+    builder = _TreeBuilder(fresh, op_adds, adds)
 
     for group, tree in folded:
         anchor, originals, prov = group.anchor, group.originals, group.provenance
-        roots = _TreeBuilder(anchor, originals, prov, fresh, op_adds, adds).build(tree)
+        roots = builder.build_group(group, tree)
         if tuple(roots) == originals:
             continue
         removes.extend(RemoveBinding(anchor, o) for o in originals)
@@ -242,57 +244,70 @@ def _joint_provenance(contributors, cycle: int) -> Woven:
 
 
 class _TreeBuilder:
-    def __init__(self, anchor, originals, prov, fresh, op_adds, adds):
-        self.anchor = anchor
-        self.originals = originals
-        self.prov = prov
+    """Lowers the folded trees of one ``lower`` call, one group at a time.
+
+    Op components with the same out ports share one port tuple, built and
+    put in canonical order once per call.
+    """
+
+    def __init__(self, fresh, op_adds, adds):
         self.fresh = fresh
         self.op_adds = op_adds
         self.adds = adds
+        self.port_sets: dict[tuple[str, ...], tuple[PortSpec, ...]] = {}
+        self.anchor = self.originals = self.prov = None
+
+    def build_group(self, group: RewriteGroup, tree: OperatorTree) -> list[PortRef]:
+        """Lower one group's folded tree; its ops and bindings carry the
+        group's provenance."""
+        self.anchor = group.anchor
+        self.originals = group.originals
+        self.prov = group.provenance
+        return self.build(tree)
 
     def build(self, tree: OperatorTree) -> list[PortRef]:
         """Return the provided ports a parent should bind to for this node."""
-        match tree:
-            case Leaf(target=t):
-                return [t]
-            case Call():
-                if not self.originals:
-                    raise CallWithoutOriginal(self.anchor)
-                return list(self.originals)
-            case Nop():
-                comp = self._op_component(tree, ())
-                return [PortRef(comp.id, "in", PROVIDED)]
-            case If(cond=c, then=a, orelse=b):
-                comp = self._op_component(tree, ("cond", "out_then", "out_else"))
-                self._bind(comp.id, "cond", [c])
-                self._bind(comp.id, "out_then", self.build(a))
-                self._bind(comp.id, "out_else", self.build(b))
-                return [PortRef(comp.id, "in", PROVIDED)]
-            case Seq(children=ch) | Par(children=ch):
-                outs = tuple(f"out_{k}" for k in range(1, len(ch) + 1))
-                comp = self._op_component(tree, outs)
-                for name, child in zip(outs, ch):
-                    self._bind(comp.id, name, self.build(child))
-                return [PortRef(comp.id, "in", PROVIDED)]
-            case Delegate(child=c):
-                comp = self._op_component(tree, ("out_1",))
-                self._bind(comp.id, "out_1", self.build(c))
-                return [PortRef(comp.id, "in", PROVIDED)]
-        raise TypeError(f"not an operator tree: {tree!r}")
-
-    def _op_component(self, tree, out_ports) -> Component:
         kind = type(tree)
-        ports = [PortSpec("in", PROVIDED)]
-        ports.extend(PortSpec(name, REQUIRED) for name in out_ports)
+        if kind is Leaf:
+            return [tree.target]
+        if kind is If:
+            cid = self._op_component(kind, ("cond", "out_then", "out_else"))
+            self._bind(cid, "cond", [tree.cond])
+            self._bind(cid, "out_then", self.build(tree.then))
+            self._bind(cid, "out_else", self.build(tree.orelse))
+        elif kind is Par or kind is Seq:
+            children = tree.children
+            outs = tuple(f"out_{k}" for k in range(1, len(children) + 1))
+            cid = self._op_component(kind, outs)
+            for name, child in zip(outs, children):
+                self._bind(cid, name, self.build(child))
+        elif kind is Call:
+            if not self.originals:
+                raise CallWithoutOriginal(self.anchor)
+            return list(self.originals)
+        elif kind is Nop:
+            cid = self._op_component(kind, ())
+        elif kind is Delegate:
+            cid = self._op_component(kind, ("out_1",))
+            self._bind(cid, "out_1", self.build(tree.child))
+        else:
+            raise TypeError(f"not an operator tree: {tree!r}")
+        return [PortRef(cid, "in", PROVIDED)]
+
+    def _op_component(self, kind, out_ports: tuple[str, ...]) -> str:
+        ports = self.port_sets.get(out_ports)
+        if ports is None:
+            ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in out_ports)])
+            self.port_sets[out_ports] = ports
         comp = Component(
             id=self.fresh.fresh(_OP_STEMS[kind]),
             type_name=_OP_TYPES[kind],
             metadata={"type": _OP_TYPES[kind]},
-            ports=tuple(ports),
+            ports=ports,
             provenance=self.prov,
         )
         self.op_adds.append(AddComponent(comp))
-        return comp
+        return comp.id
 
     def _bind(self, comp_id: str, port: str, targets) -> None:
         source = PortRef(comp_id, port, REQUIRED)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 PROVIDED = "provided"
 REQUIRED = "required"
@@ -48,7 +48,48 @@ class UnknownBinding(ModelError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+def value(cls):
+    """``dataclass(frozen=True, slots=True)`` with a faster ``__init__``.
+
+    The dataclass's own frozen ``__init__`` stores every field through
+    ``object.__setattr__``; this one calls each slot's descriptor, which
+    halves the cost of building a small value.  Everything else is the
+    dataclass's: assignment raises ``FrozenInstanceError``, and equality,
+    hashing, ``repr``, ``__match_args__``, keyword arguments, defaults and
+    ``dataclasses.replace`` behave as before.  Fields must be plain
+    ``__init__`` arguments with at most a plain default.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"value type {cls.__qualname__} cannot have __post_init__")
+    params, stores, closure = ["self"], [], {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"value field {cls.__qualname__}.{f.name} needs a plain default or none")
+        closure[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            closure[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"        _set_{f.name}(self, {f.name})")
+    # Setters reach the body as closure cells and defaults as parameter
+    # defaults, the way the dataclass's own generated methods get theirs.
+    source = "\n".join([
+        f"def make({', '.join(closure)}):",
+        f"    def __init__({', '.join(params)}):",
+        *(stores or ["        pass"]),
+        "    return __init__",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<value {cls.__qualname__}>", "exec"), namespace)
+    init = namespace["make"](**closure)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@value
 class Woven:
     """Provenance stamp for elements produced by a weave."""
 
@@ -57,14 +98,21 @@ class Woven:
     namespace: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PortSpec:
     name: str
     direction: str  # PROVIDED or REQUIRED
 
 
 def canonical_ports(ports) -> tuple[PortSpec, ...]:
-    """A port set in the one order every component keeps: by direction, then name."""
+    """A port set in the one order every component keeps: by direction, then name.
+
+    A tuple already in that order, with no repeats, comes back as it is.
+    """
+    if type(ports) is tuple:
+        keys = [(p.direction, p.name) for p in ports]
+        if all(a < b for a, b in zip(keys, keys[1:])):
+            return ports
     return tuple(sorted(set(ports), key=lambda p: (p.direction, p.name)))
 
 
@@ -93,7 +141,7 @@ class Component:
         return replace(self, ports=self.ports + (spec,))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class PortRef:
     component_id: str
     port_name: str
@@ -115,7 +163,7 @@ def required(component_id: str, port_name: str) -> PortRef:
     return PortRef(component_id, port_name, REQUIRED)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Binding:
     """A directed link from a required port to a provided port."""
 
@@ -210,17 +258,17 @@ class AddComponent:
     component: Component
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RemoveComponent:
     component_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AddBinding:
     binding: Binding
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RemoveBinding:
     source: PortRef
     target: PortRef
@@ -239,38 +287,44 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     comps = dict(assembly.components)
     bindings = dict(assembly.by_endpoints())
     for ins in instructions:
-        match ins:
-            case AddComponent(component=c):
-                if c.id in comps:
-                    raise DuplicateComponent(f"component {c.id!r} already present")
-                comps[c.id] = c
-            case RemoveComponent(component_id=cid):
-                if cid not in comps:
-                    raise UnknownComponent(f"cannot remove unknown component {cid!r}")
-                del comps[cid]
-                bindings = {
-                    k: b
-                    for k, b in bindings.items()
-                    if b.source.component_id != cid and b.target.component_id != cid
-                }
-            case AddBinding(binding=b):
-                key = b.endpoints()
-                try:
-                    _admit_endpoint(comps, b.source, REQUIRED)
-                    _admit_endpoint(comps, b.target, PROVIDED)
-                    if key in bindings:
-                        raise DuplicateBinding("already present")
-                except ModelError as exc:
-                    by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
-                    raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
-                bindings[key] = b
-            case RemoveBinding(source=s, target=t):
-                key = (s.component_id, s.port_name, t.component_id, t.port_name)
-                if key not in bindings:
-                    raise UnknownBinding(f"no binding {s} -> {t}")
-                del bindings[key]
-            case _:
-                raise ModelError(f"unknown instruction {ins!r}")
+        # Dispatch on the exact type, most frequent first: a weave's
+        # instructions are mostly binding adds.
+        kind = type(ins)
+        if kind is AddBinding:
+            b = ins.binding
+            key = b.endpoints()
+            try:
+                _admit_endpoint(comps, b.source, REQUIRED)
+                _admit_endpoint(comps, b.target, PROVIDED)
+                if key in bindings:
+                    raise DuplicateBinding("already present")
+            except ModelError as exc:
+                by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
+                raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
+            bindings[key] = b
+        elif kind is AddComponent:
+            c = ins.component
+            if c.id in comps:
+                raise DuplicateComponent(f"component {c.id!r} already present")
+            comps[c.id] = c
+        elif kind is RemoveBinding:
+            s, t = ins.source, ins.target
+            key = (s.component_id, s.port_name, t.component_id, t.port_name)
+            if key not in bindings:
+                raise UnknownBinding(f"no binding {s} -> {t}")
+            del bindings[key]
+        elif kind is RemoveComponent:
+            cid = ins.component_id
+            if cid not in comps:
+                raise UnknownComponent(f"cannot remove unknown component {cid!r}")
+            del comps[cid]
+            bindings = {
+                k: b
+                for k, b in bindings.items()
+                if b.source.component_id != cid and b.target.component_id != cid
+            }
+        else:
+            raise ModelError(f"unknown instruction {ins!r}")
     # The loop validated each mutation, so assemble directly instead of
     # paying Assembly.build's re-validation pass.
     return _assembled(comps, bindings)

@@ -168,6 +168,28 @@ def test_validate_rejects_bad_source(tmp_path, capsys):
     bad = tmp_path / "bad.aa"
     bad.write_text("Pointcut:\n")
     assert run(capsys, "validate", "--aa", str(bad))[0] == 2
+    # Names and numbers are ASCII: a non-ASCII letter or digit is an
+    # unexpected character at its position, not a crash.
+    for ch in ("é", "²", "٣"):
+        bad.write_text(f"Advice:\nschema x():\n  y : 'T' (a = {ch});\n", encoding="utf-8")
+        code, _, err = run(capsys, "validate", "--aa", str(bad))
+        assert code == 2, ch
+        assert f"{bad}:3:16: unexpected character {ch!r}" in err
+
+
+def test_an_input_that_is_not_utf8_names_its_path(tmp_path, fixtures_dir, capsys):
+    raw = tmp_path / "raw"
+    raw.write_bytes(b"\xff\xfe")
+    base = str(fixtures_dir / "hospital_base.json")
+    cascade = str(fixtures_dir / "scenario.cascade.json")
+    for message, argv in [
+        ("cannot read aspect", ["validate", "--aa", str(raw)]),
+        ("cannot read assembly", ["weave", "--base", str(raw), "--cascade", cascade]),
+        ("cannot read aspect", ["weave", "--base", base, "--aa", str(raw)]),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert f"{message} {str(raw)!r}: 'utf-8' codec can't decode byte 0xff" in err, argv
 
 
 def test_simulate_hospital_script(tmp_path, fixtures_dir, capsys):

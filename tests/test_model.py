@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aaweave import language, matching, model, optree
 from aaweave.model import (
     PROVIDED,
     REQUIRED,
@@ -109,6 +111,58 @@ def test_component_ports_are_a_canonical_set():
     assert c.ports == (pa, pb, ra)
     assert c.with_port(PortSpec("0", REQUIRED)).ports == (pa, pb, PortSpec("0", REQUIRED), ra)
     assert c.with_port(pb).ports == (pa, pb, ra)
+    assert Component("y", "t", ports=c.ports).ports is c.ports  # already canonical: kept as it is
+
+
+# ---------------------------------------------------------------------------
+# value types
+
+
+def test_value_types_behave_as_frozen_slots_dataclasses():
+    found = []
+    for module in (language, matching, model, optree):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                if cls.__dataclass_params__.frozen and "__slots__" in vars(cls):
+                    found.append(cls)
+    assert {"PortRef", "Binding", "AddBinding", "If", "Leaf", "PortExpr", "Joinpoint"} <= {c.__name__ for c in found}
+    for cls in found:
+        # Built by ``value``: its __init__ stores through the slots.
+        assert cls.__init__.__code__.co_filename == f"<value {cls.__qualname__}>", cls
+        fs = dataclasses.fields(cls)
+        assert cls.__match_args__ == tuple(f.name for f in fs)
+        args = [f"{f.name}-{cls.__name__}" for f in fs]
+        obj = cls(*args)
+        assert obj == cls(**{f.name: a for f, a in zip(fs, args)})
+        assert hash(obj) == hash(cls(*args))
+        assert repr(obj) == f"{cls.__qualname__}({', '.join(f'{f.name}={a!r}' for f, a in zip(fs, args))})"
+        assert not hasattr(obj, "__dict__")
+        for f in fs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, "other")
+            changed = replace(obj, **{f.name: "other"})
+            assert getattr(changed, f.name) == "other"
+            assert changed != obj and all(getattr(changed, g.name) == getattr(obj, g.name) for g in fs if g is not f)
+        required_args = [a for f, a in zip(fs, args) if f.default is dataclasses.MISSING]
+        bare = cls(*required_args)
+        for f in fs:
+            if f.default is not dataclasses.MISSING:
+                assert getattr(bare, f.name) == f.default, (cls, f.name)
+
+
+def test_value_rejects_fields_its_init_cannot_store():
+    class Listed:
+        items: list = dataclasses.field(default_factory=list)
+
+    class Posted:
+        x: int
+
+        def __post_init__(self):
+            pass
+
+    for cls in (Listed, Posted):
+        with pytest.raises(TypeError):
+            model.value(cls)
 
 
 # ---------------------------------------------------------------------------
