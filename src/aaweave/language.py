@@ -12,7 +12,8 @@ An aspect source has an optional pointcut section and an advice section::
 
 Pointcut patterns use a closed dialect of three atoms: literals, ``*``
 (any sequence, also spelled ``.*``) and a single-digit class (spelled
-``[:digit:]`` or ``[[:digit:]]``).  Matching is case-insensitive.  Metadata
+``[:digit:]`` or ``[[:digit:]]``, ASCII digits only).  Matching ignores
+the case of ASCII letters alone.  Metadata
 filters sit in parentheses after the component part and are a conjunction
 joined by ``&``.
 
@@ -104,7 +105,9 @@ def _atoms_regex(atoms: tuple) -> re.Pattern:
             parts.append(r"\d")
         else:
             parts.append(re.escape(atom[1]))
-    return re.compile("".join(parts), re.IGNORECASE)
+    # ASCII only, like the tokenizer: ``\d`` is [0-9] and case folding
+    # maps no other letter onto an ASCII one (``ſ`` is not ``s``).
+    return re.compile("".join(parts), re.IGNORECASE | re.ASCII)
 
 
 @value

@@ -203,7 +203,7 @@ def instantiate_advice(
     """
     ns = namespace if namespace is not None else (aa.namespace or GLOBAL_NAMESPACE)
     prov = Woven(aa.name, cycle, ns)
-    inits = [rule for rule in aa.rules if isinstance(rule, Instantiate)]
+    inits = [rule for rule in aa.rules if type(rule) is Instantiate]
     local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
 
     def ground(expr: PortExpr) -> PortRef:
@@ -217,11 +217,11 @@ def instantiate_advice(
 
     grounded = []
     for rule in aa.rules:
-        match rule:
-            case Link(source=src, tree=tree):
-                grounded.append(GroundLink(ground(src), map_leaves(tree, ground)))
-            case Rewrite(target=tgt, tree=tree):
-                grounded.append(GroundRewrite(ground(tgt), map_leaves(tree, ground)))
+        kind = type(rule)
+        if kind is Link:
+            grounded.append(GroundLink(ground(rule.source), map_leaves(rule.tree, ground)))
+        elif kind is Rewrite:
+            grounded.append(GroundRewrite(ground(rule.target), map_leaves(rule.tree, ground)))
     components = tuple(
         Component(
             id=local_ids[rule.local_name],

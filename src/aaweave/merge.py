@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
-from .matching import GroundLink, GroundRewrite
+from .matching import GroundLink
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -162,33 +163,63 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Anchors that end up with a single leaf are plain new links; everything
     else is a :class:`RewriteGroup` for :func:`merge_group`, in anchor
     order.  Both carry their contributors' joint provenance in ``cycle``.
+    An anchor's trees follow its originals in the order their rules came
+    in, instance by instance.
+
+    Only two kinds of base binding are looked at: those arriving at a
+    rewritten port and those leaving an anchor.  A binding whose
+    component id rules it out is passed over before any port is hashed.
     """
-    per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
     plan = MergedPlan()
-
-    incoming: dict[PortRef, list[Binding]] = {}
-    outgoing: dict[PortRef, list[PortRef]] = {}
-    for b in base.bindings:
-        incoming.setdefault(b.target, []).append(b)
-        outgoing.setdefault(b.source, []).append(b.target)
-
+    # Entries are (rule number, tree, contributor).  The rule numbers put
+    # back in order the entries of an anchor that has links of its own or
+    # bindings to more than one rewritten port.
+    per_anchor: dict[PortRef, list[tuple[int, OperatorTree, tuple[str, str]]]] = {}
+    per_target: dict[PortRef, list[tuple[int, OperatorTree, tuple[str, str]]]] = {}
+    n, target, landed = 0, None, None
     for inst in instances:
         who = (inst.aa_name, inst.namespace)
         plan.component_adds.extend(inst.components)
         for rule in inst.grounded_rules:
-            if isinstance(rule, GroundLink):
-                per_anchor.setdefault(rule.source, []).append((rule.tree, who))
-            elif isinstance(rule, GroundRewrite):
-                for b in incoming.get(rule.target, ()):
-                    per_anchor.setdefault(b.source, []).append((rule.tree, who))
+            n += 1
+            if type(rule) is GroundLink:
+                per_anchor.setdefault(rule.source, []).append((n, rule.tree, who))
+                continue
+            # Rules that rewrite a pointcut variable's own port share the
+            # joinpoint's PortRef object, so a run of them hashes it once.
+            if rule.target is not target:
+                target = rule.target
+                landed = per_target.setdefault(target, [])
+            landed.append((n, rule.tree, who))
+
+    unsorted = set()
+    target_ids = {t.component_id for t in per_target}
+    for b in base.bindings:
+        if b.target.component_id in target_ids:
+            arriving = per_target.get(b.target)
+            if arriving is not None:
+                entries = per_anchor.get(b.source)
+                if entries is None:
+                    per_anchor[b.source] = list(arriving)
+                else:
+                    entries.extend(arriving)
+                    unsorted.add(b.source)
+
+    outgoing: dict[PortRef, list[PortRef]] = {}
+    anchor_ids = {a.component_id for a in per_anchor}
+    for b in base.bindings:
+        if b.source.component_id in anchor_ids and b.source in per_anchor:
+            outgoing.setdefault(b.source, []).append(b.target)
 
     groups: list[RewriteGroup] = []
     for anchor in sorted(per_anchor, key=PortRef.key):
         entries = per_anchor[anchor]
+        if unsorted and anchor in unsorted:
+            entries.sort(key=itemgetter(0))
         originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
         trees = [Leaf(target) for target in originals]
-        trees.extend(t for t, _ in entries)
-        contributors = tuple(sorted({who for _, who in entries}))
+        trees.extend(t for _, t, _ in entries)
+        contributors = tuple(sorted({who for _, _, who in entries}))
         prov = _joint_provenance(contributors, cycle)
         if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
             plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import groupby
 
 PROVIDED = "provided"
 REQUIRED = "required"
@@ -286,45 +287,47 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     """
     comps = dict(assembly.components)
     bindings = dict(assembly.by_endpoints())
-    for ins in instructions:
-        # Dispatch on the exact type, most frequent first: a weave's
-        # instructions are mostly binding adds.
-        kind = type(ins)
+    # Dispatch once per run of instructions of one type, most frequent
+    # first: a weave's instructions are mostly binding adds.
+    for kind, run in groupby(instructions, type):
         if kind is AddBinding:
-            b = ins.binding
-            key = b.endpoints()
-            try:
-                _admit_endpoint(comps, b.source, REQUIRED)
-                _admit_endpoint(comps, b.target, PROVIDED)
-                if key in bindings:
-                    raise DuplicateBinding("already present")
-            except ModelError as exc:
-                by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
-                raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
-            bindings[key] = b
+            for ins in run:
+                b = ins.binding
+                key = b.endpoints()
+                try:
+                    _admit_endpoint(comps, b.source, REQUIRED)
+                    _admit_endpoint(comps, b.target, PROVIDED)
+                    if key in bindings:
+                        raise DuplicateBinding("already present")
+                except ModelError as exc:
+                    by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
+                    raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
+                bindings[key] = b
         elif kind is AddComponent:
-            c = ins.component
-            if c.id in comps:
-                raise DuplicateComponent(f"component {c.id!r} already present")
-            comps[c.id] = c
+            for ins in run:
+                c = ins.component
+                if c.id in comps:
+                    raise DuplicateComponent(f"component {c.id!r} already present")
+                comps[c.id] = c
         elif kind is RemoveBinding:
-            s, t = ins.source, ins.target
-            key = (s.component_id, s.port_name, t.component_id, t.port_name)
-            if key not in bindings:
-                raise UnknownBinding(f"no binding {s} -> {t}")
-            del bindings[key]
+            for ins in run:
+                s, t = ins.source, ins.target
+                key = (s.component_id, s.port_name, t.component_id, t.port_name)
+                if key not in bindings:
+                    raise UnknownBinding(f"no binding {s} -> {t}")
+                del bindings[key]
         elif kind is RemoveComponent:
-            cid = ins.component_id
-            if cid not in comps:
-                raise UnknownComponent(f"cannot remove unknown component {cid!r}")
-            del comps[cid]
-            bindings = {
-                k: b
-                for k, b in bindings.items()
-                if b.source.component_id != cid and b.target.component_id != cid
-            }
+            # The whole run's bindings go in one pass over the map.
+            gone = set()
+            for ins in run:
+                cid = ins.component_id
+                if cid not in comps:
+                    raise UnknownComponent(f"cannot remove unknown component {cid!r}")
+                del comps[cid]
+                gone.add(cid)
+            bindings = {k: b for k, b in bindings.items() if k[0] not in gone and k[2] not in gone}
         else:
-            raise ModelError(f"unknown instruction {ins!r}")
+            raise ModelError(f"unknown instruction {next(run)!r}")
     # The loop validated each mutation, so assemble directly instead of
     # paying Assembly.build's re-validation pass.
     return _assembled(comps, bindings)
@@ -351,35 +354,43 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
     components and components added before their bindings.  Bindings that
     die with a removed component are left to the cascade, which keeps the
     instruction list short.
+
+    A component or binding that is the same object on both sides is
+    unchanged without a compare.  Two bindings under one endpoint key
+    differ at most in their provenance, which is all it compares: the key
+    fixes both ports' components and names, and ``Assembly.build`` and
+    ``apply_instructions`` fix their directions (source required, target
+    provided).
     """
-    cur_b = current.by_endpoints()
-    tgt_b = target.by_endpoints()
+    cur_c, tgt_c = current.components, target.components
+    cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
 
-    removed_ids = {
-        cid
-        for cid, c in current.components.items()
-        if cid not in target.components or target.components[cid] != c
-    }
-    added_ids = {
-        cid
-        for cid, c in target.components.items()
-        if cid not in current.components or current.components[cid] != c
-    }
+    # One pass over ``current`` finds what goes and what changed; the pass
+    # over ``target`` then needs membership tests only.
+    removed_ids = set()
+    for cid, c in cur_c.items():
+        other = tgt_c.get(cid)
+        if other is not c and other != c:
+            removed_ids.add(cid)
+    remove_b, changed_b = [], set()
+    for k, b in cur_b.items():
+        other = tgt_b.get(k)
+        if other is not None:
+            if other is b or other.provenance == b.provenance:
+                continue
+            changed_b.add(k)
+        if k[0] not in removed_ids and k[2] not in removed_ids:
+            remove_b.append(k)  # else the component's removal cascades to it
 
-    def touches(key: tuple, ids: set[str]) -> bool:
-        return key[0] in ids or key[2] in ids
-
-    remove_b = sorted(
-        k for k, b in cur_b.items() if tgt_b.get(k) != b and not touches(k, removed_ids)
-    )
-    add_b = sorted(
-        k for k, b in tgt_b.items() if cur_b.get(k) != b or touches(k, removed_ids)
-    )
-    out: list[Instruction] = []
-    out.extend(RemoveBinding(cur_b[k].source, cur_b[k].target) for k in remove_b)
+    added_ids = [cid for cid in tgt_c if cid in removed_ids or cid not in cur_c]
+    add_b = [
+        k for k in tgt_b
+        if k[0] in removed_ids or k[2] in removed_ids or k in changed_b or k not in cur_b
+    ]
+    out: list[Instruction] = [RemoveBinding(cur_b[k].source, cur_b[k].target) for k in sorted(remove_b)]
     out.extend(RemoveComponent(cid) for cid in sorted(removed_ids))
-    out.extend(AddComponent(target.components[cid]) for cid in sorted(added_ids))
-    out.extend(AddBinding(tgt_b[k]) for k in add_b)
+    out.extend(AddComponent(tgt_c[cid]) for cid in sorted(added_ids))
+    out.extend(AddBinding(tgt_b[k]) for k in sorted(add_b))
     return out
 
 

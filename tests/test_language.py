@@ -139,7 +139,9 @@ def test_digit_class_both_spellings():
     double = parse_pattern("/light[[:digit:]].SetState/")
     assert single == double == Pattern((literal("light"), DIGIT), (literal("SetState"),), False)
     assert single.matches_component("light1")
+    assert single.matches_component("LIGHT3")
     assert not single.matches_component("light12")
+    assert not single.matches_component("light\u0663")  # ARABIC-INDIC DIGIT THREE
     assert single.matches_port("SetState", "provided")
     assert not single.matches_port("SetState", "required")
 
@@ -148,6 +150,7 @@ def test_star_with_port():
     p = parse_pattern("/Shutter*.SetState/")
     assert p == Pattern((literal("Shutter"), STAR), (literal("SetState"),), False)
     assert p.matches_component("shutter1")  # case-insensitive
+    assert not parse_pattern("/sensor/").matches_component("\u017fensor")  # LATIN SMALL LONG S folds to s
 
 
 def test_required_port_pattern():

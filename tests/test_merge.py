@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from aaweave import weaver
 from aaweave.language import parse_aa
 from aaweave.matching import (
+    AdviceInstance,
     FreshNames,
     GroundLink,
+    GroundRewrite,
     Visibility,
     collect_joinpoints,
     combinations,
@@ -28,6 +30,7 @@ from aaweave.merge import (
     merge,
     merge_group,
     normalize,
+    _joint_provenance,
     _merge_cached,
 )
 from aaweave.model import (
@@ -38,6 +41,7 @@ from aaweave.model import (
     Assembly,
     Binding,
     Component,
+    PortRef,
     PortSpec,
     RemoveBinding,
     Woven,
@@ -281,6 +285,116 @@ def test_instantiations_never_conflict(fixtures_dir, hospital_base):
     assert added == {"Decision1", "Timer1", "threshold1", "Average1"}
     # adding a component is never itself an anchor
     assert not {g.anchor.component_id for g in groups} & added
+
+
+def detect_over_full_maps(base, instances, cycle=0):
+    """The reference for ``detect_conflicts``: index every base binding by
+    its target and its source, then walk the rules once in order."""
+    incoming, outgoing = {}, {}
+    for bd in base.bindings:
+        incoming.setdefault(bd.target, []).append(bd)
+        outgoing.setdefault(bd.source, []).append(bd.target)
+    per_anchor, plan = {}, MergedPlan()
+    for inst in instances:
+        who = (inst.aa_name, inst.namespace)
+        plan.component_adds.extend(inst.components)
+        for rule in inst.grounded_rules:
+            if isinstance(rule, GroundLink):
+                per_anchor.setdefault(rule.source, []).append((rule.tree, who))
+            else:
+                for bd in incoming.get(rule.target, ()):
+                    per_anchor.setdefault(bd.source, []).append((rule.tree, who))
+    groups = []
+    for anchor in sorted(per_anchor, key=PortRef.key):
+        entries = per_anchor[anchor]
+        originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
+        trees = [Leaf(t) for t in originals] + [t for t, _ in entries]
+        contributors = tuple(sorted({who for _, who in entries}))
+        prov = _joint_provenance(contributors, cycle)
+        if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
+            plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))
+        else:
+            groups.append(RewriteGroup(anchor, tuple(trees), contributors, originals, prov))
+    plan.component_adds.sort(key=lambda comp: comp.id)
+    return groups, plan
+
+
+def fan_in_assembly():
+    """Two anchors ``a1.out`` and ``a2.out`` bound to ``t.in``, beside
+    bindings that arrive elsewhere or leave other ports of ``a1``."""
+    return Assembly.build(
+        [
+            Component("a1", "t", ports=(PortSpec("out", REQUIRED), PortSpec("aux", REQUIRED))),
+            Component("a2", "t", ports=(PortSpec("out", REQUIRED),)),
+            Component("x", "t", ports=(PortSpec("out", REQUIRED),)),
+            Component("t", "t", ports=(PortSpec("in", PROVIDED), PortSpec("idle", PROVIDED))),
+            Component("u", "t", ports=(PortSpec("in", PROVIDED),)),
+        ],
+        [
+            Binding(required("a1", "out"), provided("t", "in")),
+            Binding(required("a2", "out"), provided("t", "in")),
+            Binding(required("a1", "aux"), provided("u", "in")),
+            Binding(required("x", "out"), provided("u", "in")),
+        ],
+    )
+
+
+def instance(aa, *rules):
+    return AdviceInstance(aa, "", {}, (), tuple(rules))
+
+
+def test_a_rewrite_groups_each_anchor_with_its_own_originals():
+    base = fan_in_assembly()
+    tree = If(threshold, light_on, CALL)
+    instances = [
+        instance("r", GroundRewrite(provided("t", "in"), tree)),
+        # Nothing arrives at these ports: no anchor, no contributor.
+        instance("idle", GroundRewrite(provided("t", "idle"), shutter_open),
+                 GroundRewrite(provided("nowhere", "in"), shutter_open)),
+    ]
+    groups, plan = detect_conflicts(base, instances)
+    target = provided("t", "in")
+    assert groups == [
+        RewriteGroup(required(a, "out"), (Leaf(target), tree), (("r", ""),), (target,), Woven("r", 0, ""))
+        for a in ("a1", "a2")
+    ]
+    assert plan == MergedPlan()
+    assert (groups, plan) == detect_over_full_maps(base, instances)
+
+
+def test_an_anchors_trees_keep_rule_order():
+    base = apply_instructions(fan_in_assembly(), [AddBinding(Binding(required("a1", "out"), provided("u", "in")))])
+    anchor = required("a1", "out")
+    rules = [
+        ("r1", GroundRewrite(provided("u", "in"), a)),
+        ("l", GroundLink(anchor, b)),
+        ("r2", GroundRewrite(provided("t", "in"), c)),
+        ("r3", GroundRewrite(provided("u", "in"), light_on)),
+    ]
+    instances = [instance(aa, rule) for aa, rule in rules]
+    groups, plan = detect_conflicts(base, instances, cycle=1)
+    (group,) = [g for g in groups if g.anchor == anchor]
+    originals = (provided("t", "in"), provided("u", "in"))
+    assert group.originals == originals
+    assert group.trees == (*map(Leaf, originals), a, b, c, light_on)
+    assert (groups, plan) == detect_over_full_maps(base, instances, cycle=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), cycles=st.integers(1, 3), p=st.sampled_from((0.0, 0.33, 0.5)))
+def test_detect_agrees_with_full_binding_maps(seed, cycles, p):
+    spec = WorkloadSpec(seed=seed, joinpoint_count=12, aa_count=6, conflict_probability=p, cycles=cycles)
+    base, cascades = generate_workload(spec)
+    seen = []
+
+    def spy(assembly, instances, cycle=0):
+        got = detect_conflicts(assembly, instances, cycle=cycle)
+        seen.append(got == detect_over_full_maps(assembly, instances, cycle=cycle))
+        return got
+
+    with mock.patch.object(weaver, "detect_conflicts", spy):
+        weaver.weave_cascade(base, cascades)
+    assert seen and all(seen)
 
 
 def test_grounding_builds_the_normal_form(hospital_base):

@@ -3,12 +3,13 @@ import itertools
 import random
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aaweave import language, matching, model, optree
+from aaweave import language, matching, model, optree, sim
 from aaweave.model import (
     PROVIDED,
     REQUIRED,
@@ -35,7 +36,7 @@ from aaweave.model import (
     required,
 )
 from aaweave.sim import WorkloadSpec, generate_workload
-from aaweave.weaver import weave_cascade
+from aaweave.weaver import reweave, weave_cascade
 
 
 def comp(cid, *ports, prov=None):
@@ -73,6 +74,20 @@ def test_remove_component_cascades_bindings():
     out = apply_instructions(base, [RemoveComponent("switch")])
     expected = Assembly.build([comp("light", PortSpec("SetState", PROVIDED))], [])
     assert out == expected
+
+
+def test_a_removed_id_comes_back_without_its_bindings():
+    link = Binding(required("switch", "value_Evented_NewValue"), provided("light", "SetState"))
+    base = apply_instructions(switch_light(), [AddBinding(link)])
+    switch, light = base.components["switch"], base.components["light"]
+    assert apply_instructions(base, [RemoveComponent("light"), AddComponent(light)]).bindings == ()
+    relinked = replace(link, provenance=Woven("w", 1))
+    back = [RemoveComponent("light"), RemoveComponent("switch"), AddComponent(light), AddComponent(switch)]
+    assert apply_instructions(base, [*back, AddBinding(relinked)]).bindings == (relinked,)
+    with pytest.raises(DuplicateBinding):
+        apply_instructions(base, [*back, AddBinding(relinked), AddBinding(link)])
+    with pytest.raises(UnknownComponent):
+        apply_instructions(base, [RemoveComponent("light"), RemoveComponent("light")])
 
 
 def test_apply_errors():
@@ -193,8 +208,26 @@ def random_assembly(rng: random.Random) -> Assembly:
         if key in seen:
             continue
         seen.add(key)
-        bindings.append(Binding(required(a.id, "out"), provided(b.id, "in")))
+        prov = Woven(f"aa{rng.randint(0, 1)}", rng.randint(0, 1)) if rng.random() < 0.5 else None
+        bindings.append(Binding(required(a.id, "out"), provided(b.id, "in"), prov))
     return Assembly.build(comps, bindings)
+
+
+def diff_by_equality(current: Assembly, target: Assembly) -> list:
+    """The reference for ``diff``: compare whole components and bindings."""
+    cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
+    removed = {cid for cid, c in current.components.items() if target.components.get(cid) != c}
+    added = {cid for cid, c in target.components.items() if current.components.get(cid) != c}
+
+    def cascaded(key):
+        return key[0] in removed or key[2] in removed
+
+    return [
+        *(RemoveBinding(b.source, b.target) for k, b in sorted(cur_b.items()) if tgt_b.get(k) != b and not cascaded(k)),
+        *(RemoveComponent(cid) for cid in sorted(removed)),
+        *(AddComponent(target.components[cid]) for cid in sorted(added)),
+        *(AddBinding(b) for k, b in sorted(tgt_b.items()) if cur_b.get(k) != b or cascaded(k)),
+    ]
 
 
 def test_diff_identity(hospital_base):
@@ -206,11 +239,32 @@ def test_diff_single_add():
     assert diff(Assembly.empty(), Assembly.build([c], [])) == [AddComponent(c)]
 
 
+def test_diff_of_a_provenance_change_replaces_the_binding():
+    link = Binding(required("switch", "value_Evented_NewValue"), provided("light", "SetState"))
+    for before, after in ((None, Woven("w", 0)), (Woven("w", 0), Woven("w", 1)), (Woven("w", 1), None)):
+        current = apply_instructions(switch_light(), [AddBinding(replace(link, provenance=before))])
+        target = apply_instructions(switch_light(), [AddBinding(replace(link, provenance=after))])
+        assert diff(current, target) == [
+            RemoveBinding(link.source, link.target),
+            AddBinding(replace(link, provenance=after)),
+        ]
+    # Equal provenances in distinct objects: nothing to do.
+    assert diff(current, apply_instructions(switch_light(), [AddBinding(replace(link, provenance=Woven("w", 1)))])) == []
+
+
 def test_diff_round_trip_200_random_pairs():
     rng = random.Random(7)
     for _ in range(200):
-        a, b = random_assembly(rng), random_assembly(rng)
-        assert apply_instructions(a, diff(a, b)) == b
+        a = random_assembly(rng)
+        # A second assembly, and a copy of the first whose bindings drew
+        # their provenances again.
+        redrawn = Assembly.build(a.components.values(), [
+            replace(x, provenance=rng.choice((None, Woven("aa0", 0), Woven("aa1", 0)))) for x in a.bindings
+        ])
+        for b in (random_assembly(rng), redrawn):
+            instrs = diff(a, b)
+            assert instrs == diff_by_equality(a, b)
+            assert apply_instructions(a, instrs) == b
 
 
 def test_diff_orders_removals_before_additions():
@@ -221,6 +275,68 @@ def test_diff_orders_removals_before_additions():
         order = {"RemoveBinding": 0, "RemoveComponent": 1, "AddComponent": 2, "AddBinding": 3}
         ranks = [order[k] for k in kinds]
         assert ranks == sorted(ranks)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    spec=st.builds(
+        WorkloadSpec,
+        seed=st.integers(0, 2**16),
+        joinpoint_count=st.integers(2, 10),
+        aa_count=st.integers(1, 4),
+        conflict_probability=st.sampled_from((0.0, 0.33, 0.5)),
+        cycles=st.integers(1, 3),
+    ),
+    data=st.data(),
+)
+def test_every_reweave_diff_applies_and_touches_only_what_changed(spec, data):
+    base, cascades = generate_workload(spec)
+    names = sorted(cascades[0].aa_names())
+    unselected, absent, script, at = set(), set(), [], 0
+    for _ in range(data.draw(st.integers(1, 8), label="events")):
+        at += data.draw(st.integers(0, 1), label="gap")
+        moves = (
+            [("unselect", n) for n in names if n not in unselected]
+            + [("select", n) for n in sorted(unselected)]
+            + [("disappear", cid) for cid in base.components if cid not in absent]
+            + [("appear", cid) for cid in sorted(absent)]
+        )
+        kind, what = data.draw(st.sampled_from(moves), label="event")
+        if kind in ("select", "unselect"):
+            (unselected.discard if kind == "select" else unselected.add)(what)
+            script.append(sim.EnvEvent(at, kind, aa_name=what))
+        else:
+            (absent.discard if kind == "appear" else absent.add)(what)
+            script.append(sim.EnvEvent(at, kind, component=base.components[what] if kind == "appear" else None,
+                                       component_id=what))
+    steps = []
+
+    def spy(current, *args):
+        target, instrs, reports = reweave(current, *args)
+        steps.append((current, target, instrs))
+        return target, instrs, reports
+
+    with mock.patch.object(sim, "reweave", spy):
+        sim.run_scenario(base, cascades, script)
+    assert steps
+    for current, target, instrs in steps:
+        assert instrs == diff_by_equality(current, target)
+        assert apply_instructions(current, instrs) == target
+        cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
+        removed = {i.component_id for i in instrs if type(i) is RemoveComponent}
+        for i in instrs:
+            if type(i) is RemoveComponent:
+                assert current.components[i.component_id] != target.components.get(i.component_id)
+            elif type(i) is AddComponent:
+                assert current.components.get(i.component.id) != i.component
+            elif type(i) is RemoveBinding:
+                key = (i.source.component_id, i.source.port_name, i.target.component_id, i.target.port_name)
+                assert cur_b[key] != tgt_b.get(key)
+            else:
+                # An equal binding is added back only when a removed
+                # component's cascade took it away.
+                key = i.binding.endpoints()
+                assert cur_b.get(key) != i.binding or {key[0], key[2]} & removed
 
 
 # ---------------------------------------------------------------------------
