@@ -71,7 +71,6 @@ from .model import (
     assembly_to_json,
     canonical_equal,
     diff,
-    export,
 )
 from .sim import (
     EnvEvent,

@@ -21,7 +21,8 @@ from .weaver import Cascade
 
 
 class DegenerateFit(Exception):
-    """Least squares needs at least two distinct regressor values."""
+    """Least squares needs at least two distinct regressor values and
+    finite samples."""
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,23 @@ def fit_cost_model(samples) -> tuple[float, float, float]:
     """Least-squares fit of duration = a1 * regressor + a2.
 
     Samples are (regressor, duration) pairs where the regressor is
-    g0 * sum(w_i * p_i * M).  Returns (a1, a2, rms residual).
+    g0 * sum(w_i * p_i * M).  Returns (a1, a2, rms residual); raises
+    :class:`DegenerateFit` for fewer than two samples, a constant
+    regressor or a fit that is not finite.
     """
-    xs, ys = zip(*samples)
-    n = len(xs)
-    if n < 2:
-        raise DegenerateFit("need at least two samples")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise DegenerateFit("regressor is constant")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    a1 = sxy / sxx
-    a2 = mean_y - a1 * mean_x
-    residual = math.sqrt(sum((y - (a1 * x + a2)) ** 2 for x, y in zip(xs, ys)) / n)
+    # Imported here: ``statistics`` loads ``fractions``, ~0.6 MB of resident
+    # memory that every other command would pay for.
+    import statistics
+
+    xs = [x for x, _ in samples]
+    ys = [y for _, y in samples]
+    try:
+        a1, a2 = statistics.linear_regression(xs, ys)
+    except statistics.StatisticsError as exc:
+        raise DegenerateFit(f"need two samples with different regressor values ({exc})") from None
+    residual = math.hypot(*(y - (a1 * x + a2) for x, y in zip(xs, ys))) / math.sqrt(len(xs))
+    if not all(map(math.isfinite, (a1, a2, residual))):
+        raise DegenerateFit(f"the fit is not finite: a1={a1}, a2={a2}, rms residual={residual}")
     return a1, a2, residual
 
 

@@ -182,6 +182,8 @@ def cmd_analyze(args) -> int:
             a1, a2, residual = analysis.fit_cost_model_from_rows(rows)
         except (KeyError, ValueError) as exc:
             raise InputError(f"{args.fit}: not a benchmark CSV ({exc})") from None
+        except analysis.DegenerateFit as exc:
+            raise InputError(f"{args.fit}: cannot fit the duration model: {exc}") from None
         print(json.dumps({"a1": a1, "a2": a2, "rms_residual_us": residual}, indent=2))
         return EXIT_OK
     if args.shape:

@@ -29,6 +29,7 @@ negation spelling is rejected outright.
 """
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass, field, replace
@@ -237,14 +238,19 @@ def _parse_filter_value(text: str, line: int, col: int, path):
         raise AaSyntaxError("missing filter value", line, col, path)
     if text[0] in "'\"" and text[-1] == text[0] and len(text) >= 2:
         return text[1:-1]
+    # Like the tokenizer, read only ASCII as a number (``int`` would take
+    # '٣' for 3); NaN stays a string, since it could never equal itself.
+    if not text.isascii():
+        return text
     try:
         return int(text)
     except ValueError:
         pass
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
         return text
+    return text if math.isnan(number) else number
 
 
 def parse_pattern(text: str, path: str | None = None) -> Pattern:
@@ -438,8 +444,8 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.pos]
 
-    def peek(self, ahead: int = 1) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
 
     def advance(self) -> _Token:
         tok = self.cur
@@ -724,8 +730,10 @@ def _filter_text(f: MetadataFilter) -> str:
     op = {"eq": "=", "lt": "<", "gt": ">"}[f.op]
     value = f.value
     # '&' separates filters, '/' ends the pattern and a newline ends the
-    # line; the dialect has no escape for them, quoted or not.
-    if isinstance(value, str) and any(ch in value for ch in "&/\n"):
+    # line; the dialect has no escape for them, quoted or not.  NaN would
+    # read back as the string 'nan'.
+    unprintable = isinstance(value, str) and any(ch in value for ch in "&/\n")
+    if unprintable or (isinstance(value, float) and math.isnan(value)):
         raise ValueError(f"metadata filter {f.key!r}: value {value!r} cannot be printed")
     # Quote a string unless it is a plain word that reads back as itself.
     if isinstance(value, str) and (
@@ -776,6 +784,8 @@ def _value_text(value, what: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{what} {value!r} is not finite and cannot be printed")
         # The lexer reads no exponent, and reads a number as a float only with a '.'.
         text = format(Decimal(repr(value)), "f")
         return text if "." in text else text + ".0"
@@ -785,6 +795,13 @@ def _value_text(value, what: str) -> str:
 
 
 def print_aa(aa: AspectOfAssembly) -> str:
+    """Print an aspect so that ``parse_aa`` reads it back as an equal value.
+
+    Raises ``ValueError`` for what the dialect cannot spell: a filter value
+    holding '&', '/' or a newline, a NaN filter value, a type name or
+    string property holding both quote kinds, or a property that is NaN or
+    infinite.
+    """
     lines: list[str] = []
     if aa.pointcut:
         lines.append("Pointcut:")

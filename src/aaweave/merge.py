@@ -232,8 +232,14 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
 # ---------------------------------------------------------------------------
 # Lowering merged trees to elementary instructions
 
-_OP_TYPES = {Nop: "op.Nop", If: "op.If", Seq: "op.Seq", Par: "op.Par", Delegate: "op.Delegate"}
-_OP_STEMS = {Nop: "nop", If: "if", Seq: "seq", Par: "par", Delegate: "delegate"}
+# The op component's type name and the stem of its fresh id, by node type.
+_OPS = {
+    Nop: ("op.Nop", "nop"),
+    If: ("op.If", "if"),
+    Seq: ("op.Seq", "seq"),
+    Par: ("op.Par", "par"),
+    Delegate: ("op.Delegate", "delegate"),
+}
 
 
 def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
@@ -241,24 +247,67 @@ def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
     into ordered add/remove instructions.
 
     Operator nodes become synthetic components typed ``op.*`` with one
-    provided ``in`` port and a required port per child; the anchor's former
-    bindings are redirected into the tree root.  Call leaves reconnect the
-    group's originals and fail with :class:`CallWithoutOriginal` when there
-    were none.  All a group adds carries the group's provenance.  An anchor
-    whose tree lowers to exactly its originals emits nothing.
+    provided ``in`` port and a required port per child; an op takes its
+    fresh id before its children do.  The anchor's former bindings are
+    redirected into the tree root.  Call leaves reconnect the group's
+    originals and fail with :class:`CallWithoutOriginal` when there were
+    none.  All a group adds carries the group's provenance.  An anchor
+    whose tree lowers to exactly its originals emits nothing.  Ops with the
+    same out ports share one port tuple, put in canonical order once per
+    call.
     """
     op_adds: list[AddComponent] = []
     removes: list[RemoveBinding] = []
     adds = [AddBinding(b) for b in plan.plain_bindings]
-    builder = _TreeBuilder(fresh, op_adds, adds)
+    port_sets: dict[tuple[str, ...], tuple[PortSpec, ...]] = {}
+
+    def build(node: OperatorTree) -> list[PortRef]:
+        """Return the provided ports a parent should bind to for ``node``;
+        reads the current group's ``anchor``, ``originals`` and ``prov``."""
+        kind = type(node)
+        if kind is Leaf:
+            return [node.target]
+        if kind is Call:
+            if not originals:
+                raise CallWithoutOriginal(anchor)
+            return list(originals)
+        if kind is If:
+            outs, children = ("cond", "out_then", "out_else"), (node.then, node.orelse)
+        elif kind is Par or kind is Seq:
+            children = node.children
+            outs = tuple(f"out_{k}" for k in range(1, len(children) + 1))
+        elif kind is Delegate:
+            outs, children = ("out_1",), (node.child,)
+        elif kind is Nop:
+            outs = children = ()
+        else:
+            raise TypeError(f"not an operator tree: {node!r}")
+        ports = port_sets.get(outs)
+        if ports is None:
+            ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in outs)])
+            port_sets[outs] = ports
+        type_name, stem = _OPS[kind]
+        cid = fresh.fresh(stem)
+        comp = Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov)
+        op_adds.append(AddComponent(comp))
+        targets = [(node.cond,)] if kind is If else []
+        targets.extend(map(build, children))
+        for name, ends in zip(outs, targets):
+            source = PortRef(cid, name, REQUIRED)
+            for end in ends:
+                adds.append(AddBinding(Binding(source, end, prov)))
+        return [PortRef(cid, "in", PROVIDED)]
 
     for group, tree in folded:
         anchor, originals, prov = group.anchor, group.originals, group.provenance
-        roots = builder.build_group(group, tree)
+        roots = build(tree)
         if tuple(roots) == originals:
             continue
         removes.extend(RemoveBinding(anchor, o) for o in originals)
         adds.extend(AddBinding(Binding(anchor, root, prov)) for root in roots)
+    # ``build`` holds itself through its closure; breaking that cycle frees
+    # this call's lists now rather than at the next cyclic collection.
+    del build
 
     out: list[Instruction] = [AddComponent(c) for c in plan.component_adds]
     out.extend(op_adds)
@@ -272,75 +321,3 @@ def _joint_provenance(contributors, cycle: int) -> Woven:
     namespaces = {ns for _, ns in contributors}
     ns = namespaces.pop() if len(namespaces) == 1 else ""
     return Woven("+".join(names) if names else "base", cycle, ns)
-
-
-class _TreeBuilder:
-    """Lowers the folded trees of one ``lower`` call, one group at a time.
-
-    Op components with the same out ports share one port tuple, built and
-    put in canonical order once per call.
-    """
-
-    def __init__(self, fresh, op_adds, adds):
-        self.fresh = fresh
-        self.op_adds = op_adds
-        self.adds = adds
-        self.port_sets: dict[tuple[str, ...], tuple[PortSpec, ...]] = {}
-        self.anchor = self.originals = self.prov = None
-
-    def build_group(self, group: RewriteGroup, tree: OperatorTree) -> list[PortRef]:
-        """Lower one group's folded tree; its ops and bindings carry the
-        group's provenance."""
-        self.anchor = group.anchor
-        self.originals = group.originals
-        self.prov = group.provenance
-        return self.build(tree)
-
-    def build(self, tree: OperatorTree) -> list[PortRef]:
-        """Return the provided ports a parent should bind to for this node."""
-        kind = type(tree)
-        if kind is Leaf:
-            return [tree.target]
-        if kind is If:
-            cid = self._op_component(kind, ("cond", "out_then", "out_else"))
-            self._bind(cid, "cond", [tree.cond])
-            self._bind(cid, "out_then", self.build(tree.then))
-            self._bind(cid, "out_else", self.build(tree.orelse))
-        elif kind is Par or kind is Seq:
-            children = tree.children
-            outs = tuple(f"out_{k}" for k in range(1, len(children) + 1))
-            cid = self._op_component(kind, outs)
-            for name, child in zip(outs, children):
-                self._bind(cid, name, self.build(child))
-        elif kind is Call:
-            if not self.originals:
-                raise CallWithoutOriginal(self.anchor)
-            return list(self.originals)
-        elif kind is Nop:
-            cid = self._op_component(kind, ())
-        elif kind is Delegate:
-            cid = self._op_component(kind, ("out_1",))
-            self._bind(cid, "out_1", self.build(tree.child))
-        else:
-            raise TypeError(f"not an operator tree: {tree!r}")
-        return [PortRef(cid, "in", PROVIDED)]
-
-    def _op_component(self, kind, out_ports: tuple[str, ...]) -> str:
-        ports = self.port_sets.get(out_ports)
-        if ports is None:
-            ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in out_ports)])
-            self.port_sets[out_ports] = ports
-        comp = Component(
-            id=self.fresh.fresh(_OP_STEMS[kind]),
-            type_name=_OP_TYPES[kind],
-            metadata={"type": _OP_TYPES[kind]},
-            ports=ports,
-            provenance=self.prov,
-        )
-        self.op_adds.append(AddComponent(comp))
-        return comp.id
-
-    def _bind(self, comp_id: str, port: str, targets) -> None:
-        source = PortRef(comp_id, port, REQUIRED)
-        for target in targets:
-            self.adds.append(AddBinding(Binding(source, target, self.prov)))

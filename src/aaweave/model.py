@@ -491,9 +491,15 @@ def _provenance_to_json(p: Woven | None) -> dict:
 
 
 def _provenance_from_json(d: dict | None) -> Woven | None:
-    if d is None or _object(d, "provenance").get("kind", "base") == "base":
+    kind = "base" if d is None else _object(d, "provenance").get("kind", "base")
+    if kind == "base":
         return None
-    return Woven(d["aa"], int(d.get("cycle", 0)), d.get("namespace", ""))
+    if kind != "woven":
+        raise ModelError(f"provenance kind must be 'base' or 'woven', not {kind!r}")
+    cycle = d.get("cycle", 0)
+    if type(cycle) is not int:
+        raise ModelError(f"provenance cycle must be an integer, not {cycle!r}")
+    return Woven(_text(d.get("aa"), "provenance aa"), cycle, _text(d.get("namespace", ""), "provenance namespace"))
 
 
 def component_to_json(c: Component) -> dict:
@@ -573,8 +579,8 @@ def from_json_dict(d: dict) -> Assembly:
     return Assembly.build(comps, bindings)
 
 
-def assembly_to_json(assembly: Assembly, indent: int | None = 2) -> str:
-    return json.dumps(to_json_dict(assembly), indent=indent, sort_keys=False)
+def assembly_to_json(assembly: Assembly) -> str:
+    return json.dumps(to_json_dict(assembly), indent=2)
 
 
 def assembly_from_json(text: str) -> Assembly:
@@ -590,12 +596,3 @@ def to_dot(assembly: Assembly) -> str:
         lines.append(f'  "{b.source.component_id}" -> "{b.target.component_id}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export(assembly: Assembly, format: str) -> str:
-    """Render the assembly as ``json`` (lossless) or ``dot`` (for graphviz)."""
-    if format == "json":
-        return assembly_to_json(assembly)
-    if format == "dot":
-        return to_dot(assembly)
-    raise ValueError(f"unknown export format {format!r}")

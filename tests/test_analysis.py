@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -137,6 +138,8 @@ def test_fit_recovers_known_parameters():
     assert abs(got_a1 - a1) / a1 < 1e-6
     assert abs(got_a2 - a2) / a2 < 1e-6
     assert residual < 1e-9
+    # Squared residuals this large overflow a float; their rms does not.
+    assert fit_cost_model([(1.0, 1e308), (2.0, -1e308), (3.0, 1e308)])[2] == pytest.approx(8**0.5 / 3 * 1e308)
 
 
 def test_fit_degenerate():
@@ -144,6 +147,10 @@ def test_fit_degenerate():
         fit_cost_model([(1.0, 2.0), (1.0, 3.0)])
     with pytest.raises(DegenerateFit):
         fit_cost_model([(1.0, 2.0)])
+    with pytest.raises(DegenerateFit):
+        fit_cost_model([])
+    with pytest.raises(DegenerateFit):
+        fit_cost_model([(1.0, math.nan), (2.0, 3.0)])
 
 
 # ---------------------------------------------------------------------------

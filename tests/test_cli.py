@@ -250,26 +250,63 @@ def test_analyze_fit_from_bench_csv(tmp_path, capsys):
     assert set(doc) == {"a1", "a2", "rms_residual_us"}
 
 
+def test_analyze_fit_rejects_a_degenerate_csv(tmp_path, capsys):
+    # A --p 0 sweep folds nothing, so its merge_ops column is constant.
+    swept = tmp_path / "p0.csv"
+    code, _, _ = run(capsys, "bench", "--sweep", "10:60:25", "--p", "0", "--reps", "1", "--csv", str(swept))
+    assert code == 0
+    header = "merge_ops,merge_us\n"
+    cases = {
+        "header only": header,
+        "one row": header + "3,40\n",
+        "constant merge_ops": header + "3,40\n3,45\n",
+        "p=0 sweep": swept.read_text(),
+        "NaN": header + "1,nan\n2,5\n",
+        "infinity": header + "1,inf\n2,5\n",
+    }
+    path = tmp_path / "fit.csv"
+    for case, text in cases.items():
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--fit", str(path))
+        assert code == 2, case
+        assert out == ""
+        assert f"{path}: cannot fit the duration model" in err, case
+        assert "Traceback" not in err
+
+
 def test_weave_rejects_non_string_names_in_the_base(tmp_path, fixtures_dir, capsys):
     light = {"id": "light1", "type": "light", "ports": [{"name": "SetState", "direction": "provided"}]}
     switch = {"id": "switch", "type": "switch", "ports": [{"name": "out", "direction": "required"}]}
     link = {"source": {"component": "switch", "port": "out"}, "target": {"component": "light1", "port": "SetState"}}
-    cases = {
-        "component id": {"components": [{**light, "id": 5}]},
-        "component type": {"components": [{**light, "type": 7}]},
-        "port name": {"components": [{**light, "ports": [{"name": 1, "direction": "provided"}]}]},
-        "port direction": {"components": [{**light, "ports": [{"name": "SetState", "direction": "up"}]}]},
-        "binding component": {
-            "components": [light, switch],
-            "bindings": [{**link, "target": {"component": 5, "port": "SetState"}}],
-        },
-        "binding port": {
-            "components": [light, switch],
-            "bindings": [{**link, "source": {"component": "switch", "port": 2}}],
-        },
-    }
+    woven = {"kind": "woven", "aa": "a"}
+    cases = [
+        ("component id", {"components": [{**light, "id": 5}]}),
+        ("component type", {"components": [{**light, "type": 7}]}),
+        ("port name", {"components": [{**light, "ports": [{"name": 1, "direction": "provided"}]}]}),
+        ("port direction", {"components": [{**light, "ports": [{"name": "SetState", "direction": "up"}]}]}),
+        (
+            "binding component",
+            {"components": [light, switch], "bindings": [{**link, "target": {"component": 5, "port": "SetState"}}]},
+        ),
+        (
+            "binding port",
+            {"components": [light, switch], "bindings": [{**link, "source": {"component": "switch", "port": 2}}]},
+        ),
+        ("provenance aa", {"components": [{**light, "provenance": {**woven, "aa": 5}}]}),
+        ("provenance aa", {"components": [{**light, "provenance": {"kind": "woven"}}]}),
+        ("provenance kind", {"components": [{**light, "provenance": {**woven, "kind": "mystery"}}]}),
+        ("provenance namespace", {"components": [{**light, "provenance": {**woven, "namespace": ["n"]}}]}),
+        *(
+            ("provenance cycle", {"components": [{**light, "provenance": {**woven, "cycle": cycle}}]})
+            for cycle in (1.9, True, "7")
+        ),
+        (
+            "provenance cycle",
+            {"components": [light, switch], "bindings": [{**link, "provenance": {**woven, "cycle": None}}]},
+        ),
+    ]
     base = tmp_path / "base.json"
-    for what, doc in cases.items():
+    for what, doc in cases:
         base.write_text(json.dumps(doc))
         code, out, err = run(capsys, "weave", "--base", str(base), "--aa", str(fixtures_dir / "aa" / "decision.aa"))
         assert code == 2, what

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from aaweave.language import (
     STAR,
     SYMBOLS,
     AaSyntaxError,
+    AspectOfAssembly,
     Instantiate,
     Link,
     MetadataFilter,
@@ -27,8 +29,8 @@ from aaweave.language import (
     print_aa,
     print_operator_expr,
 )
-from aaweave.model import PROVIDED, REQUIRED, PortSpec
-from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq
+from aaweave.model import PROVIDED, REQUIRED, PortSpec, canonical_ports
+from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, iter_refs
 
 
 def load(fixtures_dir, name):
@@ -187,6 +189,28 @@ def test_filters_parse_and_evaluate():
     assert not rule.filters[1].evaluate({"type": "light", "energyConsumption": 60})
 
 
+def filtered(value_text: str):
+    return parse_aa(f"Pointcut:\n  a := /x(@k={value_text}).p/\nAdvice:\nschema s(a):\n  a -> (nop)\n")
+
+
+def test_a_nan_filter_value_reads_as_a_string():
+    for text in ("nan", "NaN", "-nan"):
+        aa = filtered(text)
+        assert aa.pointcut[0].filters == (MetadataFilter("k", "eq", text),)
+        assert parse_aa(print_aa(aa)) == aa
+    assert filtered("inf").pointcut[0].filters[0].value == math.inf
+    nan = replace(aa.pointcut[0], filters=(MetadataFilter("k", "lt", math.nan),))
+    with pytest.raises(ValueError, match="metadata filter 'k': value nan cannot be printed"):
+        print_aa(replace(aa, pointcut=(nan,)))
+
+
+def test_a_non_ascii_digit_filter_value_reads_as_a_string():
+    aa = filtered("\u0663")  # ARABIC-INDIC DIGIT THREE, which the tokenizer rejects
+    assert aa.pointcut[0].filters == (MetadataFilter("k", "eq", "\u0663"),)
+    assert parse_aa(print_aa(aa)) == aa
+    assert filtered("3").pointcut[0].filters[0].value == 3
+
+
 # ---------------------------------------------------------------------------
 # diagnostics and grammar review
 
@@ -311,25 +335,134 @@ def test_local_properties_print_parse_round_trip(type_name, props):
         assert type(again.init_props[key]) is type(value)
 
 
+def test_a_non_finite_property_cannot_be_printed():
+    aa = parse_aa(f"Advice:\nschema s():\n  x : 'T' (p = 1{'0' * 400}.0);\n")
+    assert aa.rules[0].init_props == {"p": math.inf}
+    with pytest.raises(ValueError, match="local 'x' property 'p': value inf is not finite and cannot be printed"):
+        print_aa(aa)
+
+
+_NAMES = _IDENT.filter(lambda name: name not in KEYWORDS)
+
+
 def _port_exprs():
-    base = _IDENT.filter(lambda name: name not in KEYWORDS)
-    bare = st.builds(PortExpr, base)
-    with_port = st.builds(PortExpr, base, _IDENT, st.booleans())
+    bare = st.builds(PortExpr, _NAMES)
+    with_port = st.builds(PortExpr, _NAMES, _IDENT, st.booleans())
     return st.one_of(bare, with_port)
 
 
-def _op_trees():
-    leaf = st.one_of(st.builds(Leaf, _port_exprs()), st.just(NOP), st.just(CALL))
+def _op_trees(port_exprs=None):
+    if port_exprs is None:
+        port_exprs = _port_exprs()
+    leaf = st.one_of(st.builds(Leaf, port_exprs), st.just(NOP), st.just(CALL))
     return st.recursive(
         leaf,
         lambda sub: st.one_of(
             st.builds(Delegate, sub),
-            st.builds(If, _port_exprs(), sub, sub),
+            st.builds(If, port_exprs, sub, sub),
             st.builds(Seq, st.lists(sub, min_size=2, max_size=3).map(tuple)),
             st.builds(Par, st.lists(sub, min_size=2, max_size=3).map(tuple)),
         ),
         max_leaves=12,
     )
+
+
+_ATOM = r"([A-Za-z0-9_]+|\*|\[:digit:\])"
+_PATTERNS = st.from_regex(rf"{_ATOM}{{1,3}}(\.\^?{_ATOM}{{1,3}})?", fullmatch=True).map(lambda t: parse_pattern(f"/{t}/"))
+# Mostly printable filters and type names, so most aspects round-trip.
+_ASPECT_FILTERS = st.one_of(
+    st.builds(MetadataFilter, _IDENT, st.sampled_from(("eq", "lt", "gt")), st.integers() | st.floats()),
+    st.builds(MetadataFilter, _IDENT, st.just("eq"), _IDENT | _FILTER_STRINGS),
+)
+_TYPE_NAMES = _IDENT | _STRINGS
+# Port expressions and trees over name slots "0".."3"; ``_resolve`` binds
+# each slot to one of an aspect's names.
+_SLOT = st.sampled_from("0123")
+_SLOT_EXPRS = st.one_of(st.builds(PortExpr, _SLOT), st.builds(PortExpr, _SLOT, _IDENT, st.booleans()))
+_SLOT_TREES = _op_trees(_SLOT_EXPRS)
+
+
+def _resolve(expr: PortExpr, names, bare_ok) -> PortExpr:
+    base = names[int(expr.base) % len(names)]
+    if expr.port is None and base not in bare_ok:
+        return PortExpr(base, "p")
+    return replace(expr, base=base)
+
+
+def _map_refs(tree, fn):
+    match tree:
+        case Leaf(target=t):
+            return Leaf(fn(t))
+        case If(cond=c, then=a, orelse=b):
+            return If(fn(c), _map_refs(a, fn), _map_refs(b, fn))
+        case Seq(children=ch):
+            return Seq(tuple(_map_refs(c, fn) for c in ch))
+        case Par(children=ch):
+            return Par(tuple(_map_refs(c, fn) for c in ch))
+        case Delegate(child=c):
+            return Delegate(_map_refs(c, fn))
+    return tree
+
+
+@st.composite
+def _aspects(draw):
+    """Whole aspects whose references all resolve, with each local's ports
+    as the parser infers them (see ``Instantiate``)."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    cut = draw(st.integers(0, len(names)))
+    variables, locals_ = names[:cut], names[cut:]
+    pointcut = tuple(
+        PointcutRule(v, draw(_PATTERNS), tuple(draw(st.lists(_ASPECT_FILTERS, max_size=2)))) for v in variables
+    )
+    patterns = {r.variable: r.pattern for r in pointcut}
+    # Only a pointcut variable may stand bare; on the left it also needs a
+    # port part, which decides whether the rule links or rewrites.
+    sided = {v for v, pattern in patterns.items() if pattern.port_atoms is not None}
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = _resolve(draw(_SLOT_EXPRS), names, sided)
+        tree = _map_refs(draw(_SLOT_TREES), lambda e: _resolve(e, names, patterns))
+        required = lhs.required if lhs.port is not None else patterns[lhs.base].port_required
+        rules.append((Link if required else Rewrite)(lhs, tree))
+    ports = {name: set() for name in locals_}
+    for rule in rules:
+        lhs = rule.source if isinstance(rule, Link) else rule.target
+        if lhs.base in ports:
+            ports[lhs.base].add(PortSpec(lhs.port, REQUIRED if lhs.required else PROVIDED))
+        for ref in iter_refs(rule.tree):
+            if ref.base in ports:
+                ports[ref.base].add(PortSpec(ref.port, PROVIDED))
+    for name in locals_:
+        props = draw(st.dictionaries(_IDENT, _PROPERTY_VALUES | st.floats(), max_size=2))
+        rules.append(Instantiate(name, draw(_TYPE_NAMES), props, canonical_ports(ports[name])))
+    order = draw(st.lists(st.integers(), min_size=len(rules), max_size=len(rules)))
+    rules = [rule for _, _, rule in sorted(zip(order, range(len(rules)), rules))]
+    # The schema may list its parameters in another order than the pointcut.
+    return AspectOfAssembly(draw(_IDENT), pointcut, tuple(reversed(variables)), tuple(rules))
+
+
+def _unprintable(aa) -> bool:
+    """Whether ``print_aa`` must refuse ``aa``: a filter value holding '&',
+    '/' or a newline or being NaN, a local's text holding both quotes, or a
+    property that is NaN or infinite."""
+    for rule in aa.pointcut:
+        for f in rule.filters:
+            if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE) or f.value != f.value:
+                return True
+    values = [v for r in aa.rules if isinstance(r, Instantiate) for v in (r.type_name, *r.init_props.values())]
+    return any(
+        isinstance(v, str) and {"'", '"'} <= set(v) or isinstance(v, float) and not math.isfinite(v) for v in values
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(aa=_aspects())
+def test_whole_aspects_print_parse_round_trip(aa):
+    if _unprintable(aa):
+        with pytest.raises(ValueError, match="cannot be printed"):
+            print_aa(aa)
+        return
+    assert parse_aa(print_aa(aa)) == aa
 
 
 @settings(max_examples=300, deadline=None)

@@ -31,9 +31,9 @@ from aaweave.model import (
     assembly_to_json,
     canonical_equal,
     diff,
-    export,
     provided,
     required,
+    to_dot,
 )
 from aaweave.sim import WorkloadSpec, generate_workload
 from aaweave.weaver import reweave, weave_cascade
@@ -398,7 +398,7 @@ def test_json_round_trip_random(seed):
 
 
 def test_export_empty_json():
-    doc = export(Assembly.empty(), "json")
+    doc = assembly_to_json(Assembly.empty())
     assert '"components": []' in doc and '"bindings": []' in doc
 
 
@@ -407,7 +407,7 @@ def test_export_dot_counts():
         switch_light(),
         [AddBinding(Binding(required("switch", "value_Evented_NewValue"), provided("light", "SetState")))],
     )
-    dot = export(base, "dot")
+    dot = to_dot(base)
     assert dot.count("[label=") == 3  # 2 nodes + 1 edge
     assert '"switch" -> "light"' in dot
 
