@@ -122,8 +122,7 @@ class MetadataFilter:
             return False
         have = metadata[self.key]
         if self.op == "eq":
-            if isinstance(have, (int, float)) and isinstance(self.value, (int, float)):
-                return float(have) == float(self.value)
+            # Python compares an int and a float exactly, with no overflow.
             return have == self.value
         if not isinstance(have, (int, float)) or isinstance(have, bool):
             return False
@@ -238,19 +237,11 @@ def _parse_filter_value(text: str, line: int, col: int, path):
         raise AaSyntaxError("missing filter value", line, col, path)
     if text[0] in "'\"" and text[-1] == text[0] and len(text) >= 2:
         return text[1:-1]
-    # Like the tokenizer, read only ASCII as a number (``int`` would take
-    # '٣' for 3); NaN stays a string, since it could never equal itself.
-    if not text.isascii():
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        number = float(text)
-    except ValueError:
-        return text
-    return text if math.isnan(number) else number
+    # A number is spelled as the tokenizer reads one; anything else (``1e3``,
+    # ``+5``, ``1_000``, ``inf``, ``nan``, a non-ASCII digit) is a string.
+    if _NUMBER.fullmatch(text):
+        return _number_value(text, line, col, path)
+    return text
 
 
 def parse_pattern(text: str, path: str | None = None) -> Pattern:
@@ -364,6 +355,20 @@ _NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
 _NUMBER_START = frozenset("-0123456789")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _IDENT_START = frozenset(string.ascii_letters + "_")
+
+
+def _number_value(text: str, line: int, col: int, path) -> int | float:
+    """The value of a literal in ``_NUMBER``'s syntax: a float with a '.',
+    else an int.  One that overflows a float or has more digits than
+    ``int`` converts is a syntax error at the literal."""
+    try:
+        number = float(text) if "." in text else int(text)
+    except ValueError:  # more digits than ``int`` converts
+        number = math.inf
+    if isinstance(number, float) and not math.isfinite(number):
+        shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
+        raise AaSyntaxError(f"number {shown} is out of range", line, col, path)
+    return number
 
 
 def _tokenize(text: str, path: str | None) -> list[_Token]:
@@ -540,7 +545,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "NUMBER":
             self.advance()
-            return float(tok.value) if "." in tok.value else int(tok.value)
+            return _number_value(tok.value, tok.line, tok.col, self.path)
         if tok.kind == "STRING":
             self.advance()
             return tok.value
@@ -730,16 +735,17 @@ def _filter_text(f: MetadataFilter) -> str:
     op = {"eq": "=", "lt": "<", "gt": ">"}[f.op]
     value = f.value
     # '&' separates filters, '/' ends the pattern and a newline ends the
-    # line; the dialect has no escape for them, quoted or not.  NaN would
-    # read back as the string 'nan'.
+    # line; the dialect has no escape for them, quoted or not.  Nor does it
+    # spell a NaN or an infinity.
     unprintable = isinstance(value, str) and any(ch in value for ch in "&/\n")
-    if unprintable or (isinstance(value, float) and math.isnan(value)):
+    if unprintable or (isinstance(value, float) and not math.isfinite(value)):
         raise ValueError(f"metadata filter {f.key!r}: value {value!r} cannot be printed")
-    # Quote a string unless it is a plain word that reads back as itself.
-    if isinstance(value, str) and (
-        not re.fullmatch(r"[A-Za-z0-9_.:-]+", value) or _parse_filter_value(value, 0, 0, None) != value
-    ):
-        value = f"'{value}'"
+    if isinstance(value, str):
+        # Quote a string unless it is a plain word that reads back as itself.
+        if not re.fullmatch(r"[A-Za-z0-9_.:-]+", value) or _NUMBER.fullmatch(value):
+            value = f"'{value}'"
+    else:
+        value = _value_text(value, f"metadata filter {f.key!r}: value")
     return f"@{f.key}{op}{value}"
 
 
@@ -798,9 +804,9 @@ def print_aa(aa: AspectOfAssembly) -> str:
     """Print an aspect so that ``parse_aa`` reads it back as an equal value.
 
     Raises ``ValueError`` for what the dialect cannot spell: a filter value
-    holding '&', '/' or a newline, a NaN filter value, a type name or
-    string property holding both quote kinds, or a property that is NaN or
-    infinite.
+    holding '&', '/' or a newline, a NaN or infinite filter value, a type
+    name or string property holding both quote kinds, or a property that
+    is NaN or infinite.
     """
     lines: list[str] = []
     if aa.pointcut:

@@ -149,6 +149,10 @@ def run_scenario(
     ``weave_duration_ms`` is the logical busy window of one weave: events
     arriving inside it are buffered and coalesced into the next weave.
     Zero still coalesces events sharing a timestamp.
+
+    Every re-weave recomputes its target from the aspect-free base.  The
+    weaves of one call share a fold memo, so each distinct rewrite group
+    of the replay is folded once; the memo dies with the call.
     """
     known_aas = set()
     for c in cascades:
@@ -156,7 +160,8 @@ def run_scenario(
     selection = set(known_aas)
 
     env = base
-    current, initial_reports = weave_cascade(env, cascades)
+    folds: dict = {}
+    current, initial_reports = weave_cascade(env, cascades, folds)
 
     events = list(script)
     for prev, nxt in zip(events, events[1:]):
@@ -175,7 +180,7 @@ def run_scenario(
         for e in batch:
             env, selection = _apply_event(env, selection, known_aas, e)
         t0 = time.perf_counter_ns()
-        current, instrs, reports = reweave(current, env, cascades, selection)
+        current, instrs, reports = reweave(current, env, cascades, selection, folds)
         duration_us = (time.perf_counter_ns() - t0) / 1000.0
         free_at = trigger_at + weave_duration_ms
         for e in batch[:-1]:

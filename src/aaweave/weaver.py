@@ -8,6 +8,12 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
+A replay may hand every weave of its session one ``folds`` dict, which maps
+a group's trees to their folded tree.  The fold is a pure function of those
+trees, so each distinct group is folded once per session while every
+re-weave still recomputes its target from the base.  Without the dict a
+weave folds every group, as a one-shot weave does.
+
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
 results independent of how callers hand in and order their aspect sets.
@@ -68,6 +74,9 @@ class WeaveReport:
     conflict_groups: int = 0
     conflict_fraction: float = 0.0
     merge_ops: int = 0
+    # Groups whose folded tree came from the session's ``folds`` dict;
+    # ``merge_ops`` still counts their fold steps.
+    folds_reused: int = 0
     durations_us: dict[str, float] = field(default_factory=dict)
     # (aspect, producer) pairs where a pointcut bound another aspect's
     # product; cross-cascade triggering is surfaced here, not policed.
@@ -84,6 +93,7 @@ class WeaveReport:
             "conflict_groups": self.conflict_groups,
             "conflict_fraction": round(self.conflict_fraction, 6),
             "merge_ops": self.merge_ops,
+            "folds_reused": self.folds_reused,
             "durations_us": {k: round(v, 3) for k, v in self.durations_us.items()},
             "cross_aspect_matches": [
                 {"aa": aa, "producer": producer} for aa, producer in self.cross_aspect_matches
@@ -104,6 +114,7 @@ def _weave_cycle(
     pairs: list[tuple[AspectOfAssembly, str]],
     cycle_index: int,
     fresh: FreshNames,
+    folds: dict | None,
 ) -> tuple[Assembly, WeaveReport]:
     report = WeaveReport(cycle=cycle_index, durations_us=dict.fromkeys(PHASES, 0.0))
     durations = report.durations_us
@@ -144,7 +155,18 @@ def _weave_cycle(
     mark, phase = time.perf_counter_ns(), "merge"
     try:
         groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
-        folded = [(group, merge_group(group)) for group in groups]
+        if folds is None:
+            folded = [(group, merge_group(group)) for group in groups]
+        else:
+            folded = []
+            for group in groups:
+                tree = folds.get(group.trees)
+                if tree is None:
+                    # A clash raises here and leaves nothing in ``folds``.
+                    tree = folds[group.trees] = merge_group(group)
+                else:
+                    report.folds_reused += 1
+                folded.append((group, tree))
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
         result = apply_instructions(base, lower(plan, folded, fresh))
@@ -166,17 +188,19 @@ def _weave_cycle(
     return result, report
 
 
-def weave_cascade(base: Assembly, cascades) -> tuple[Assembly, list[WeaveReport]]:
+def weave_cascade(base: Assembly, cascades, folds: dict | None = None) -> tuple[Assembly, list[WeaveReport]]:
     """Weave the union of the cascades cycle by cycle.
 
     A failing cycle aborts the fold: the output of the cycles before it is
-    returned together with the failure report.
+    returned together with the failure report.  ``folds`` is a replay
+    session's fold memo (see the module docstring); ``None`` folds every
+    group.
     """
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
     current = base
     for i, pairs in enumerate(union(*cascades).resolved()):
-        current, report = _weave_cycle(current, pairs, i, fresh)
+        current, report = _weave_cycle(current, pairs, i, fresh, folds)
         reports.append(report)
         if report.failure:
             break
@@ -232,12 +256,15 @@ def reweave(
     base: Assembly,
     cascades,
     selection=None,
+    folds: dict | None = None,
 ) -> tuple[Assembly, list[Instruction], list[WeaveReport]]:
     """Recompute the target from the aspect-free base and diff against
     what is deployed, so withdrawing an aspect removes exactly its
     contributions.  When a cycle fails, the deployed assembly stands and
-    no instruction is emitted."""
-    target, reports = weave_cascade(base, select_aspects(cascades, selection))
+    no instruction is emitted.  A replay passes its session's ``folds``
+    so that a group folded by an earlier weave is not folded again; the
+    target is rewoven from the base all the same."""
+    target, reports = weave_cascade(base, select_aspects(cascades, selection), folds)
     if any(r.failure for r in reports):
         return current, [], reports
     return target, diff(current, target), reports

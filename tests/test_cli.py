@@ -177,6 +177,21 @@ def test_validate_rejects_bad_source(tmp_path, capsys):
         assert f"{bad}:3:16: unexpected character {ch!r}" in err
 
 
+def test_an_out_of_range_number_names_its_path_and_line(tmp_path, capsys):
+    # A float that overflows and an int with more digits than Python
+    # converts, as a local's property and as a filter value.
+    bad = tmp_path / "big.aa"
+    for literal_text in (f"1{'0' * 400}.0", "7" * 5000):
+        for source, where in (
+            (f"Advice:\nschema x():\n  y : 'T' (a = {literal_text});\n", "3:16"),
+            (f"Pointcut:\n  v := /x(@k={literal_text}).p/\nAdvice:\nschema x(v):\n  v -> (nop)\n", "2:8"),
+        ):
+            bad.write_text(source)
+            code, _, err = run(capsys, "validate", "--aa", str(bad))
+            assert code == 2
+            assert f"{bad}:{where}: number {literal_text[:12]}... ({len(literal_text)} characters) is out of range" in err
+
+
 def test_an_input_that_is_not_utf8_names_its_path(tmp_path, fixtures_dir, capsys):
     raw = tmp_path / "raw"
     raw.write_bytes(b"\xff\xfe")

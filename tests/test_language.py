@@ -21,6 +21,8 @@ from aaweave.language import (
     PortExpr,
     Rewrite,
     UnboundVariable,
+    _parse_filter_value,
+    _Parser,
     _tokenize,
     literal,
     parse_aa,
@@ -187,6 +189,10 @@ def test_filters_parse_and_evaluate():
     )
     assert all(f.evaluate({"type": "light", "energyConsumption": 40}) for f in rule.filters)
     assert not rule.filters[1].evaluate({"type": "light", "energyConsumption": 60})
+    # Numbers compare exactly, however large: no float conversion overflows.
+    big = MetadataFilter("k", "eq", 10**400)
+    assert big.evaluate({"k": 10**400}) and not big.evaluate({"k": 5.0})
+    assert MetadataFilter("k", "eq", 5).evaluate({"k": 5.0})
 
 
 def filtered(value_text: str):
@@ -194,14 +200,15 @@ def filtered(value_text: str):
 
 
 def test_a_nan_filter_value_reads_as_a_string():
-    for text in ("nan", "NaN", "-nan"):
+    # So does every number the tokenizer would not read as one.
+    for text in ("nan", "NaN", "-nan", "inf", "infinity", "1e3", "+5", "1_000", "5.", ".5"):
         aa = filtered(text)
         assert aa.pointcut[0].filters == (MetadataFilter("k", "eq", text),)
         assert parse_aa(print_aa(aa)) == aa
-    assert filtered("inf").pointcut[0].filters[0].value == math.inf
-    nan = replace(aa.pointcut[0], filters=(MetadataFilter("k", "lt", math.nan),))
-    with pytest.raises(ValueError, match="metadata filter 'k': value nan cannot be printed"):
-        print_aa(replace(aa, pointcut=(nan,)))
+    for value in (math.nan, math.inf, -math.inf):
+        unspellable = replace(aa.pointcut[0], filters=(MetadataFilter("k", "lt", value),))
+        with pytest.raises(ValueError, match=f"metadata filter 'k': value {value!r} cannot be printed"):
+            print_aa(replace(aa, pointcut=(unspellable,)))
 
 
 def test_a_non_ascii_digit_filter_value_reads_as_a_string():
@@ -293,13 +300,74 @@ _FILTERS = st.one_of(
 )
 
 
+def _token_number(text: str):
+    """What the tokenizer and parser read ``text`` as when it is one
+    number token; None when it is not."""
+    try:
+        tokens = _tokenize(text, None)
+    except AaSyntaxError:
+        return None
+    if [t.kind for t in tokens] != ["NUMBER", "EOF"]:
+        return None
+    return _Parser(tokens, None).parse_value()
+
+
+def _token_letter(ch: str) -> bool:
+    try:
+        return len(ch) == 1 and ch != "_" and [t.kind for t in _tokenize(ch, None)] == ["IDENT", "EOF"]
+    except AaSyntaxError:
+        return False
+
+
+# Characters whose case folding (Unicode's, not ASCII's) meets an ASCII letter.
+_FOLD_PARTNERS = {"s": "\u017f", "S": "\u017f", "k": "\u212a", "K": "\u212a", "i": "\u0130", "I": "\u0131"}
+_FOLD_PARTNERS.update({v: k for k, v in _FOLD_PARTNERS.items()})
+_ODD_CHARS = st.sampled_from("sSkKiIzZ_0975\u017f\u212a\u0130\u0131\u00df\u01c5\u0663\u00b2\uff11\u00e9")
+# Filter value text without what ends or trims one ('&', whitespace) or
+# starts a comment for the tokenizer ('#').
+_NUMBERISH = st.lists(
+    st.one_of(
+        st.sampled_from([*"0123456789-.+eE_xX'", "inf", "nan", "Infinity"]),
+        _ODD_CHARS,
+        st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), exclude_characters="#&"),
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_NUMBERISH, a=_ODD_CHARS | st.characters(exclude_categories=("Cs",)), data=st.data())
+def test_filters_patterns_and_tokenizer_agree_on_numbers_digits_and_letters(text, a, data):
+    # A number: a filter value reads as one exactly when it is one number
+    # token, and as the same value.
+    got, want = _parse_filter_value(text, 1, 1, None), _token_number(text)
+    if want is None:
+        assert isinstance(got, str), text
+    else:
+        assert (got, type(got)) == (want, type(want)), text
+    # A digit: what ``[:digit:]`` matches is a one-digit number token.
+    assert Pattern((DIGIT,)).matches_component(a) == (_token_number(a) is not None), a
+    # A letter: a literal matches another character only when both are
+    # letters the tokenizer reads in a name and fold to one ASCII letter.
+    b = data.draw(
+        st.sampled_from([a, a.upper(), a.lower(), a.swapcase(), _FOLD_PARTNERS.get(a, a)]) | st.characters(),
+        label="other",
+    )
+    folds = _token_letter(a) and _token_letter(b) and a.lower() == b.lower()
+    assert Pattern((literal(a),)).matches_component(b) == (a == b or folds), (a, b)
+
+
 @settings(max_examples=300, deadline=None)
 @given(filters=st.lists(_FILTERS, min_size=1, max_size=3))
 def test_filters_print_parse_round_trip(filters):
     aa = parse_aa("Pointcut:\n  a := /x.p/\nAdvice:\nschema s(a):\n  a -> (nop)\n")
     (rule,) = aa.pointcut
     aa = replace(aa, pointcut=(PointcutRule(rule.variable, rule.pattern, tuple(filters)),))
-    unprintable = [f for f in filters if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE)]
+    unprintable = [
+        f for f in filters
+        if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE) or f.value in (math.inf, -math.inf)
+    ]
     if unprintable:
         with pytest.raises(ValueError) as raised:
             print_aa(aa)
@@ -336,10 +404,24 @@ def test_local_properties_print_parse_round_trip(type_name, props):
 
 
 def test_a_non_finite_property_cannot_be_printed():
-    aa = parse_aa(f"Advice:\nschema s():\n  x : 'T' (p = 1{'0' * 400}.0);\n")
-    assert aa.rules[0].init_props == {"p": math.inf}
+    aa = parse_aa("Advice:\nschema s():\n  x : 'T' (p = 1.0);\n")
+    aa = replace(aa, rules=(replace(aa.rules[0], init_props={"p": math.inf}),))
     with pytest.raises(ValueError, match="local 'x' property 'p': value inf is not finite and cannot be printed"):
         print_aa(aa)
+
+
+def test_an_out_of_range_number_is_a_syntax_error_at_the_literal():
+    # A float literal that overflows, and an int with more digits than
+    # ``int`` converts, as a local's property and as a filter value.
+    for literal_text in (f"1{'0' * 400}.0", f"-1{'0' * 400}.5", "7" * 5000):
+        with pytest.raises(AaSyntaxError, match="out of range") as raised:
+            parse_aa(f"Advice:\nschema s():\n  x : 'T' (p = {literal_text});\n", path="big.aa")
+        assert (raised.value.path, raised.value.line, raised.value.col) == ("big.aa", 3, 16)
+        with pytest.raises(AaSyntaxError, match="out of range") as raised:
+            filtered(literal_text)
+        assert raised.value.line == 2
+    (local,) = parse_aa(f"Advice:\nschema s():\n  x : 'T' (p = {'7' * 4000});\n").rules
+    assert local.init_props == {"p": int("7" * 4000)}
 
 
 _NAMES = _IDENT.filter(lambda name: name not in KEYWORDS)
@@ -443,11 +525,13 @@ def _aspects(draw):
 
 def _unprintable(aa) -> bool:
     """Whether ``print_aa`` must refuse ``aa``: a filter value holding '&',
-    '/' or a newline or being NaN, a local's text holding both quotes, or a
-    property that is NaN or infinite."""
+    '/' or a newline or being NaN or infinite, a local's text holding both
+    quotes, or a property that is NaN or infinite."""
     for rule in aa.pointcut:
         for f in rule.filters:
-            if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE) or f.value != f.value:
+            if isinstance(f.value, str) and set(f.value) & set(UNPRINTABLE):
+                return True
+            if isinstance(f.value, float) and not math.isfinite(f.value):
                 return True
     values = [v for r in aa.rules if isinstance(r, Instantiate) for v in (r.type_name, *r.init_props.values())]
     return any(

@@ -1,11 +1,14 @@
 import json
 import statistics
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aaweave import sim, weaver
+from aaweave.merge import merge_group
 from aaweave.model import Component, PortSpec, PROVIDED, canonical_equal
 from aaweave.sim import (
     BENCH_COLUMNS,
@@ -275,3 +278,112 @@ def test_replay_continues_past_weave_errors(fixtures_dir, hospital_base):
     assert deployed.reports[0].failure is None and deployed.instructions > 0
     assert failed.reports[0].failure is not None and failed.instructions == 0
     assert "Decision1" in trace.final_assembly.components
+
+
+# ---------------------------------------------------------------------------
+# the session fold memo
+
+
+def without_clock(reports):
+    """Reports as dicts, less the wall clock and the memo's reuse count."""
+    out = []
+    for r in reports:
+        d = r.to_json_dict()
+        del d["durations_us"], d["folds_reused"]
+        out.append(d)
+    return out
+
+
+@st.composite
+def churn_scripts(draw, base, names):
+    """Select/unselect/appear/disappear events, a few sharing a timestamp."""
+    unselected, absent, script, at = set(), set(), [], 0
+    for _ in range(draw(st.integers(1, 8), label="events")):
+        at += draw(st.integers(0, 1), label="gap")
+        moves = (
+            [("unselect", n) for n in names if n not in unselected]
+            + [("select", n) for n in sorted(unselected)]
+            + [("disappear", cid) for cid in base.components if cid not in absent]
+            + [("appear", cid) for cid in sorted(absent)]
+        )
+        kind, what = draw(st.sampled_from(moves), label="event")
+        if kind in ("select", "unselect"):
+            (unselected.discard if kind == "select" else unselected.add)(what)
+            script.append(EnvEvent(at, kind, aa_name=what))
+        else:
+            (absent.discard if kind == "appear" else absent.add)(what)
+            component = base.components[what] if kind == "appear" else None
+            script.append(EnvEvent(at, kind, component=component, component_id=what))
+    return script
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    spec=st.builds(
+        WorkloadSpec,
+        seed=st.integers(0, 2**16),
+        joinpoint_count=st.integers(2, 10),
+        aa_count=st.integers(1, 4),
+        conflict_probability=st.sampled_from((0.33, 0.5, 1.0)),
+        cycles=st.integers(1, 3),
+    ),
+    data=st.data(),
+)
+def test_a_replay_with_the_fold_memo_equals_reweaving_without_it(spec, data):
+    base, cascades = generate_workload(spec)
+    script = data.draw(churn_scripts(base, sorted(cascades[0].aa_names())), label="script")
+    batches, folded = [], []
+
+    def spy_reweave(current, env, cascades, selection=None, folds=None):
+        assert folds is not None
+        target, instrs, reports = weaver.reweave(current, env, cascades, selection, folds)
+        batches.append((env, selection, instrs, reports))
+        return target, instrs, reports
+
+    def spy_fold(group):
+        folded.append(group.trees)
+        return merge_group(group)
+
+    with mock.patch.object(sim, "reweave", spy_reweave), mock.patch.object(weaver, "merge_group", spy_fold):
+        trace = run_scenario(base, cascades, script)
+        memo_folds = list(folded)
+        folded.clear()
+        current, reports = weaver.weave_cascade(base, cascades)
+        assert without_clock(reports) == without_clock(trace.initial_reports)
+        for env, selection, instrs, memo_reports in batches:
+            current, want, reports = weaver.reweave(current, env, cascades, selection)
+            assert instrs == want
+            assert without_clock(memo_reports) == without_clock(reports)
+            assert not any(r.folds_reused for r in reports)
+    assert current == trace.final_assembly
+    # Each distinct group was folded once; every other one was reused.
+    assert len(memo_folds) == len(set(memo_folds))
+    assert set(memo_folds) == set(folded)
+    session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
+    reused = sum(r.folds_reused for reports in session for r in reports)
+    assert len(memo_folds) + reused == len(folded)
+
+
+CLASHING_AAS = (
+    "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema left(s):\n  s -> (delegate(nop))\n",
+    "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema right(s):\n  s -> (delegate(call))\n",
+)
+
+
+def test_a_clash_fails_every_reweave_of_a_session_alike(fixtures_dir, hospital_base):
+    # The clash stores no fold, so a second re-weave of the same selection
+    # folds the group again and fails with the same report.
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    left, right = (parse_aa(text) for text in CLASHING_AAS)
+    cascades = [Cascade("c", "", ((dec, left, right),))]
+    script = [EnvEvent(0, "unselect", aa_name="left"), EnvEvent(1, "select", aa_name="left"),
+              EnvEvent(2, "select", aa_name="left")]
+    trace = run_scenario(hospital_base, cascades, script)
+    deployed, first, second = (record.reports for record in trace.records)
+    assert deployed[0].failure is None
+    assert "conflicting delegates" in first[0].failure
+    assert "(aspects: left, right)" in first[0].failure
+    assert without_clock(first) == without_clock(second)
+    assert first[0].folds_reused == second[0].folds_reused
+    _, instrs, alone = weaver.reweave(trace.final_assembly, hospital_base, cascades)
+    assert instrs == [] and without_clock(alone) == without_clock(first)

@@ -1,10 +1,15 @@
 import itertools
+from unittest import mock
 
 import pytest
 
+import aaweave.merge as merge_module
+from aaweave import weaver
 from aaweave.language import parse_aa
+from aaweave.merge import detect_conflicts, merge_group
 from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
 from aaweave.weaver import PHASES, Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
+from aaweave.sim import WorkloadSpec, generate_workload
 
 
 def weave_mono(base, aas):
@@ -281,6 +286,35 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
     assert reports[1].failure is not None
     assert len(reports) == 2
     assert "Decision1" in woven.components  # cycle 0 output survives
+
+
+def test_every_one_shot_weave_folds_every_group():
+    # Only a replay session shares folds: a one-shot weave, such as each
+    # weave of criterion 9's sweep, folds every group it detects.
+    base, cascades = generate_workload(WorkloadSpec(seed=3, joinpoint_count=12, conflict_probability=0.5, cycles=2))
+    detected, folded = [], []
+
+    def detect(*args, **kwargs):
+        groups, plan = detect_conflicts(*args, **kwargs)
+        detected.extend(groups)
+        return groups, plan
+
+    def fold(group):
+        folded.append(group)
+        return merge_group(group)
+
+    # Counting the pairwise steps also catches a cache inside ``merge_group``.
+    steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
+    with mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
+            steps as pairwise:
+        for _ in range(2):
+            detected.clear()
+            folded.clear()
+            pairwise.reset_mock()
+            _, reports = weave_cascade(base, cascades)
+            assert len(detected) > 1 and folded == detected
+            assert pairwise.call_count >= sum(r.merge_ops for r in reports) > 0
+            assert not any(r.folds_reused for r in reports)
 
 
 def test_confluence_weaving_twice_changes_nothing(hospital_base, mono_cascade):
