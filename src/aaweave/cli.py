@@ -149,6 +149,8 @@ def cmd_weave(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.weave_duration < 0:
+        raise InputError(f"--weave-duration must be at least 0, not {args.weave_duration}")
     base = _load_assembly(args.base)
     cascades = _gather_cascades(args)
     script = sim.parse_script(_read(args.script, "script"))
@@ -161,6 +163,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise InputError(f"--reps must be at least 1, not {args.reps}")
     start, stop, step = args.sweep
     rows = sim.run_bench(
         joinpoints=range(start, stop + 1, step),

@@ -194,17 +194,34 @@ def instantiate_advice(
     *,
     cycle: int = 0,
     namespace: str | None = None,
+    memo: dict | None = None,
 ) -> AdviceInstance:
     """Ground one combination: substitute variables, allocate fresh ids.
 
     Every ``Instantiate`` gets a fresh id, in rule order, and becomes a
     component with the ports the parser inferred; every arrow becomes one
     ``GroundLink`` or ``GroundRewrite``, in rule order.
+
+    ``memo`` maps all that grounding reads to the components and grounded
+    rules it made: the identity of ``aa.rules`` (each entry holds the
+    tuple, so its id is not reused while the entry lives), the aspect's
+    name, namespace and cycle, the combination's variables and ports, and
+    the fresh ids.  The ids are allocated first either way, so a hit names
+    exactly what a miss would and returns the very objects made before.
     """
     ns = namespace if namespace is not None else (aa.namespace or GLOBAL_NAMESPACE)
-    prov = Woven(aa.name, cycle, ns)
-    inits = [rule for rule in aa.rules if type(rule) is Instantiate]
+    rules = aa.rules
+    inits = [rule for rule in rules if type(rule) is Instantiate]
     local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
+    if memo is not None:
+        key = (
+            id(rules), aa.name, ns, cycle, tuple(combination),
+            tuple([jp.port for jp in combination.values()]), tuple(local_ids.values()),
+        )
+        hit = memo.get(key)
+        if hit is not None:
+            return AdviceInstance(aa.name, ns, combination, hit[1], hit[2])
+    prov = Woven(aa.name, cycle, ns)
 
     def ground(expr: PortExpr) -> PortRef:
         local = local_ids.get(expr.base)
@@ -216,7 +233,7 @@ def instantiate_advice(
         return PortRef(jp.component_id, expr.port, REQUIRED if expr.required else PROVIDED)
 
     grounded = []
-    for rule in aa.rules:
+    for rule in rules:
         kind = type(rule)
         if kind is Link:
             grounded.append(GroundLink(ground(rule.source), map_leaves(rule.tree, ground)))
@@ -233,4 +250,7 @@ def instantiate_advice(
         )
         for rule in inits
     )
-    return AdviceInstance(aa.name, ns, combination, components, tuple(grounded))
+    grounded = tuple(grounded)
+    if memo is not None:
+        memo[key] = (rules, components, grounded)
+    return AdviceInstance(aa.name, ns, combination, components, grounded)

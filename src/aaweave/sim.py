@@ -40,7 +40,7 @@ from .model import (
     component_to_json,
     to_json_dict,
 )
-from .weaver import PHASES, Cascade, WeaveReport, reweave, weave_cascade
+from .weaver import PHASES, Cascade, Memo, WeaveReport, reweave, weave_cascade
 
 
 class ScriptError(Exception):
@@ -151,8 +151,9 @@ def run_scenario(
     Zero still coalesces events sharing a timestamp.
 
     Every re-weave recomputes its target from the aspect-free base.  The
-    weaves of one call share a fold memo, so each distinct rewrite group
-    of the replay is folded once; the memo dies with the call.
+    weaves of one call share a :class:`~aaweave.weaver.Memo`, so each
+    distinct advice instance of the replay is grounded once and each
+    distinct rewrite group folded once; the memo dies with the call.
     """
     known_aas = set()
     for c in cascades:
@@ -160,8 +161,8 @@ def run_scenario(
     selection = set(known_aas)
 
     env = base
-    folds: dict = {}
-    current, initial_reports = weave_cascade(env, cascades, folds)
+    memo = Memo()
+    current, initial_reports = weave_cascade(env, cascades, memo)
 
     events = list(script)
     for prev, nxt in zip(events, events[1:]):
@@ -180,7 +181,7 @@ def run_scenario(
         for e in batch:
             env, selection = _apply_event(env, selection, known_aas, e)
         t0 = time.perf_counter_ns()
-        current, instrs, reports = reweave(current, env, cascades, selection, folds)
+        current, instrs, reports = reweave(current, env, cascades, selection, memo)
         duration_us = (time.perf_counter_ns() - t0) / 1000.0
         free_at = trigger_at + weave_duration_ms
         for e in batch[:-1]:

@@ -8,11 +8,14 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-A replay may hand every weave of its session one ``folds`` dict, which maps
-a group's trees to their folded tree.  The fold is a pure function of those
-trees, so each distinct group is folded once per session while every
-re-weave still recomputes its target from the base.  Without the dict a
-weave folds every group, as a one-shot weave does.
+A replay hands every weave of its session one :class:`Memo` of two pure
+steps: grounding an advice instance and folding a rewrite group.  Each
+distinct instance is grounded once per session and each distinct group
+folded once, while every re-weave still recomputes its target from the
+base.  A re-grounded instance is the very objects of its first grounding,
+so the groups it lands in hit the fold memo by identity and ``diff`` passes
+its components over unchanged.  Without a memo a weave grounds every
+instance and folds every group, as a one-shot weave does.
 
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
@@ -47,6 +50,18 @@ class NameCollision(Exception):
     """Two distinct aspects share a (namespace, name) pair."""
 
 
+@dataclass
+class Memo:
+    """One replay session's memo (see the module docstring).
+
+    ``instances`` is ``instantiate_advice``'s memo; ``folds`` maps a
+    group's trees to their folded tree.  A clash stores no fold.
+    """
+
+    instances: dict = field(default_factory=dict)
+    folds: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class Cascade:
     """An ordered list of unordered aspect sets, one set per weaving cycle."""
@@ -74,8 +89,9 @@ class WeaveReport:
     conflict_groups: int = 0
     conflict_fraction: float = 0.0
     merge_ops: int = 0
-    # Groups whose folded tree came from the session's ``folds`` dict;
-    # ``merge_ops`` still counts their fold steps.
+    # Advice instances and groups taken from the session's memo;
+    # ``merge_ops`` still counts the reused groups' fold steps.
+    instances_reused: int = 0
     folds_reused: int = 0
     durations_us: dict[str, float] = field(default_factory=dict)
     # (aspect, producer) pairs where a pointcut bound another aspect's
@@ -93,6 +109,7 @@ class WeaveReport:
             "conflict_groups": self.conflict_groups,
             "conflict_fraction": round(self.conflict_fraction, 6),
             "merge_ops": self.merge_ops,
+            "instances_reused": self.instances_reused,
             "folds_reused": self.folds_reused,
             "durations_us": {k: round(v, 3) for k, v in self.durations_us.items()},
             "cross_aspect_matches": [
@@ -114,13 +131,15 @@ def _weave_cycle(
     pairs: list[tuple[AspectOfAssembly, str]],
     cycle_index: int,
     fresh: FreshNames,
-    folds: dict | None,
+    memo: Memo | None,
 ) -> tuple[Assembly, WeaveReport]:
     report = WeaveReport(cycle=cycle_index, durations_us=dict.fromkeys(PHASES, 0.0))
     durations = report.durations_us
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
     index_by_ns: dict[str, JoinpointIndex] = {}
+    grounded = memo.instances if memo is not None else None
+    known = len(grounded) if memo is not None else 0
 
     for aa, namespace in pairs:
         mark = time.perf_counter_ns()
@@ -138,7 +157,7 @@ def _weave_cycle(
             continue
         for combo in combos:
             instances.append(
-                instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace)
+                instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace, memo=grounded)
             )
         _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
@@ -149,16 +168,19 @@ def _weave_cycle(
             if jp.provenance is not None and jp.provenance.aa_name != aa.name
         }
         report.cross_aspect_matches.extend(sorted(crossed))
+    if memo is not None:
+        # A hit adds no entry and a miss exactly one.
+        report.instances_reused = len(instances) - (len(grounded) - known)
 
     # Any weave-time error aborts the cycle atomically: its input assembly
     # is returned unchanged and the message lands in ``report.failure``.
     mark, phase = time.perf_counter_ns(), "merge"
     try:
         groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
-        if folds is None:
+        if memo is None:
             folded = [(group, merge_group(group)) for group in groups]
         else:
-            folded = []
+            folds, folded = memo.folds, []
             for group in groups:
                 tree = folds.get(group.trees)
                 if tree is None:
@@ -188,19 +210,19 @@ def _weave_cycle(
     return result, report
 
 
-def weave_cascade(base: Assembly, cascades, folds: dict | None = None) -> tuple[Assembly, list[WeaveReport]]:
+def weave_cascade(base: Assembly, cascades, memo: Memo | None = None) -> tuple[Assembly, list[WeaveReport]]:
     """Weave the union of the cascades cycle by cycle.
 
     A failing cycle aborts the fold: the output of the cycles before it is
-    returned together with the failure report.  ``folds`` is a replay
-    session's fold memo (see the module docstring); ``None`` folds every
-    group.
+    returned together with the failure report.  ``memo`` is a replay
+    session's memo (see the module docstring); ``None`` grounds every
+    instance and folds every group.
     """
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
     current = base
     for i, pairs in enumerate(union(*cascades).resolved()):
-        current, report = _weave_cycle(current, pairs, i, fresh, folds)
+        current, report = _weave_cycle(current, pairs, i, fresh, memo)
         reports.append(report)
         if report.failure:
             break
@@ -256,15 +278,15 @@ def reweave(
     base: Assembly,
     cascades,
     selection=None,
-    folds: dict | None = None,
+    memo: Memo | None = None,
 ) -> tuple[Assembly, list[Instruction], list[WeaveReport]]:
     """Recompute the target from the aspect-free base and diff against
     what is deployed, so withdrawing an aspect removes exactly its
     contributions.  When a cycle fails, the deployed assembly stands and
-    no instruction is emitted.  A replay passes its session's ``folds``
-    so that a group folded by an earlier weave is not folded again; the
+    no instruction is emitted.  A replay passes its session's ``memo`` so
+    that what an earlier weave grounded or folded is not done again; the
     target is rewoven from the base all the same."""
-    target, reports = weave_cascade(base, select_aspects(cascades, selection), folds)
+    target, reports = weave_cascade(base, select_aspects(cascades, selection), memo)
     if any(r.failure for r in reports):
         return current, [], reports
     return target, diff(current, target), reports

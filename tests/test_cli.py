@@ -423,6 +423,25 @@ def test_weave_rejects_unknown_selected_aspects(fixtures_dir, capsys):
     assert "Decision1" in out
 
 
+def test_bench_and_simulate_reject_out_of_range_counts(fixtures_dir, capsys):
+    simulate = [
+        "simulate", "--base", str(fixtures_dir / "empty_base.json"),
+        "--cascade", str(fixtures_dir / "scenario.cascade.json"),
+        "--script", str(fixtures_dir / "hospital_script.jsonl"),
+    ]
+    cases = [
+        ("--reps must be at least 1, not 0", ["bench", "--sweep", "0:0:1", "--p", "0", "--reps", "0"]),
+        ("--reps must be at least 1, not -2", ["bench", "--sweep", "0:0:1", "--p", "0", "--reps", "-2"]),
+        ("--weave-duration must be at least 0, not -5", [*simulate, "--weave-duration", "-5"]),
+    ]
+    for message, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert message in err, argv
+        assert "Traceback" not in err
+
+
 def test_every_file_argument_rejects_a_directory(tmp_path, fixtures_dir, capsys):
     base = str(fixtures_dir / "hospital_base.json")
     cascade = str(fixtures_dir / "scenario.cascade.json")

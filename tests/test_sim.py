@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aaweave import sim, weaver
+from aaweave import matching, sim, weaver
+from aaweave.matching import instantiate_advice
 from aaweave.merge import merge_group
-from aaweave.model import Component, PortSpec, PROVIDED, canonical_equal
+from aaweave.model import AddComponent, Component, PortSpec, PROVIDED, apply_instructions, canonical_equal
+from aaweave.optree import map_leaves
 from aaweave.sim import (
     BENCH_COLUMNS,
     EnvEvent,
@@ -24,7 +26,7 @@ from aaweave.sim import (
     spearman_rho,
 )
 from aaweave.language import parse_aa
-from aaweave.weaver import PHASES, Cascade, weave_cascade
+from aaweave.weaver import PHASES, Cascade, union, weave_cascade
 
 
 def hospital_script(fixtures_dir):
@@ -281,17 +283,85 @@ def test_replay_continues_past_weave_errors(fixtures_dir, hospital_base):
 
 
 # ---------------------------------------------------------------------------
-# the session fold memo
+# the session memo
 
 
 def without_clock(reports):
-    """Reports as dicts, less the wall clock and the memo's reuse count."""
+    """Reports as dicts, less the wall clock and the memo's reuse counts."""
     out = []
     for r in reports:
         d = r.to_json_dict()
-        del d["durations_us"], d["folds_reused"]
+        del d["durations_us"], d["instances_reused"], d["folds_reused"]
         out.append(d)
     return out
+
+
+def replay_checked(base, cascades, script):
+    """Replay ``script`` and check it against memo-less re-weaves.
+
+    Every weave's instructions and reports (less clocks and reuse counts)
+    and the final assembly must equal those of a chain of re-weaves that
+    share no memo.  Each distinct advice instance must be grounded, and
+    each distinct group folded, once.  Returns the session's memo, the
+    reports of its weaves and the advice instances they used.
+    """
+    memos, batches, instances, groundings, folded = [], [], [], [], []
+
+    def spy_cascade(base, cascades, memo=None):
+        memos.append(memo)
+        return weaver.weave_cascade(base, cascades, memo)
+
+    def spy_reweave(current, env, cascades, selection=None, memo=None):
+        memos.append(memo)
+        target, instrs, reports = weaver.reweave(current, env, cascades, selection, memo)
+        batches.append((env, selection, instrs, reports))
+        return target, instrs, reports
+
+    def spy_ground(*args, **kwargs):
+        inst = instantiate_advice(*args, **kwargs)
+        instances.append(inst)
+        return inst
+
+    def spy_map_leaves(tree, ground):
+        groundings.append(tree)
+        return map_leaves(tree, ground)
+
+    def spy_fold(group):
+        folded.append(group.trees)
+        return merge_group(group)
+
+    with mock.patch.object(sim, "weave_cascade", spy_cascade), mock.patch.object(sim, "reweave", spy_reweave), \
+            mock.patch.object(weaver, "instantiate_advice", spy_ground), \
+            mock.patch.object(matching, "map_leaves", spy_map_leaves), \
+            mock.patch.object(weaver, "merge_group", spy_fold):
+        trace = run_scenario(base, cascades, script)
+        memo = memos[0]
+        assert memo is not None and all(m is memo for m in memos)
+        session_instances, session_groundings, memo_folds = list(instances), len(groundings), list(folded)
+        folded.clear()
+        current, reports = weaver.weave_cascade(base, cascades)
+        assert without_clock(reports) == without_clock(trace.initial_reports)
+        for env, selection, instrs, memo_reports in batches:
+            current, want, reports = weaver.reweave(current, env, cascades, selection)
+            assert instrs == want
+            assert without_clock(memo_reports) == without_clock(reports)
+            assert not any(r.instances_reused or r.folds_reused for r in reports)
+    assert current == trace.final_assembly
+    session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
+
+    # Each distinct instance was grounded once; a reused one is the very
+    # objects of its first grounding.
+    reused = sum(r.instances_reused for reports in session for r in reports)
+    assert len(memo.instances) + reused == len(session_instances)
+    assert session_groundings == sum(len(rules) for _, _, rules in memo.instances.values())
+    stored = {id(components) for _, components, _ in memo.instances.values()}
+    assert {id(inst.components) for inst in session_instances} == stored
+    # Each distinct group was folded once; every other one was reused.
+    assert len(memo_folds) == len(set(memo_folds)) == len(memo.folds)
+    assert set(memo_folds) == set(folded)
+    reused = sum(r.folds_reused for reports in session for r in reports)
+    assert len(memo_folds) + reused == len(folded)
+    return memo, session, session_instances
 
 
 @st.composite
@@ -329,39 +399,64 @@ def churn_scripts(draw, base, names):
     ),
     data=st.data(),
 )
-def test_a_replay_with_the_fold_memo_equals_reweaving_without_it(spec, data):
+def test_a_replay_with_the_session_memo_equals_reweaving_without_it(spec, data):
     base, cascades = generate_workload(spec)
     script = data.draw(churn_scripts(base, sorted(cascades[0].aa_names())), label="script")
-    batches, folded = [], []
+    replay_checked(base, cascades, script)
 
-    def spy_reweave(current, env, cascades, selection=None, folds=None):
-        assert folds is not None
-        target, instrs, reports = weaver.reweave(current, env, cascades, selection, folds)
-        batches.append((env, selection, instrs, reports))
-        return target, instrs, reports
 
-    def spy_fold(group):
-        folded.append(group.trees)
-        return merge_group(group)
+def test_aspects_pinned_to_their_namespace_reuse_instances(hospital_base, scenario_cascade, energy_cascade):
+    # Cascades in two namespaces weave as a union in the global one, which
+    # pins every aspect to its own namespace anew on each weave.
+    cascades = [replace(scenario_cascade, namespace="x"), replace(energy_cascade, namespace="y")]
+    first, again = union(*cascades), union(*cascades)
+    assert [aa.namespace for rank in first.cycles for aa in rank] == ["x"] * 6 + ["y"]
+    assert not any(a is b for a, b in zip(first.cycles[2], again.cycles[2]))
+    script = [
+        EnvEvent(0, "unselect", aa_name="action_light"),
+        EnvEvent(1, "disappear", component_id="shutter1"),
+        EnvEvent(2, "appear", component=hospital_base.components["shutter1"]),
+        EnvEvent(3, "select", aa_name="action_light"),
+    ]
+    _, session, _ = replay_checked(hospital_base, cascades, script)
+    assert all(sum(r.instances_reused for r in reports) > 0 for reports in session[1:])
 
-    with mock.patch.object(sim, "reweave", spy_reweave), mock.patch.object(weaver, "merge_group", spy_fold):
-        trace = run_scenario(base, cascades, script)
-        memo_folds = list(folded)
-        folded.clear()
-        current, reports = weaver.weave_cascade(base, cascades)
-        assert without_clock(reports) == without_clock(trace.initial_reports)
-        for env, selection, instrs, memo_reports in batches:
-            current, want, reports = weaver.reweave(current, env, cascades, selection)
-            assert instrs == want
-            assert without_clock(memo_reports) == without_clock(reports)
-            assert not any(r.folds_reused for r in reports)
-    assert current == trace.final_assembly
-    # Each distinct group was folded once; every other one was reused.
-    assert len(memo_folds) == len(set(memo_folds))
-    assert set(memo_folds) == set(folded)
-    session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
-    reused = sum(r.folds_reused for reports in session for r in reports)
-    assert len(memo_folds) + reused == len(folded)
+
+def test_aspects_sharing_rules_never_share_instances(fixtures_dir, hospital_base):
+    # Aspects share one rules tuple and differ in name, namespace or cycle.
+    # Base components holding the first fresh ids make an aspect take, in a
+    # later weave, the ids another one took before them.
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    twin, far = replace(dec, name="twin"), dec.with_namespace("z")
+    assert twin.rules is dec.rules is far.rules
+    stand_ins = [Component(cid, "test.StandIn") for cid in ("Decision1", "Timer1", "Average1")]
+    base = apply_instructions(hospital_base, [AddComponent(c) for c in stand_ins])
+    cases = {
+        "name and namespace": (((dec, twin, far),), "twin", {("dec", "", 0), ("twin", "", 0), ("dec", "z", 0)}),
+        "cycle": (((dec,), (dec,)), "dec", {("dec", "", 0), ("dec", "", 1)}),
+    }
+    for case, (cycles, blinking, takers) in cases.items():
+        script = [
+            *(EnvEvent(0, "disappear", component_id=c.id) for c in stand_ins),
+            EnvEvent(1, "unselect", aa_name=blinking),
+            EnvEvent(2, "select", aa_name=blinking),
+        ]
+        memo, session, instances = replay_checked(base, [Cascade("c", "", cycles)], script)
+        assert sum(r.instances_reused for reports in session for r in reports) > 0, case
+        owners: dict[int, set] = {}
+        for inst in instances:
+            provenance = {c.provenance for c in inst.components}
+            owners.setdefault(id(inst.components), set()).update(provenance)
+            assert {(p.aa_name, p.namespace) for p in provenance} == {(inst.aa_name, inst.namespace)}, case
+        assert all(len(provenance) == 1 for provenance in owners.values()), case
+        # The ids Decision2, Timer2 and Average2 went to each aspect in turn.
+        took = {
+            (c.provenance.aa_name, c.provenance.namespace, c.provenance.cycle)
+            for _, components, _ in memo.instances.values()
+            for c in components
+            if c.id == "Decision2"
+        }
+        assert took == takers, case
 
 
 CLASHING_AAS = (
@@ -385,5 +480,6 @@ def test_a_clash_fails_every_reweave_of_a_session_alike(fixtures_dir, hospital_b
     assert "(aspects: left, right)" in first[0].failure
     assert without_clock(first) == without_clock(second)
     assert first[0].folds_reused == second[0].folds_reused
+    assert first[0].instances_reused == second[0].instances_reused > 0
     _, instrs, alone = weaver.reweave(trace.final_assembly, hospital_base, cascades)
     assert instrs == [] and without_clock(alone) == without_clock(first)

@@ -4,10 +4,11 @@ from unittest import mock
 import pytest
 
 import aaweave.merge as merge_module
-from aaweave import weaver
+from aaweave import matching, weaver
 from aaweave.language import parse_aa
 from aaweave.merge import detect_conflicts, merge_group
 from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
+from aaweave.optree import map_leaves
 from aaweave.weaver import PHASES, Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
 from aaweave.sim import WorkloadSpec, generate_workload
 
@@ -289,10 +290,21 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
 
 
 def test_every_one_shot_weave_folds_every_group():
-    # Only a replay session shares folds: a one-shot weave, such as each
-    # weave of criterion 9's sweep, folds every group it detects.
+    # Only a replay session shares groundings and folds: a one-shot weave,
+    # such as each weave of criterion 9's sweep, grounds every advice
+    # instance and folds every group it detects.
     base, cascades = generate_workload(WorkloadSpec(seed=3, joinpoint_count=12, conflict_probability=0.5, cycles=2))
-    detected, folded = [], []
+    instances, groundings, detected, folded = [], [], [], []
+
+    def ground(*args, **kwargs):
+        assert kwargs["memo"] is None
+        inst = matching.instantiate_advice(*args, **kwargs)
+        instances.append(inst)
+        return inst
+
+    def grounding(tree, ground):
+        groundings.append(tree)
+        return map_leaves(tree, ground)
 
     def detect(*args, **kwargs):
         groups, plan = detect_conflicts(*args, **kwargs)
@@ -305,16 +317,19 @@ def test_every_one_shot_weave_folds_every_group():
 
     # Counting the pairwise steps also catches a cache inside ``merge_group``.
     steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
-    with mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
+    with mock.patch.object(weaver, "instantiate_advice", ground), mock.patch.object(matching, "map_leaves", grounding), \
+            mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
             steps as pairwise:
         for _ in range(2):
-            detected.clear()
-            folded.clear()
+            for seen in (instances, groundings, detected, folded):
+                seen.clear()
             pairwise.reset_mock()
             _, reports = weave_cascade(base, cascades)
+            # Every Link and Rewrite of every instance went through map_leaves.
+            assert len(groundings) == sum(len(inst.grounded_rules) for inst in instances) > 0
             assert len(detected) > 1 and folded == detected
             assert pairwise.call_count >= sum(r.merge_ops for r in reports) > 0
-            assert not any(r.folds_reused for r in reports)
+            assert not any(r.instances_reused or r.folds_reused for r in reports)
 
 
 def test_confluence_weaving_twice_changes_nothing(hospital_base, mono_cascade):
