@@ -242,9 +242,101 @@ _OPS = {
 }
 
 
-def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
-    """Turn a plan and its ``(group, folded tree)`` pairs, in anchor order,
-    into ordered add/remove instructions.
+@lru_cache(maxsize=None)
+def _op_shape(kind: type, arity: int) -> tuple[str, str, tuple[str, ...], tuple[PortSpec, ...]]:
+    """An op's type name, id stem, out port names and port tuple.
+
+    Every op of one kind and arity shares these objects, so its port names
+    are made once and its components share one port index.
+    """
+    type_name, stem = _OPS[kind]
+    outs = ("cond", "out_then", "out_else") if kind is If else tuple(f"out_{k}" for k in range(1, arity + 1))
+    ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in outs)])
+    return type_name, stem, outs, ports
+
+
+def _op_children(node: OperatorTree) -> tuple[OperatorTree, ...]:
+    """The subtrees of an op node, in the order lowering visits them."""
+    kind = type(node)
+    if kind is If:
+        return (node.then, node.orelse)
+    if kind is Par or kind is Seq:
+        return node.children
+    if kind is Delegate:
+        return (node.child,)
+    if kind is Nop:
+        return ()
+    raise TypeError(f"not an operator tree: {node!r}")
+
+
+def op_stems(tree: OperatorTree) -> tuple[str, ...]:
+    """The stems of the fresh ids lowering gives ``tree``'s ops, in the
+    order it takes them: each op before its children."""
+    stems, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is not Leaf and kind is not Call:
+            children = _op_children(node)
+            stems.append(_OPS[kind][1])
+            stack.extend(reversed(children))
+    return tuple(stems)
+
+
+def _build(node: OperatorTree, group: RewriteGroup, name, components: list, bindings: list) -> tuple[PortRef, ...]:
+    """Lower ``node`` into ``components`` and ``bindings``; return the
+    provided ports a parent should bind to for it."""
+    kind = type(node)
+    if kind is Leaf:
+        return (node.target,)
+    if kind is Call:
+        if not group.originals:
+            raise CallWithoutOriginal(group.anchor)
+        return group.originals
+    children = _op_children(node)
+    type_name, stem, outs, ports = _op_shape(kind, len(children))
+    cid, prov = name(stem), group.provenance
+    components.append(Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov))
+    targets = [(node.cond,)] if kind is If else []
+    targets.extend([_build(child, group, name, components, bindings) for child in children])
+    for port, ends in zip(outs, targets):
+        source = PortRef(cid, port, REQUIRED)
+        bindings.extend([Binding(source, end, prov) for end in ends])
+    return (PortRef(cid, "in", PROVIDED),)
+
+
+def _lower_group(group: RewriteGroup, tree: OperatorTree, name) -> tuple[tuple[Component, ...], tuple[Binding, ...]]:
+    """The op components and bindings ``group``'s folded ``tree`` lowers to;
+    ``name(stem)`` gives each op its id.  Both are empty when the tree
+    stands for exactly the group's originals."""
+    components: list[Component] = []
+    bindings: list[Binding] = []
+    roots = _build(tree, group, name, components, bindings)
+    if roots == group.originals:
+        return (), ()
+    anchor, prov = group.anchor, group.provenance
+    bindings.extend([Binding(anchor, root, prov) for root in roots])
+    return tuple(components), tuple(bindings)
+
+
+def _recall(group: RewriteGroup, tree: OperatorTree, stems, fresh, memo: dict):
+    """``_lower_group`` through ``memo``: the ids are taken first, so a hit
+    names exactly what a miss would."""
+    ids = tuple([fresh.fresh(stem) for stem in stems])
+    key = (id(tree), group.anchor, group.originals, group.provenance, ids)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
+    names = iter(ids)
+    # A CallWithoutOriginal raises here and stores nothing.
+    lowered = _lower_group(group, tree, lambda _stem: next(names))
+    memo[key] = (tree, lowered)
+    return lowered
+
+
+def lower(plan: MergedPlan, folded, fresh, memo: dict | None = None) -> list[Instruction]:
+    """Turn a plan and its folded groups, in anchor order, into ordered
+    add/remove instructions.
 
     Operator nodes become synthetic components typed ``op.*`` with one
     provided ``in`` port and a required port per child; an op takes its
@@ -252,67 +344,36 @@ def lower(plan: MergedPlan, folded, fresh) -> list[Instruction]:
     redirected into the tree root.  Call leaves reconnect the group's
     originals and fail with :class:`CallWithoutOriginal` when there were
     none.  All a group adds carries the group's provenance.  An anchor
-    whose tree lowers to exactly its originals emits nothing.  Ops with the
-    same out ports share one port tuple, put in canonical order once per
-    call.
+    whose tree lowers to exactly its originals emits nothing.
+
+    Without ``memo``, ``folded`` holds ``(group, tree)`` pairs and every
+    group is lowered.  A replay passes its session's lowerings as ``memo``
+    and ``(group, tree, stems)`` triples, ``stems`` being
+    ``op_stems(tree)``.  Each group's ids are taken first, then looked up
+    with the tree's identity (each entry holds the tree, so its id is not
+    reused while the entry lives), the anchor, the originals and the
+    provenance; a hit emits the very components and bindings a miss
+    stored.
     """
-    op_adds: list[AddComponent] = []
+    if memo is None:
+        lowered = [(group, _lower_group(group, tree, fresh.fresh)) for group, tree in folded]
+    else:
+        lowered = [(group, _recall(group, tree, stems, fresh, memo)) for group, tree, stems in folded]
+    op_components: list[Component] = []
     removes: list[RemoveBinding] = []
-    adds = [AddBinding(b) for b in plan.plain_bindings]
-    port_sets: dict[tuple[str, ...], tuple[PortSpec, ...]] = {}
-
-    def build(node: OperatorTree) -> list[PortRef]:
-        """Return the provided ports a parent should bind to for ``node``;
-        reads the current group's ``anchor``, ``originals`` and ``prov``."""
-        kind = type(node)
-        if kind is Leaf:
-            return [node.target]
-        if kind is Call:
-            if not originals:
-                raise CallWithoutOriginal(anchor)
-            return list(originals)
-        if kind is If:
-            outs, children = ("cond", "out_then", "out_else"), (node.then, node.orelse)
-        elif kind is Par or kind is Seq:
-            children = node.children
-            outs = tuple(f"out_{k}" for k in range(1, len(children) + 1))
-        elif kind is Delegate:
-            outs, children = ("out_1",), (node.child,)
-        elif kind is Nop:
-            outs = children = ()
-        else:
-            raise TypeError(f"not an operator tree: {node!r}")
-        ports = port_sets.get(outs)
-        if ports is None:
-            ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in outs)])
-            port_sets[outs] = ports
-        type_name, stem = _OPS[kind]
-        cid = fresh.fresh(stem)
-        comp = Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov)
-        op_adds.append(AddComponent(comp))
-        targets = [(node.cond,)] if kind is If else []
-        targets.extend(map(build, children))
-        for name, ends in zip(outs, targets):
-            source = PortRef(cid, name, REQUIRED)
-            for end in ends:
-                adds.append(AddBinding(Binding(source, end, prov)))
-        return [PortRef(cid, "in", PROVIDED)]
-
-    for group, tree in folded:
-        anchor, originals, prov = group.anchor, group.originals, group.provenance
-        roots = build(tree)
-        if tuple(roots) == originals:
-            continue
-        removes.extend(RemoveBinding(anchor, o) for o in originals)
-        adds.extend(AddBinding(Binding(anchor, root, prov)) for root in roots)
-    # ``build`` holds itself through its closure; breaking that cycle frees
-    # this call's lists now rather than at the next cyclic collection.
-    del build
+    bindings = list(plan.plain_bindings)
+    for group, (components, group_bindings) in lowered:
+        if group_bindings:
+            op_components.extend(components)
+            anchor = group.anchor
+            removes.extend([RemoveBinding(anchor, o) for o in group.originals])
+            bindings.extend(group_bindings)
 
     out: list[Instruction] = [AddComponent(c) for c in plan.component_adds]
-    out.extend(op_adds)
+    out.extend([AddComponent(c) for c in op_components])
     out.extend(sorted(removes, key=lambda i: (i.source.key(), i.target.key())))
-    out.extend(sorted(adds, key=lambda i: i.binding.endpoints()))
+    bindings.sort(key=Binding.endpoints)
+    out.extend([AddBinding(b) for b in bindings])
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import groupby
 
 PROVIDED = "provided"
@@ -117,6 +118,13 @@ def canonical_ports(ports) -> tuple[PortSpec, ...]:
     return tuple(sorted(set(ports), key=lambda p: (p.direction, p.name)))
 
 
+@lru_cache(maxsize=1 << 16)
+def _port_index(ports: tuple[PortSpec, ...]) -> frozenset[tuple[str, str]]:
+    """The (name, direction) pairs of a port tuple; components with equal
+    port tuples share one index."""
+    return frozenset((p.name, p.direction) for p in ports)
+
+
 @dataclass(frozen=True)
 class Component:
     id: str
@@ -132,11 +140,11 @@ class Component:
         object.__setattr__(self, "ports", canonical_ports(self.ports))
 
     def has_port(self, name: str, direction: str) -> bool:
-        cache = self.__dict__.get("_port_index")
-        if cache is None:
-            cache = frozenset((p.name, p.direction) for p in self.ports)
-            object.__setattr__(self, "_port_index", cache)
-        return (name, direction) in cache
+        index = self.__dict__.get("_port_index")
+        if index is None:
+            index = _port_index(self.ports)
+            object.__setattr__(self, "_port_index", index)
+        return (name, direction) in index
 
     def with_port(self, spec: PortSpec) -> "Component":
         return replace(self, ports=self.ports + (spec,))

@@ -152,8 +152,9 @@ def run_scenario(
 
     Every re-weave recomputes its target from the aspect-free base.  The
     weaves of one call share a :class:`~aaweave.weaver.Memo`, so each
-    distinct advice instance of the replay is grounded once and each
-    distinct rewrite group folded once; the memo dies with the call.
+    distinct advice instance of the replay is grounded once, each distinct
+    rewrite group folded once and each distinct folded group lowered once;
+    the memo dies with the call.
     """
     known_aas = set()
     for c in cascades:

@@ -8,14 +8,18 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-A replay hands every weave of its session one :class:`Memo` of two pure
-steps: grounding an advice instance and folding a rewrite group.  Each
-distinct instance is grounded once per session and each distinct group
-folded once, while every re-weave still recomputes its target from the
-base.  A re-grounded instance is the very objects of its first grounding,
-so the groups it lands in hit the fold memo by identity and ``diff`` passes
-its components over unchanged.  Without a memo a weave grounds every
-instance and folds every group, as a one-shot weave does.
+A replay hands every weave of its session one :class:`Memo` of three pure
+steps: grounding an advice instance, folding a rewrite group and lowering
+a folded group.  Each distinct instance is grounded once per session, each
+distinct group folded once and each distinct lowering performed once,
+while every re-weave still recomputes its target from the base.  Each step
+takes its fresh ids before it looks up, so a hit names exactly what a miss
+would.  A reused instance is the very objects of its first grounding, so
+the groups it lands in hit the fold memo by identity, and a reused
+lowering emits the very op components and bindings it stored, so ``diff``
+passes all of them over unchanged.  Without a memo a weave grounds every
+instance, folds every group and lowers every group, as a one-shot weave
+does.
 
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
@@ -37,7 +41,7 @@ from .matching import (
     instantiate_advice,
     match_pointcut,
 )
-from .merge import CallWithoutOriginal, DelegateClash, detect_conflicts, lower, merge_group
+from .merge import CallWithoutOriginal, DelegateClash, detect_conflicts, lower, merge_group, op_stems
 from .model import Assembly, Instruction, ModelError, apply_instructions, diff
 
 # Timed phases of one cycle, in pipeline order; every report carries
@@ -55,11 +59,14 @@ class Memo:
     """One replay session's memo (see the module docstring).
 
     ``instances`` is ``instantiate_advice``'s memo; ``folds`` maps a
-    group's trees to their folded tree.  A clash stores no fold.
+    group's trees to their folded tree and its op stems (``op_stems``);
+    ``lowerings`` is ``lower``'s memo.  A clash stores no fold and a call
+    without an original no lowering.
     """
 
     instances: dict = field(default_factory=dict)
     folds: dict = field(default_factory=dict)
+    lowerings: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,11 @@ class WeaveReport:
     conflict_groups: int = 0
     conflict_fraction: float = 0.0
     merge_ops: int = 0
-    # Advice instances and groups taken from the session's memo;
+    # Advice instances, folds and lowerings taken from the session's memo;
     # ``merge_ops`` still counts the reused groups' fold steps.
     instances_reused: int = 0
     folds_reused: int = 0
+    lowerings_reused: int = 0
     durations_us: dict[str, float] = field(default_factory=dict)
     # (aspect, producer) pairs where a pointcut bound another aspect's
     # product; cross-cascade triggering is surfaced here, not policed.
@@ -111,6 +119,7 @@ class WeaveReport:
             "merge_ops": self.merge_ops,
             "instances_reused": self.instances_reused,
             "folds_reused": self.folds_reused,
+            "lowerings_reused": self.lowerings_reused,
             "durations_us": {k: round(v, 3) for k, v in self.durations_us.items()},
             "cross_aspect_matches": [
                 {"aa": aa, "producer": producer} for aa, producer in self.cross_aspect_matches
@@ -182,16 +191,24 @@ def _weave_cycle(
         else:
             folds, folded = memo.folds, []
             for group in groups:
-                tree = folds.get(group.trees)
-                if tree is None:
+                entry = folds.get(group.trees)
+                if entry is None:
                     # A clash raises here and leaves nothing in ``folds``.
-                    tree = folds[group.trees] = merge_group(group)
+                    tree = merge_group(group)
+                    entry = folds[group.trees] = (tree, op_stems(tree))
                 else:
                     report.folds_reused += 1
-                folded.append((group, tree))
+                folded.append((group, *entry))
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
-        result = apply_instructions(base, lower(plan, folded, fresh))
+        if memo is None:
+            instructions = lower(plan, folded, fresh)
+        else:
+            stored = len(memo.lowerings)
+            instructions = lower(plan, folded, fresh, memo.lowerings)
+            # As with instances, a hit adds no entry and a miss exactly one.
+            report.lowerings_reused = len(groups) - (len(memo.lowerings) - stored)
+        result = apply_instructions(base, instructions)
     except (DelegateClash, CallWithoutOriginal) as exc:
         failing = next(g for g in groups if g.anchor == exc.anchor)
         aspects = sorted({aa for aa, _ in failing.contributors})
@@ -216,7 +233,7 @@ def weave_cascade(base: Assembly, cascades, memo: Memo | None = None) -> tuple[A
     A failing cycle aborts the fold: the output of the cycles before it is
     returned together with the failure report.  ``memo`` is a replay
     session's memo (see the module docstring); ``None`` grounds every
-    instance and folds every group.
+    instance, folds every group and lowers every group.
     """
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
@@ -284,8 +301,8 @@ def reweave(
     what is deployed, so withdrawing an aspect removes exactly its
     contributions.  When a cycle fails, the deployed assembly stands and
     no instruction is emitted.  A replay passes its session's ``memo`` so
-    that what an earlier weave grounded or folded is not done again; the
-    target is rewoven from the base all the same."""
+    that what an earlier weave grounded, folded or lowered is not done
+    again; the target is rewoven from the base all the same."""
     target, reports = weave_cascade(base, select_aspects(cascades, selection), memo)
     if any(r.failure for r in reports):
         return current, [], reports

@@ -30,6 +30,7 @@ from aaweave.merge import (
     merge,
     merge_group,
     normalize,
+    op_stems,
     _joint_provenance,
     _merge_cached,
 )
@@ -516,6 +517,49 @@ def test_call_without_original_raises():
     tree = Seq((Leaf(provided("light", "on")), CALL))
     with pytest.raises(CallWithoutOriginal):
         lower(MergedPlan(), [(rewrite_group(anchor, (tree,)), tree)], FreshNames())
+
+
+def test_op_stems_follow_the_order_lowering_names_ops():
+    tree = If(threshold, Seq((Par((a, b)), CALL)), Delegate(NOP))
+    group = rewrite_group(required("switch", "value"), (tree,), (provided("light", "on"),))
+    instrs = lower(MergedPlan(), [(group, tree)], FreshNames())
+    ids = [i.component.id for i in instrs if isinstance(i, AddComponent)]
+    assert ids == ["if1", "seq1", "par1", "delegate1", "nop1"]
+    assert op_stems(tree) == ("if", "seq", "par", "delegate", "nop")
+    assert op_stems(CALL) == op_stems(a) == ()
+
+
+def test_groups_sharing_a_folded_tree_get_lowerings_of_their_own():
+    # One folded tree object at two anchors, then again at the first
+    # anchor with other originals and with another stamp: each lowering
+    # takes the same fresh ids, but only a repeat of a whole key hits.
+    on, reached, shut = provided("light", "on"), provided("threshold", "IsReached"), provided("shutter", "open")
+    switch, dimmer = required("switch", "value"), required("dimmer", "value")
+    tree = Seq((Leaf(shut), CALL))
+    stems = op_stems(tree)
+    calls = [
+        [rewrite_group(switch, (tree,), (on,)), rewrite_group(dimmer, (tree,), (on,))],
+        [rewrite_group(switch, (tree,), (reached,))],
+        [rewrite_group(switch, (tree,), (on,), aa="y")],
+    ]
+    memo: dict = {}
+    first = []
+    for groups in calls:
+        want = lower(MergedPlan(), [(g, tree) for g in groups], FreshNames())
+        got = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), memo)
+        assert got == want
+        first.append(got)
+    assert len(memo) == 4
+    assert [i.component.id for i in first[0] if isinstance(i, AddComponent)] == ["seq1", "seq2"]
+    assert {(i.source, i.target) for i in first[1] if isinstance(i, RemoveBinding)} == {(switch, reached)}
+    # Repeats hit and emit the very objects stored.
+    for groups, before in zip(calls, first):
+        again = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), memo)
+        assert again == before
+        assert all((i.component if isinstance(i, AddComponent) else i.binding) is
+                   (j.component if isinstance(j, AddComponent) else j.binding)
+                   for i, j in zip(again, before) if not isinstance(i, RemoveBinding))
+    assert len(memo) == 4
 
 
 def test_lowering_soundness_on_hospital(fixtures_dir, hospital_base):

@@ -129,6 +129,27 @@ def test_component_ports_are_a_canonical_set():
     assert Component("y", "t", ports=c.ports).ports is c.ports  # already canonical: kept as it is
 
 
+def test_components_with_equal_ports_share_one_port_index():
+    pa, ra = PortSpec("in", PROVIDED), PortSpec("out", REQUIRED)
+    x, y = comp("x", ra, pa), comp("y", pa, ra, prov=Woven("a", 0))
+    other = comp("z", pa)
+    for c in (x, y, other):
+        assert c.has_port("in", PROVIDED) and not c.has_port("in", REQUIRED)
+    assert x.__dict__["_port_index"] is y.__dict__["_port_index"]
+    assert other.__dict__["_port_index"] is not x.__dict__["_port_index"]
+
+    # Declaring a port on a woven component gives it an index that holds
+    # the port; the component it replaced keeps the shared one.
+    base = Assembly.build([y, comp("rfid", PortSpec("tick", REQUIRED))], [])
+    out = apply_instructions(base, [AddBinding(Binding(required("rfid", "tick"), provided("y", "Manage")))])
+    assert out.components["y"].has_port("Manage", PROVIDED)
+    assert not y.has_port("Manage", PROVIDED) and not x.has_port("Manage", PROVIDED)
+    # A base component with the shared index still rejects an undeclared port.
+    base = Assembly.build([x, comp("rfid", PortSpec("tick", REQUIRED))], [])
+    with pytest.raises(DanglingBinding, match="declares no provided port 'Manage'"):
+        apply_instructions(base, [AddBinding(Binding(required("rfid", "tick"), provided("x", "Manage")))])
+
+
 # ---------------------------------------------------------------------------
 # value types
 

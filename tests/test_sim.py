@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aaweave import matching, sim, weaver
+from aaweave import matching, merge, sim, weaver
 from aaweave.matching import instantiate_advice
-from aaweave.merge import merge_group
-from aaweave.model import AddComponent, Component, PortSpec, PROVIDED, apply_instructions, canonical_equal
+from aaweave.merge import _lower_group as lower_group
+from aaweave.merge import lower, merge_group
+from aaweave.model import (
+    PROVIDED,
+    AddComponent,
+    Component,
+    PortSpec,
+    RemoveBinding,
+    apply_instructions,
+    canonical_equal,
+    required,
+)
 from aaweave.optree import map_leaves
 from aaweave.sim import (
     BENCH_COLUMNS,
@@ -291,7 +301,7 @@ def without_clock(reports):
     out = []
     for r in reports:
         d = r.to_json_dict()
-        del d["durations_us"], d["instances_reused"], d["folds_reused"]
+        del d["durations_us"], d["instances_reused"], d["folds_reused"], d["lowerings_reused"]
         out.append(d)
     return out
 
@@ -299,13 +309,16 @@ def without_clock(reports):
 def replay_checked(base, cascades, script):
     """Replay ``script`` and check it against memo-less re-weaves.
 
-    Every weave's instructions and reports (less clocks and reuse counts)
-    and the final assembly must equal those of a chain of re-weaves that
-    share no memo.  Each distinct advice instance must be grounded, and
-    each distinct group folded, once.  Returns the session's memo, the
+    Every weave's instructions, each cycle's lowered instructions, in
+    order, and every report (less clocks and reuse counts) and the final
+    assembly must equal those of a chain of re-weaves that share no memo.
+    Each distinct advice instance must be grounded, each distinct group
+    folded and each distinct lowering performed, once; a reused lowering
+    emits the very objects it stored.  Returns the session's memo, the
     reports of its weaves and the advice instances they used.
     """
     memos, batches, instances, groundings, folded = [], [], [], [], []
+    lowered, performed = [], []
 
     def spy_cascade(base, cascades, memo=None):
         memos.append(memo)
@@ -330,23 +343,47 @@ def replay_checked(base, cascades, script):
         folded.append(group.trees)
         return merge_group(group)
 
+    def spy_lower(plan, folded, fresh, memo=None):
+        # Only a lowering that returns is recorded, with the number of
+        # groups it lowered.
+        before = len(performed)
+        instrs = lower(plan, folded, fresh, memo)
+        lowered.append((plan, instrs, len(performed) - before))
+        return instrs
+
+    def spy_lower_group(group, tree, name):
+        ids = []
+
+        def naming(stem):
+            ids.append(name(stem))
+            return ids[-1]
+
+        fragment = lower_group(group, tree, naming)
+        performed.append(((id(tree), group.anchor, group.originals, group.provenance, tuple(ids)), fragment))
+        return fragment
+
     with mock.patch.object(sim, "weave_cascade", spy_cascade), mock.patch.object(sim, "reweave", spy_reweave), \
             mock.patch.object(weaver, "instantiate_advice", spy_ground), \
             mock.patch.object(matching, "map_leaves", spy_map_leaves), \
-            mock.patch.object(weaver, "merge_group", spy_fold):
+            mock.patch.object(weaver, "merge_group", spy_fold), mock.patch.object(weaver, "lower", spy_lower), \
+            mock.patch.object(merge, "_lower_group", spy_lower_group):
         trace = run_scenario(base, cascades, script)
         memo = memos[0]
         assert memo is not None and all(m is memo for m in memos)
         session_instances, session_groundings, memo_folds = list(instances), len(groundings), list(folded)
+        session_lowered, memo_performed = list(lowered), list(performed)
         folded.clear()
+        lowered.clear()
+        performed.clear()
         current, reports = weaver.weave_cascade(base, cascades)
         assert without_clock(reports) == without_clock(trace.initial_reports)
         for env, selection, instrs, memo_reports in batches:
             current, want, reports = weaver.reweave(current, env, cascades, selection)
             assert instrs == want
             assert without_clock(memo_reports) == without_clock(reports)
-            assert not any(r.instances_reused or r.folds_reused for r in reports)
+            assert not any(r.instances_reused or r.folds_reused or r.lowerings_reused for r in reports)
     assert current == trace.final_assembly
+    assert [instrs for _, instrs, _ in session_lowered] == [instrs for _, instrs, _ in lowered]
     session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
 
     # Each distinct instance was grounded once; a reused one is the very
@@ -361,6 +398,20 @@ def replay_checked(base, cascades, script):
     assert set(memo_folds) == set(folded)
     reused = sum(r.folds_reused for reports in session for r in reports)
     assert len(memo_folds) + reused == len(folded)
+    # Each distinct lowering was performed once, under the ids it took, and
+    # stored; a failed one stored nothing.  Every other group of a lowering
+    # that returned reused one.
+    assert [(key, fragment) for key, (_, fragment) in memo.lowerings.items()] == memo_performed
+    reused = sum(r.lowerings_reused for reports in session for r in reports)
+    assert sum(n for *_, n in session_lowered) + reused == sum(n for *_, n in lowered)
+    # A lowering emits only the stored op components and bindings besides
+    # the cycle's advice components and plain bindings.
+    ops = {id(x) for _, (components, bindings) in memo.lowerings.values() for x in (*components, *bindings)}
+    for plan, instrs, _ in session_lowered:
+        fresh_objects = {id(x) for x in (*plan.component_adds, *plan.plain_bindings)}
+        emitted = [i.component if type(i) is AddComponent else i.binding
+                   for i in instrs if type(i) is not RemoveBinding]
+        assert all(id(x) in ops or id(x) in fresh_objects for x in emitted)
     return memo, session, session_instances
 
 
@@ -483,3 +534,24 @@ def test_a_clash_fails_every_reweave_of_a_session_alike(fixtures_dir, hospital_b
     assert first[0].instances_reused == second[0].instances_reused > 0
     _, instrs, alone = weaver.reweave(trace.final_assembly, hospital_base, cascades)
     assert instrs == [] and without_clock(alone) == without_clock(first)
+
+
+def test_a_call_without_original_fails_every_reweave_of_a_session_alike(fixtures_dir, hospital_base):
+    # The failing group stores no lowering, so a second re-weave of the same
+    # selection lowers it again and fails with the same report.  Its anchor,
+    # zone1.^out, sorts after the switch's group, which is stored and reused.
+    aas = [parse_aa((fixtures_dir / "aa" / f"{name}.aa").read_text())
+           for name in ("identity_management", "brightness_light")]
+    stray = parse_aa("Advice:\nschema stray():\n  zone : 'test.Zone';\n  zone.^out -> (call)\n")
+    cascades = [Cascade("c", "", ((*aas, stray),))]
+    script = [EnvEvent(0, "unselect", aa_name="stray"), EnvEvent(1, "select", aa_name="stray"),
+              EnvEvent(2, "select", aa_name="stray")]
+    memo, session, _ = replay_checked(hospital_base, cascades, script)
+    initial, deployed, first, second = session
+    assert deployed[0].failure is None and deployed[0].lowerings_reused > 0
+    assert "no original interaction" in first[0].failure
+    assert without_clock(initial) == without_clock(first) == without_clock(second)
+    assert first[0].folds_reused == second[0].folds_reused > 0
+    anchors = {key[1] for key in memo.lowerings}
+    assert required("switch", "value_Evented_NewValue") in anchors
+    assert required("zone1", "out") not in anchors

@@ -290,11 +290,11 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
 
 
 def test_every_one_shot_weave_folds_every_group():
-    # Only a replay session shares groundings and folds: a one-shot weave,
-    # such as each weave of criterion 9's sweep, grounds every advice
-    # instance and folds every group it detects.
+    # Only a replay session shares groundings, folds and lowerings: a
+    # one-shot weave, such as each weave of criterion 9's sweep, grounds
+    # every advice instance, and folds and lowers every group it detects.
     base, cascades = generate_workload(WorkloadSpec(seed=3, joinpoint_count=12, conflict_probability=0.5, cycles=2))
-    instances, groundings, detected, folded = [], [], [], []
+    instances, groundings, detected, folded, lowered = [], [], [], [], []
 
     def ground(*args, **kwargs):
         assert kwargs["memo"] is None
@@ -315,21 +315,30 @@ def test_every_one_shot_weave_folds_every_group():
         folded.append(group)
         return merge_group(group)
 
+    def lower(plan, folded, fresh, memo=None):
+        assert memo is None
+        return merge_module.lower(plan, folded, fresh)
+
+    def lower_group(group, tree, name, lower_group=merge_module._lower_group):
+        lowered.append(group)
+        return lower_group(group, tree, name)
+
     # Counting the pairwise steps also catches a cache inside ``merge_group``.
     steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
     with mock.patch.object(weaver, "instantiate_advice", ground), mock.patch.object(matching, "map_leaves", grounding), \
             mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
+            mock.patch.object(weaver, "lower", lower), mock.patch.object(merge_module, "_lower_group", lower_group), \
             steps as pairwise:
         for _ in range(2):
-            for seen in (instances, groundings, detected, folded):
+            for seen in (instances, groundings, detected, folded, lowered):
                 seen.clear()
             pairwise.reset_mock()
             _, reports = weave_cascade(base, cascades)
             # Every Link and Rewrite of every instance went through map_leaves.
             assert len(groundings) == sum(len(inst.grounded_rules) for inst in instances) > 0
-            assert len(detected) > 1 and folded == detected
+            assert len(detected) > 1 and folded == detected and lowered == detected
             assert pairwise.call_count >= sum(r.merge_ops for r in reports) > 0
-            assert not any(r.instances_reused or r.folds_reused for r in reports)
+            assert not any(r.instances_reused or r.folds_reused or r.lowerings_reused for r in reports)
 
 
 def test_confluence_weaving_twice_changes_nothing(hospital_base, mono_cascade):
