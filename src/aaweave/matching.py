@@ -194,7 +194,7 @@ def instantiate_advice(
     *,
     cycle: int = 0,
     namespace: str | None = None,
-    memo: dict | None = None,
+    memo: dict,
 ) -> AdviceInstance:
     """Ground one combination: substitute variables, allocate fresh ids.
 
@@ -203,24 +203,29 @@ def instantiate_advice(
     ``GroundLink`` or ``GroundRewrite``, in rule order.
 
     ``memo`` maps all that grounding reads to the components and grounded
-    rules it made: the identity of ``aa.rules`` (each entry holds the
-    tuple, so its id is not reused while the entry lives), the aspect's
-    name, namespace and cycle, the combination's variables and ports, and
-    the fresh ids.  The ids are allocated first either way, so a hit names
-    exactly what a miss would and returns the very objects made before.
+    rules it made, in one flat tuple: the identity of ``aa.rules`` (each
+    entry holds the tuple, so its id is not reused while the entry lives),
+    the aspect's name, namespace and cycle, the combination's variables,
+    the fields of their ports and the fresh ids.  The ids are allocated
+    first, so a hit names exactly what a miss would and returns the very
+    objects made before.
     """
     ns = namespace if namespace is not None else (aa.namespace or GLOBAL_NAMESPACE)
     rules = aa.rules
     inits = [rule for rule in rules if type(rule) is Instantiate]
     local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
-    if memo is not None:
-        key = (
-            id(rules), aa.name, ns, cycle, tuple(combination),
-            tuple([jp.port for jp in combination.values()]), tuple(local_ids.values()),
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return AdviceInstance(aa.name, ns, combination, hit[1], hit[2])
+    # Strings cache their hash and ``PortRef``s do not, so the ports enter
+    # the key field by field.  The rules fix the number of ids, so the
+    # key's length fixes where each part ends.
+    parts = [id(rules), aa.name, ns, cycle, *combination]
+    for jp in combination.values():
+        port = jp.port
+        parts += (port.component_id, port.port_name, port.direction)
+    parts += local_ids.values()
+    key = tuple(parts)
+    hit = memo.get(key)
+    if hit is not None:
+        return AdviceInstance(aa.name, ns, combination, hit[1], hit[2])
     prov = Woven(aa.name, cycle, ns)
 
     def ground(expr: PortExpr) -> PortRef:
@@ -251,6 +256,5 @@ def instantiate_advice(
         for rule in inits
     )
     grounded = tuple(grounded)
-    if memo is not None:
-        memo[key] = (rules, components, grounded)
+    memo[key] = (rules, components, grounded)
     return AdviceInstance(aa.name, ns, combination, components, grounded)

@@ -319,22 +319,7 @@ def _lower_group(group: RewriteGroup, tree: OperatorTree, name) -> tuple[tuple[C
     return tuple(components), tuple(bindings)
 
 
-def _recall(group: RewriteGroup, tree: OperatorTree, stems, fresh, memo: dict):
-    """``_lower_group`` through ``memo``: the ids are taken first, so a hit
-    names exactly what a miss would."""
-    ids = tuple([fresh.fresh(stem) for stem in stems])
-    key = (id(tree), group.anchor, group.originals, group.provenance, ids)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    names = iter(ids)
-    # A CallWithoutOriginal raises here and stores nothing.
-    lowered = _lower_group(group, tree, lambda _stem: next(names))
-    memo[key] = (tree, lowered)
-    return lowered
-
-
-def lower(plan: MergedPlan, folded, fresh, memo: dict | None = None) -> list[Instruction]:
+def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
     """Turn a plan and its folded groups, in anchor order, into ordered
     add/remove instructions.
 
@@ -346,23 +331,26 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict | None = None) -> list[Ins
     none.  All a group adds carries the group's provenance.  An anchor
     whose tree lowers to exactly its originals emits nothing.
 
-    Without ``memo``, ``folded`` holds ``(group, tree)`` pairs and every
-    group is lowered.  A replay passes its session's lowerings as ``memo``
-    and ``(group, tree, stems)`` triples, ``stems`` being
-    ``op_stems(tree)``.  Each group's ids are taken first, then looked up
-    with the tree's identity (each entry holds the tree, so its id is not
-    reused while the entry lives), the anchor, the originals and the
-    provenance; a hit emits the very components and bindings a miss
-    stored.
+    ``folded`` holds ``(group, tree, stems)`` triples, ``stems`` being
+    ``op_stems(tree)``, and ``memo`` is the weave's lowerings.  Each
+    group's ids are taken first, then looked up with the tree's identity
+    (each entry holds the tree, so its id is not reused while the entry
+    lives), the anchor, the originals and the provenance, so a hit names
+    exactly what a miss would and emits the very components and bindings
+    the miss stored.
     """
-    if memo is None:
-        lowered = [(group, _lower_group(group, tree, fresh.fresh)) for group, tree in folded]
-    else:
-        lowered = [(group, _recall(group, tree, stems, fresh, memo)) for group, tree, stems in folded]
     op_components: list[Component] = []
     removes: list[RemoveBinding] = []
     bindings = list(plan.plain_bindings)
-    for group, (components, group_bindings) in lowered:
+    for group, tree, stems in folded:
+        ids = tuple([fresh.fresh(stem) for stem in stems])
+        key = (id(tree), group.anchor, group.originals, group.provenance, ids)
+        entry = memo.get(key)
+        if entry is None:
+            names = iter(ids)
+            # A CallWithoutOriginal raises here and stores nothing.
+            entry = memo[key] = (tree, _lower_group(group, tree, lambda _stem: next(names)))
+        components, group_bindings = entry[1]
         if group_bindings:
             op_components.extend(components)
             anchor = group.anchor

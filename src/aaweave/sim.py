@@ -154,21 +154,22 @@ def run_scenario(
     weaves of one call share a :class:`~aaweave.weaver.Memo`, so each
     distinct advice instance of the replay is grounded once, each distinct
     rewrite group folded once and each distinct folded group lowered once;
-    the memo dies with the call.
+    the memo dies with the call.  A script whose timestamps decrease
+    raises :class:`ScriptError` before anything is woven.
     """
     known_aas = set()
     for c in cascades:
         known_aas |= c.aa_names()
     selection = set(known_aas)
 
-    env = base
-    memo = Memo()
-    current, initial_reports = weave_cascade(env, cascades, memo)
-
     events = list(script)
     for prev, nxt in zip(events, events[1:]):
         if nxt.at < prev.at:
             raise ScriptError("script timestamps must be non-decreasing")
+
+    env = base
+    memo = Memo()
+    current, initial_reports = weave_cascade(env, cascades, memo)
 
     records: list[TraceRecord] = []
     free_at = 0

@@ -8,18 +8,18 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-A replay hands every weave of its session one :class:`Memo` of three pure
-steps: grounding an advice instance, folding a rewrite group and lowering
-a folded group.  Each distinct instance is grounded once per session, each
-distinct group folded once and each distinct lowering performed once,
-while every re-weave still recomputes its target from the base.  Each step
-takes its fresh ids before it looks up, so a hit names exactly what a miss
-would.  A reused instance is the very objects of its first grounding, so
-the groups it lands in hit the fold memo by identity, and a reused
+Every weave runs through one :class:`Memo` of three pure steps: grounding
+an advice instance, folding a rewrite group and lowering a folded group.
+A replay hands all weaves of its session one memo, so each distinct
+instance is grounded once per session, each distinct group folded once and
+each distinct lowering performed once, while every re-weave still
+recomputes its target from the base; any other weave starts from an empty
+memo of its own.  Each step takes its fresh ids before it looks up, so a
+hit names exactly what a miss would.  A reused instance is the very
+objects of its first grounding, so the groups it lands in hit the fold
+memo, which is keyed by the identity of their rule trees, and a reused
 lowering emits the very op components and bindings it stored, so ``diff``
-passes all of them over unchanged.  Without a memo a weave grounds every
-instance, folds every group and lowers every group, as a one-shot weave
-does.
+passes all of them over unchanged.
 
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
@@ -56,12 +56,15 @@ class NameCollision(Exception):
 
 @dataclass
 class Memo:
-    """One replay session's memo (see the module docstring).
+    """The memo of one weave, or of every weave of a replay session (see
+    the module docstring).
 
-    ``instances`` is ``instantiate_advice``'s memo; ``folds`` maps a
-    group's trees to their folded tree and its op stems (``op_stems``);
-    ``lowerings`` is ``lower``'s memo.  A clash stores no fold and a call
-    without an original no lowering.
+    ``instances`` is ``instantiate_advice``'s memo; ``lowerings`` is
+    ``lower``'s.  ``folds`` maps a group's originals and the identities of
+    its rule trees, ``group.trees[len(group.originals):]``, to the group's
+    trees, their folded tree and its op stems (``op_stems``); each entry
+    holds the trees, so no id in its key is reused while it lives.  A clash
+    stores no fold and a call without an original no lowering.
     """
 
     instances: dict = field(default_factory=dict)
@@ -140,15 +143,15 @@ def _weave_cycle(
     pairs: list[tuple[AspectOfAssembly, str]],
     cycle_index: int,
     fresh: FreshNames,
-    memo: Memo | None,
+    memo: Memo,
 ) -> tuple[Assembly, WeaveReport]:
     report = WeaveReport(cycle=cycle_index, durations_us=dict.fromkeys(PHASES, 0.0))
     durations = report.durations_us
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
     index_by_ns: dict[str, JoinpointIndex] = {}
-    grounded = memo.instances if memo is not None else None
-    known = len(grounded) if memo is not None else 0
+    grounded = memo.instances
+    known = len(grounded)
 
     for aa, namespace in pairs:
         mark = time.perf_counter_ns()
@@ -177,37 +180,32 @@ def _weave_cycle(
             if jp.provenance is not None and jp.provenance.aa_name != aa.name
         }
         report.cross_aspect_matches.extend(sorted(crossed))
-    if memo is not None:
-        # A hit adds no entry and a miss exactly one.
-        report.instances_reused = len(instances) - (len(grounded) - known)
+    # A hit adds no entry and a miss exactly one.
+    report.instances_reused = len(instances) - (len(grounded) - known)
 
     # Any weave-time error aborts the cycle atomically: its input assembly
     # is returned unchanged and the message lands in ``report.failure``.
     mark, phase = time.perf_counter_ns(), "merge"
     try:
         groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
-        if memo is None:
-            folded = [(group, merge_group(group)) for group in groups]
-        else:
-            folds, folded = memo.folds, []
-            for group in groups:
-                entry = folds.get(group.trees)
-                if entry is None:
-                    # A clash raises here and leaves nothing in ``folds``.
-                    tree = merge_group(group)
-                    entry = folds[group.trees] = (tree, op_stems(tree))
-                else:
-                    report.folds_reused += 1
-                folded.append((group, *entry))
+        folds, folded = memo.folds, []
+        for group in groups:
+            originals = group.originals
+            key = (originals, tuple([id(tree) for tree in group.trees[len(originals):]]))
+            entry = folds.get(key)
+            if entry is None:
+                # A clash raises here and leaves nothing in ``folds``.
+                tree = merge_group(group)
+                entry = folds[key] = (group.trees, tree, op_stems(tree))
+            else:
+                report.folds_reused += 1
+            folded.append((group, entry[1], entry[2]))
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
-        if memo is None:
-            instructions = lower(plan, folded, fresh)
-        else:
-            stored = len(memo.lowerings)
-            instructions = lower(plan, folded, fresh, memo.lowerings)
-            # As with instances, a hit adds no entry and a miss exactly one.
-            report.lowerings_reused = len(groups) - (len(memo.lowerings) - stored)
+        stored = len(memo.lowerings)
+        instructions = lower(plan, folded, fresh, memo.lowerings)
+        # As with instances, a hit adds no entry and a miss exactly one.
+        report.lowerings_reused = len(groups) - (len(memo.lowerings) - stored)
         result = apply_instructions(base, instructions)
     except (DelegateClash, CallWithoutOriginal) as exc:
         failing = next(g for g in groups if g.anchor == exc.anchor)
@@ -232,9 +230,10 @@ def weave_cascade(base: Assembly, cascades, memo: Memo | None = None) -> tuple[A
 
     A failing cycle aborts the fold: the output of the cycles before it is
     returned together with the failure report.  ``memo`` is a replay
-    session's memo (see the module docstring); ``None`` grounds every
-    instance, folds every group and lowers every group.
+    session's memo (see the module docstring); a call without one weaves
+    through a fresh :class:`Memo` of its own.
     """
+    memo = memo or Memo()
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
     current = base
@@ -302,7 +301,9 @@ def reweave(
     contributions.  When a cycle fails, the deployed assembly stands and
     no instruction is emitted.  A replay passes its session's ``memo`` so
     that what an earlier weave grounded, folded or lowered is not done
-    again; the target is rewoven from the base all the same."""
+    again; the target is rewoven from the base all the same.  Without
+    ``memo`` the weave starts from an empty one, as ``weave_cascade``
+    does."""
     target, reports = weave_cascade(base, select_aspects(cascades, selection), memo)
     if any(r.failure for r in reports):
         return current, [], reports

@@ -284,7 +284,7 @@ def test_fig2_style_instance(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, Visibility(0))
     combos = combinations(match_pointcut(jps, aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components))
+    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), memo={})
     assert [c.id for c in inst.components] == ["Decision1", "Timer1"]
     assert len(inst.grounded_rules) == 5
     link = inst.grounded_rules[2]
@@ -297,7 +297,7 @@ def test_zero_param_schema_gives_one_instance(fixtures_dir):
     aa = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
     combos = combinations(match_pointcut(collect_joinpoints(Assembly.empty(), Visibility(0)), aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames())
+    inst = instantiate_advice(aa, combos[0], FreshNames(), memo={})
     assert [c.id for c in inst.components] == ["Decision1", "Timer1", "Average1"]
 
 
@@ -306,8 +306,8 @@ def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, Visibility(0))
     combos = combinations(match_pointcut(jps, aa))
     fresh = FreshNames(taken=hospital_base.components)
-    a = instantiate_advice(aa, combos[0], fresh)
-    b = instantiate_advice(aa, combos[0], fresh)
+    a = instantiate_advice(aa, combos[0], fresh, memo={})
+    b = instantiate_advice(aa, combos[0], fresh, memo={})
     ids_a = {c.id for c in a.components}
     ids_b = {c.id for c in b.components}
     assert ids_a == {"threshold1", "Average1"}
@@ -325,7 +325,7 @@ def test_inferred_ports_follow_advice_usage(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
     jps = collect_joinpoints(hospital_base, Visibility(0))
     inst = instantiate_advice(
-        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components)
+        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), memo={}
     )
     decision = next(c for c in inst.components if c.id == "Decision1")
     assert decision.has_port("SetTime", PROVIDED)
@@ -340,5 +340,5 @@ def test_determinism_same_inputs_same_instances(fixtures_dir, hospital_base):
         jps = collect_joinpoints(hospital_base, Visibility(0))
         combos = combinations(match_pointcut(jps, aa))
         fresh = FreshNames(taken=hospital_base.components)
-        return [instantiate_advice(aa, c, fresh) for c in combos]
+        return [instantiate_advice(aa, c, fresh, memo={}) for c in combos]
     assert build() == build()

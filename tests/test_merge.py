@@ -256,7 +256,7 @@ def _hospital_instances(fixtures_dir, hospital_base):
         aa = parse_aa((fixtures_dir / "aa" / name).read_text())
         jps = collect_joinpoints(hospital_base, Visibility(0))
         for combo in combinations(match_pointcut(jps, aa)):
-            instances.append(instantiate_advice(aa, combo, fresh))
+            instances.append(instantiate_advice(aa, combo, fresh, memo={}))
     return instances
 
 
@@ -406,7 +406,7 @@ def test_grounding_builds_the_normal_form(hospital_base):
     raw = aa.rules[0].tree
     assert raw != normalize(raw)  # the parser keeps source order
     (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, Visibility(0)), aa))
-    (rule,) = instantiate_advice(aa, combo, FreshNames()).grounded_rules
+    (rule,) = instantiate_advice(aa, combo, FreshNames(), memo={}).grounded_rules
     leaf = Leaf(provided("light1", "SetState"))
     assert rule.tree == Par((leaf, Seq((leaf, leaf, leaf))))
 
@@ -452,11 +452,16 @@ def anchor_assembly():
     )
 
 
+def lower_pairs(plan, pairs, fresh):
+    """``lower`` of ``(group, tree)`` pairs through a memo of its own."""
+    return lower(plan, [(group, tree, op_stems(tree)) for group, tree in pairs], fresh, {})
+
+
 def test_lower_single_plain_binding():
     base = anchor_assembly()
     plan = MergedPlan()
     plan.plain_bindings.append(Binding(required("switch", "value"), provided("threshold", "IsReached")))
-    instrs = lower(plan, [], FreshNames(taken=base.components))
+    instrs = lower(plan, [], FreshNames(taken=base.components), {})
     assert instrs == [AddBinding(plan.plain_bindings[0])]
 
 
@@ -465,7 +470,7 @@ def test_lower_if_nop_call_tree():
     anchor = required("switch", "value")
     tree = merge(Leaf(provided("light", "on")), If(provided("threshold", "IsReached"), NOP, CALL))
     group = rewrite_group(anchor, (tree,), (provided("light", "on"),), "brightness_light")
-    instrs = lower(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
+    instrs = lower_pairs(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
     adds_c = [i.component.id for i in instrs if isinstance(i, AddComponent)]
     assert adds_c == ["if1", "nop1"]
     assert RemoveBinding(anchor, provided("light", "on")) in instrs
@@ -484,7 +489,7 @@ def test_lower_par_fan_out():
     anchor = required("switch", "value")
     tree = Par((Leaf(provided("light", "on")), Leaf(provided("threshold", "IsReached"))))
     group = rewrite_group(anchor, (tree,), (provided("light", "on"),))
-    instrs = lower(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
+    instrs = lower_pairs(MergedPlan(), [(group, tree)], FreshNames(taken=base.components))
     woven = apply_instructions(base, instrs)
     par = woven.components["par1"]
     assert par.type_name == "op.Par"
@@ -498,14 +503,14 @@ def test_lower_root_standing_for_the_originals_emits_nothing():
     # a root call over the originals, and a root leaf equal to the sole one
     for tree, originals in ((CALL, (on, reached)), (Leaf(on), (on,))):
         group = rewrite_group(anchor, (tree,), originals)
-        assert lower(MergedPlan(), [(group, tree)], FreshNames()) == []
+        assert lower_pairs(MergedPlan(), [(group, tree)], FreshNames()) == []
 
 
 def test_lower_root_leaf_replaces_every_original():
     anchor = required("switch", "value")
     on, reached, shut = provided("light", "on"), provided("threshold", "IsReached"), provided("shutter", "open")
     group = rewrite_group(anchor, (Leaf(shut),), (on, reached))
-    assert lower(MergedPlan(), [(group, Leaf(shut))], FreshNames()) == [
+    assert lower_pairs(MergedPlan(), [(group, Leaf(shut))], FreshNames()) == [
         RemoveBinding(anchor, on),
         RemoveBinding(anchor, reached),
         AddBinding(Binding(anchor, shut, Woven("x", 0, ""))),
@@ -516,13 +521,13 @@ def test_call_without_original_raises():
     anchor = required("switch", "value")
     tree = Seq((Leaf(provided("light", "on")), CALL))
     with pytest.raises(CallWithoutOriginal):
-        lower(MergedPlan(), [(rewrite_group(anchor, (tree,)), tree)], FreshNames())
+        lower_pairs(MergedPlan(), [(rewrite_group(anchor, (tree,)), tree)], FreshNames())
 
 
 def test_op_stems_follow_the_order_lowering_names_ops():
     tree = If(threshold, Seq((Par((a, b)), CALL)), Delegate(NOP))
     group = rewrite_group(required("switch", "value"), (tree,), (provided("light", "on"),))
-    instrs = lower(MergedPlan(), [(group, tree)], FreshNames())
+    instrs = lower_pairs(MergedPlan(), [(group, tree)], FreshNames())
     ids = [i.component.id for i in instrs if isinstance(i, AddComponent)]
     assert ids == ["if1", "seq1", "par1", "delegate1", "nop1"]
     assert op_stems(tree) == ("if", "seq", "par", "delegate", "nop")
@@ -545,7 +550,7 @@ def test_groups_sharing_a_folded_tree_get_lowerings_of_their_own():
     memo: dict = {}
     first = []
     for groups in calls:
-        want = lower(MergedPlan(), [(g, tree) for g in groups], FreshNames())
+        want = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), {})
         got = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), memo)
         assert got == want
         first.append(got)
@@ -565,7 +570,7 @@ def test_groups_sharing_a_folded_tree_get_lowerings_of_their_own():
 def test_lowering_soundness_on_hospital(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
     groups, plan = detect_conflicts(hospital_base, instances)
-    instrs = lower(plan, [(g, merge_group(g)) for g in groups], FreshNames(taken=hospital_base.components))
+    instrs = lower_pairs(plan, [(g, merge_group(g)) for g in groups], FreshNames(taken=hospital_base.components))
     woven = apply_instructions(hospital_base, instrs)  # validates invariants
     assert "if1" in woven.components
 
@@ -585,7 +590,7 @@ def test_lowering_keeps_each_groups_stamp(fixtures_dir, hospital_base):
     assert groups
     for group in groups:
         assert group.provenance == Woven("+".join(sorted({aa for aa, _ in group.contributors})), 2, "")
-        instrs = lower(MergedPlan(), [(group, merge_group(group))], FreshNames(taken=hospital_base.components))
+        instrs = lower_pairs(MergedPlan(), [(group, merge_group(group))], FreshNames(taken=hospital_base.components))
         added = [i.component if isinstance(i, AddComponent) else i.binding for i in instrs if not isinstance(i, RemoveBinding)]
         assert added
         assert all(x.provenance == group.provenance for x in added), group.anchor

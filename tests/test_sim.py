@@ -130,6 +130,13 @@ def test_script_errors():
         )
 
 
+def test_a_decreasing_script_fails_before_the_initial_weave(hospital_base, scenario_cascade):
+    script = [EnvEvent(5, "unselect", aa_name="dec"), EnvEvent(0, "select", aa_name="dec")]
+    with mock.patch.object(sim, "weave_cascade") as weave, pytest.raises(ScriptError, match="non-decreasing"):
+        run_scenario(hospital_base, [scenario_cascade], script)
+    weave.assert_not_called()
+
+
 def test_parse_script_round_trip(fixtures_dir):
     events = hospital_script(fixtures_dir)
     assert len(events) == 6

@@ -9,8 +9,8 @@ from aaweave.language import parse_aa
 from aaweave.merge import detect_conflicts, merge_group
 from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
 from aaweave.optree import map_leaves
-from aaweave.weaver import PHASES, Cascade, NameCollision, reweave, union, weave_cascade, weave_cycle
-from aaweave.sim import WorkloadSpec, generate_workload
+from aaweave.weaver import PHASES, Cascade, Memo, NameCollision, reweave, union, weave_cascade, weave_cycle
+from aaweave.sim import WorkloadSpec, continuum_workload, generate_workload
 
 
 def weave_mono(base, aas):
@@ -289,15 +289,23 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
     assert "Decision1" in woven.components  # cycle 0 output survives
 
 
-def test_every_one_shot_weave_folds_every_group():
-    # Only a replay session shares groundings, folds and lowerings: a
-    # one-shot weave, such as each weave of criterion 9's sweep, grounds
-    # every advice instance, and folds and lowers every group it detects.
+def test_every_one_shot_weave_starts_from_an_empty_memo():
+    # Only a replay session shares groundings, folds and lowerings between
+    # weaves: a one-shot weave, such as each weave of criterion 9's sweep,
+    # gets a memo of its own, so it grounds every advice instance, and
+    # folds and lowers every group it detects.
     base, cascades = generate_workload(WorkloadSpec(seed=3, joinpoint_count=12, conflict_probability=0.5, cycles=2))
-    instances, groundings, detected, folded, lowered = [], [], [], [], []
+    memos, instances, groundings, detected, folded, lowered = [], [], [], [], [], []
+
+    def cycle(base, pairs, cycle_index, fresh, memo, weave_cycle=weaver._weave_cycle):
+        # A weave's cycles share one memo, empty when its first cycle begins.
+        if cycle_index == 0:
+            assert not (memo.instances or memo.folds or memo.lowerings)
+            memos.append(memo)
+        assert memo is memos[-1]
+        return weave_cycle(base, pairs, cycle_index, fresh, memo)
 
     def ground(*args, **kwargs):
-        assert kwargs["memo"] is None
         inst = matching.instantiate_advice(*args, **kwargs)
         instances.append(inst)
         return inst
@@ -315,19 +323,15 @@ def test_every_one_shot_weave_folds_every_group():
         folded.append(group)
         return merge_group(group)
 
-    def lower(plan, folded, fresh, memo=None):
-        assert memo is None
-        return merge_module.lower(plan, folded, fresh)
-
     def lower_group(group, tree, name, lower_group=merge_module._lower_group):
         lowered.append(group)
         return lower_group(group, tree, name)
 
     # Counting the pairwise steps also catches a cache inside ``merge_group``.
     steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
-    with mock.patch.object(weaver, "instantiate_advice", ground), mock.patch.object(matching, "map_leaves", grounding), \
-            mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
-            mock.patch.object(weaver, "lower", lower), mock.patch.object(merge_module, "_lower_group", lower_group), \
+    with mock.patch.object(weaver, "_weave_cycle", cycle), mock.patch.object(weaver, "instantiate_advice", ground), \
+            mock.patch.object(matching, "map_leaves", grounding), mock.patch.object(weaver, "detect_conflicts", detect), \
+            mock.patch.object(weaver, "merge_group", fold), mock.patch.object(merge_module, "_lower_group", lower_group), \
             steps as pairwise:
         for _ in range(2):
             for seen in (instances, groundings, detected, folded, lowered):
@@ -339,6 +343,37 @@ def test_every_one_shot_weave_folds_every_group():
             assert len(detected) > 1 and folded == detected and lowered == detected
             assert pairwise.call_count >= sum(r.merge_ops for r in reports) > 0
             assert not any(r.instances_reused or r.folds_reused or r.lowerings_reused for r in reports)
+    assert len(memos) == 2 and memos[0] is not memos[1]
+
+
+def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
+    # Anchors with the same originals and the very same rule trees share
+    # a fold within one weave; the weave emits what it emits when every
+    # group is folded on its own, and merge_ops still counts every group.
+    class NoHits(dict):
+        def get(self, key, default=None):
+            return default
+
+    base, cascades = continuum_workload()
+    emitted, detected = [], []
+
+    def apply(assembly, instructions):
+        emitted.append(instructions)
+        return apply_instructions(assembly, instructions)
+
+    def detect(*args, **kwargs):
+        groups, plan = detect_conflicts(*args, **kwargs)
+        detected.append(groups)
+        return groups, plan
+
+    with mock.patch.object(weaver, "apply_instructions", apply), mock.patch.object(weaver, "detect_conflicts", detect):
+        shared, shared_reports = weave_cascade(base, cascades)
+        alone, alone_reports = weave_cascade(base, cascades, Memo(folds=NoHits()))
+    assert [r.folds_reused for r in shared_reports] == [3]
+    assert [r.folds_reused for r in alone_reports] == [0]
+    assert emitted[0] == emitted[1] and shared == alone
+    steps = [sum(len(g.trees) - 1 for g in groups) for groups in detected]
+    assert [r.merge_ops for r in shared_reports + alone_reports] == steps
 
 
 def test_confluence_weaving_twice_changes_nothing(hospital_base, mono_cascade):
