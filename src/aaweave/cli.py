@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -201,10 +202,13 @@ def cmd_analyze(args) -> int:
         ):
             raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
         shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
+        # Both counts are 2**exponent (times 1 + p_a): refuse one too long to print before building it.
+        exponent = sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers)
+        digits, limit = math.floor(exponent * math.log10(2)) + 1, sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise InputError(f"{args.shape}: 2**{exponent} configurations have {digits} digits; at most {limit} print")
         result["multi_configurations"] = analysis.count_cascade_configurations(shape)
-        result["mono_configurations"] = analysis.count_mono_configurations(
-            sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers), args.p_a
-        )
+        result["mono_configurations"] = analysis.count_mono_configurations(exponent, args.p_a)
         result["shape"] = {"M": list(shape.per_cycle_aas), "R": list(shape.per_cycle_producers)}
         print(json.dumps(result, indent=2))
         return EXIT_OK
@@ -216,7 +220,7 @@ def cmd_analyze(args) -> int:
     nb_jpoint = 0
     if args.base:
         base = _load_assembly(args.base)
-        card_app0 = len(base.components) + len(base.bindings)
+        card_app0 = len(base.components) + len(base.by_endpoints)
         nb_jpoint = sum(len(c.ports) for c in base.components.values())
     per_cycle_rules = analysis.nb_rules_per_cycle(combined)
     pointcut_sizes = [len(aa.advice_params) for rank in combined.cycles for aa in rank]

@@ -87,10 +87,11 @@ class FreshNames:
 
 
 def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset()) -> JoinpointIndex:
-    """The joinpoints of every component ``vis`` lets a cycle match, in
-    component id order, as an index over those components."""
+    """The joinpoints of every component ``vis`` lets a cycle match, as an
+    index over those components in id order.  Fresh ids follow that order,
+    and an assembly keeps none, so this is where it is imposed."""
     groups = []
-    for cid, c in assembly.components.items():
+    for cid, c in sorted(assembly.components.items()):
         p = c.provenance
         if p is not None:
             if p.aa_name in currently_weaving:
@@ -120,7 +121,7 @@ class JoinpointIndex:
     verbatim across aspects is matched once.
 
     ``len()`` is the number of joinpoints (ports) and iterating yields them
-    all, in group order.
+    all, in group order: components by id, each one's ports in order.
     """
 
     def __init__(self, groups: list[tuple[str, dict, Component]]):

@@ -169,6 +169,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Only two kinds of base binding are looked at: those arriving at a
     rewritten port and those leaving an anchor.  A binding whose
     component id rules it out is passed over before any port is hashed.
+    Their order does not matter: rule numbers and sorts fix the result.
     """
     plan = MergedPlan()
     # Entries are (rule number, tree, contributor).  The rule numbers put
@@ -194,7 +195,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
 
     unsorted = set()
     target_ids = {t.component_id for t in per_target}
-    for b in base.bindings:
+    for b in base.by_endpoints.values():
         if b.target.component_id in target_ids:
             arriving = per_target.get(b.target)
             if arriving is not None:
@@ -207,7 +208,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
 
     outgoing: dict[PortRef, list[PortRef]] = {}
     anchor_ids = {a.component_id for a in per_anchor}
-    for b in base.bindings:
+    for b in base.by_endpoints.values():
         if b.source.component_id in anchor_ids and b.source in per_anchor:
             outgoing.setdefault(b.source, []).append(b.target)
 

@@ -1,9 +1,10 @@
 """Component-assembly data model and elementary reconfiguration instructions.
 
 An assembly is a set of black-box components with typed, directional ports,
-plus bindings from required ports to provided ports.  The weaver never
-executes components; it only rewires them, so everything here is a plain
-immutable value object and every operation returns a fresh assembly.
+plus bindings from required ports to provided ports, kept in two maps with
+no order of their own (see :class:`Assembly`).  The weaver never executes
+components; it only rewires them, so everything here is a plain immutable
+value object and every operation returns a fresh assembly.
 
 Component ids are unique.  Components carry a provenance: ``None`` for the
 base application, or :class:`Woven` for elements stamped by the weaver.
@@ -127,24 +128,25 @@ def _port_index(ports: tuple[PortSpec, ...]) -> frozenset[tuple[str, str]]:
 
 @dataclass(frozen=True)
 class Component:
+    """A black box.  Its ports are a set kept in one canonical order, so
+    equality, export and joinpoint order never depend on how the caller
+    listed them; ``__post_init__`` sets that order and the port index."""
+
     id: str
     type_name: str
     properties: dict[str, Value] = field(default_factory=dict)
     metadata: dict[str, Value] = field(default_factory=dict)
     ports: tuple[PortSpec, ...] = ()
     provenance: Woven | None = None
+    _port_index: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Ports are a set kept in one canonical order, so equality, export
-        # and joinpoint order never depend on how the caller listed them.
-        object.__setattr__(self, "ports", canonical_ports(self.ports))
+        ports = canonical_ports(self.ports)
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "_port_index", _port_index(ports))
 
     def has_port(self, name: str, direction: str) -> bool:
-        index = self.__dict__.get("_port_index")
-        if index is None:
-            index = _port_index(self.ports)
-            object.__setattr__(self, "_port_index", index)
-        return (name, direction) in index
+        return (name, direction) in self._port_index
 
     def with_port(self, spec: PortSpec) -> "Component":
         return replace(self, ports=self.ports + (spec,))
@@ -191,26 +193,26 @@ class Binding:
 
 @dataclass(frozen=True)
 class Assembly:
-    """Components by id, in id order, and bindings in endpoint order.
+    """Components by id and bindings by ``Binding.endpoints()``.
 
-    ``by_endpoints()`` keys the bindings by ``Binding.endpoints()``.  The
-    map is built once per assembly and kept on the instance, the way
-    ``Component`` keeps its port index; ``apply_instructions`` and
-    ``build`` hand the map they worked on to their result, so a chain of
-    weaves never re-keys its bindings.  The map is shared: read it, never
-    mutate it.
+    The two maps are the assembly, in whatever order their elements
+    arrived.  Equality compares the maps, so that order never shows; a
+    reader that needs one imposes it: ``bindings`` lists the bindings in
+    endpoint order, matching takes components in id order
+    (``collect_joinpoints``), and the exporters write both sorted.  Read
+    the maps, never mutate them.
     """
 
     components: dict[str, Component]
-    bindings: tuple[Binding, ...]
+    by_endpoints: dict[tuple[str, str, str, str], Binding]
 
     @staticmethod
     def empty() -> "Assembly":
-        return Assembly({}, ())
+        return Assembly({}, {})
 
     @staticmethod
     def build(components, bindings) -> "Assembly":
-        """Canonicalize and validate; raises ModelError on broken invariants."""
+        """Validate; raises ModelError on broken invariants."""
         comps: dict[str, Component] = {}
         for c in components:
             if c.id in comps:
@@ -224,28 +226,13 @@ class Assembly:
             if key in by_endpoints:
                 raise DuplicateBinding(f"duplicate binding {b.source} -> {b.target}")
             by_endpoints[key] = b
-        return _assembled(comps, by_endpoints)
+        return Assembly(comps, by_endpoints)
 
-    def by_endpoints(self) -> dict[tuple[str, str, str, str], Binding]:
-        cache = self.__dict__.get("_by_endpoints")
-        if cache is None:
-            cache = {b.endpoints(): b for b in self.bindings}
-            object.__setattr__(self, "_by_endpoints", cache)
-        return cache
-
-
-def _assembled(comps: dict[str, Component], by_endpoints: dict[tuple, Binding]) -> Assembly:
-    """An assembly in canonical order that keeps ``by_endpoints`` as its map.
-
-    Sorting the keys orders the bindings by their endpoints with tuple
-    compares alone.
-    """
-    assembly = Assembly(
-        {cid: comps[cid] for cid in sorted(comps)},
-        tuple([by_endpoints[k] for k in sorted(by_endpoints)]),
-    )
-    object.__setattr__(assembly, "_by_endpoints", by_endpoints)
-    return assembly
+    @property
+    def bindings(self) -> tuple[Binding, ...]:
+        """The bindings in endpoint order: the order of their keys."""
+        by = self.by_endpoints
+        return tuple([by[k] for k in sorted(by)])
 
 
 def _check_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -294,7 +281,7 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     port; base components reject unknown ports with :class:`DanglingBinding`.
     """
     comps = dict(assembly.components)
-    bindings = dict(assembly.by_endpoints())
+    bindings = dict(assembly.by_endpoints)
     # Dispatch once per run of instructions of one type, most frequent
     # first: a weave's instructions are mostly binding adds.
     for kind, run in groupby(instructions, type):
@@ -338,7 +325,7 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
             raise ModelError(f"unknown instruction {next(run)!r}")
     # The loop validated each mutation, so assemble directly instead of
     # paying Assembly.build's re-validation pass.
-    return _assembled(comps, bindings)
+    return Assembly(comps, bindings)
 
 
 def _admit_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) -> None:
@@ -371,7 +358,7 @@ def diff(current: Assembly, target: Assembly) -> list[Instruction]:
     provided).
     """
     cur_c, tgt_c = current.components, target.components
-    cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
+    cur_b, tgt_b = current.by_endpoints, target.by_endpoints
 
     # One pass over ``current`` finds what goes and what changed; the pass
     # over ``target`` then needs membership tests only.
@@ -417,12 +404,12 @@ def canonical_equal(a: Assembly, b: Assembly) -> bool:
     """
     sides = (a, b)
     base = [{cid: c for cid, c in s.components.items() if c.provenance is None} for s in sides]
-    if base[0] != base[1] or len(a.components) != len(b.components) or len(a.bindings) != len(b.bindings):
+    if base[0] != base[1] or len(a.components) != len(b.components) or len(a.by_endpoints) != len(b.by_endpoints):
         return False
     # Each component's bindings as (direction, own port, peer port, peer id, provenance).
     links = [{cid: [] for cid in s.components} for s in sides]
     for s, adj in zip(sides, links):
-        for bd in s.bindings:
+        for bd in s.by_endpoints.values():
             src, tgt, prov = bd.source, bd.target, bd.provenance
             adj[src.component_id].append((REQUIRED, src.port_name, tgt.port_name, tgt.component_id, prov))
             adj[tgt.component_id].append((PROVIDED, tgt.port_name, src.port_name, src.component_id, prov))
@@ -596,11 +583,15 @@ def assembly_from_json(text: str) -> Assembly:
 
 
 def to_dot(assembly: Assembly) -> str:
+    def q(text: str) -> str:  # escaped for a quoted DOT string
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
     lines = ["digraph assembly {", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
     for cid, c in sorted(assembly.components.items()):
-        lines.append(f'  "{cid}" [label="{cid}\\n{c.type_name}"];')
+        lines.append(f'  "{q(cid)}" [label="{q(cid)}\\n{q(c.type_name)}"];')
     for b in assembly.bindings:
-        label = f"{b.source.port_name} -> {b.target.port_name}"
-        lines.append(f'  "{b.source.component_id}" -> "{b.target.component_id}" [label="{label}"];')
+        s, t = b.source, b.target
+        label = q(f"{s.port_name} -> {t.port_name}")
+        lines.append(f'  "{q(s.component_id)}" -> "{q(t.component_id)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

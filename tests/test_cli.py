@@ -1,4 +1,5 @@
 import json
+import sys
 
 from aaweave.cli import main
 from aaweave.model import assembly_from_json
@@ -362,6 +363,23 @@ def test_analyze_rejects_malformed_shapes(tmp_path, capsys):
         assert code == 2, doc
         assert out == ""
         assert f'{shape}: a shape is {{"M": [...], "R": [...]}}' in err
+        assert "Traceback" not in err
+
+
+def test_analyze_refuses_a_shape_count_too_long_to_print(tmp_path, capsys):
+    shape = tmp_path / "shape.json"
+    # The largest exponent whose count prints, and the next one.
+    top = (10 ** sys.get_int_max_str_digits()).bit_length() - 1
+    shape.write_text(f'{{"M": [{top}], "R": [0]}}')
+    code, out, _ = run(capsys, "analyze", "--shape", str(shape))
+    assert code == 0
+    assert json.loads(out)["multi_configurations"] == 2**top
+    for m in (top + 1, 10**8):
+        shape.write_text(f'{{"M": [{m}, 3], "R": [0, 3]}}')
+        code, out, err = run(capsys, "analyze", "--shape", str(shape))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{shape}: 2**{m} configurations have ")
         assert "Traceback" not in err
 
 

@@ -236,7 +236,7 @@ def random_assembly(rng: random.Random) -> Assembly:
 
 def diff_by_equality(current: Assembly, target: Assembly) -> list:
     """The reference for ``diff``: compare whole components and bindings."""
-    cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
+    cur_b, tgt_b = current.by_endpoints, target.by_endpoints
     removed = {cid for cid, c in current.components.items() if target.components.get(cid) != c}
     added = {cid for cid, c in target.components.items() if current.components.get(cid) != c}
 
@@ -343,7 +343,7 @@ def test_every_reweave_diff_applies_and_touches_only_what_changed(spec, data):
     for current, target, instrs in steps:
         assert instrs == diff_by_equality(current, target)
         assert apply_instructions(current, instrs) == target
-        cur_b, tgt_b = current.by_endpoints(), target.by_endpoints()
+        cur_b, tgt_b = current.by_endpoints, target.by_endpoints
         removed = {i.component_id for i in instrs if type(i) is RemoveComponent}
         for i in instrs:
             if type(i) is RemoveComponent:
@@ -433,6 +433,56 @@ def test_export_dot_counts():
     assert '"switch" -> "light"' in dot
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    # A quote, a trailing backslash and a backslash-n inside a type name:
+    # each is text, and only the line between id and type is a newline.
+    ports = (PortSpec('o"ut', REQUIRED), PortSpec("in\\", PROVIDED))
+    a = Assembly.build(
+        [Component('a"b', 'type"x', ports=ports), Component("c\\", r"t\n", ports=ports)],
+        [Binding(required('a"b', 'o"ut'), provided("c\\", "in\\"))],
+    )
+    assert to_dot(a).splitlines()[3:] == [
+        r'  "a\"b" [label="a\"b\ntype\"x"];',
+        r'  "c\\" [label="c\\\nt\\n"];',
+        r'  "a\"b" -> "c\\" [label="o\"ut -> in\\"];',
+        "}",
+    ]
+
+
+def _arrivals(a: Assembly, rng: random.Random) -> list:
+    """Instructions that build ``a`` from nothing, in a random order that
+    adds each binding after both of its components."""
+    pending = [AddComponent(c) for c in a.components.values()]
+    waiting = list(a.by_endpoints.values())
+    present, out = set(), []
+    while pending or waiting:
+        ready = [b for b in waiting if {b.source.component_id, b.target.component_id} <= present]
+        ins = rng.choice(pending + [AddBinding(b) for b in ready])
+        if type(ins) is AddComponent:
+            pending.remove(ins)
+            present.add(ins.component.id)
+        else:
+            waiting.remove(ins.binding)
+        out.append(ins)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9), order=st.randoms(use_true_random=False))
+def test_arrival_order_cannot_be_seen(seed, order):
+    a = random_assembly(random.Random(seed))
+    comps, bindings = list(a.components.values()), list(a.bindings)
+    order.shuffle(comps)
+    order.shuffle(bindings)
+    built = Assembly.build(comps, bindings)
+    applied = apply_instructions(Assembly.empty(), _arrivals(a, order))
+    for other in (built, applied):
+        assert other == a
+        assert other.bindings == a.bindings
+        assert assembly_to_json(other) == assembly_to_json(a)
+        assert to_dot(other) == to_dot(a)
+
+
 def test_apply_output_survives_revalidation():
     rng = random.Random(23)
     for _ in range(40):
@@ -490,8 +540,7 @@ def test_binding_map_travels_with_the_assembly(seed, data):
     result = apply_instructions(current, instructions)
     assert result == state
     for a in (current, state, result):
-        assert a.by_endpoints() == {b.endpoints(): b for b in a.bindings}
-        assert list(a.bindings) == sorted(a.bindings, key=Binding.endpoints)
+        assert all(k == b.endpoints() for k, b in a.by_endpoints.items())
     assert apply_instructions(current, diff(current, result)) == result
     assert apply_instructions(result, diff(result, current)) == current
 
@@ -605,7 +654,7 @@ def _perturbed(assembly: Assembly, draw) -> Assembly:
         b = bindings[i]
         if kind == "retarget":
             b = replace(b, target=replace(b.target, component_id=draw(st.sampled_from(sorted(comps)))))
-            assume(b.endpoints() not in assembly.by_endpoints())
+            assume(b.endpoints() not in assembly.by_endpoints)
         else:
             b = replace(b, provenance=draw(st.sampled_from(_PROVENANCES + (Woven("x", 1),))))
         bindings[i] = b

@@ -7,7 +7,17 @@ import aaweave.merge as merge_module
 from aaweave import matching, weaver
 from aaweave.language import parse_aa
 from aaweave.merge import detect_conflicts, merge_group
-from aaweave.model import Woven, apply_instructions, canonical_equal, diff, provided, required
+from aaweave.model import (
+    AddBinding,
+    AddComponent,
+    Assembly,
+    Woven,
+    apply_instructions,
+    canonical_equal,
+    diff,
+    provided,
+    required,
+)
 from aaweave.optree import map_leaves
 from aaweave.weaver import PHASES, Cascade, Memo, NameCollision, reweave, union, weave_cascade, weave_cycle
 from aaweave.sim import WorkloadSpec, continuum_workload, generate_workload
@@ -441,11 +451,29 @@ def test_cross_aspect_matches_are_surfaced(hospital_base, scenario_cascade):
 
 
 def test_weave_result_keeps_assembly_invariants(hospital_base, scenario_cascade):
-    from aaweave.model import Assembly
-
     woven, _ = weave_cascade(hospital_base, [scenario_cascade])
     rebuilt = Assembly.build(woven.components.values(), woven.bindings)
     assert rebuilt == woven
+
+
+def test_fresh_names_do_not_depend_on_arrival_order(hospital_base, scenario_cascade):
+    def timeless(report):
+        d = report.to_json_dict()
+        del d["durations_us"]
+        return d
+
+    spec = WorkloadSpec(seed=3, joinpoint_count=40, conflict_probability=0.5, cycles=2)
+    for base, cascades in [(hospital_base, [scenario_cascade]), generate_workload(spec)]:
+        woven, reports = weave_cascade(base, cascades)
+        assert any(c.provenance is not None for c in woven.components.values())
+        comps = sorted(base.components.values(), key=lambda c: c.id, reverse=True)
+        bindings = base.bindings[::-1]
+        adds = [*map(AddComponent, comps), *map(AddBinding, bindings)]
+        for rebuilt in (Assembly.build(comps, bindings), apply_instructions(Assembly.empty(), adds)):
+            assert list(rebuilt.components) == [c.id for c in comps]
+            again, again_reports = weave_cascade(rebuilt, cascades)
+            assert again == woven
+            assert list(map(timeless, again_reports)) == list(map(timeless, reports))
 
 
 def test_repeated_aspect_in_one_cycle_weaves_once(fixtures_dir, hospital_base):
