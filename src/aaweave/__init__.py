@@ -41,8 +41,6 @@ from .matching import (
     AdviceInstance,
     Combination,
     FreshNames,
-    Joinpoint,
-    Visibility,
     collect_joinpoints,
     combinations,
     instantiate_advice,

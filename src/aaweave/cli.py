@@ -117,9 +117,9 @@ def load_cascade_manifest(path: str) -> Cascade:
 
 def _gather_cascades(args) -> list[Cascade]:
     cascades = []
-    if getattr(args, "cascade", None):
+    if args.cascade:
         cascades.extend(load_cascade_manifest(p) for p in args.cascade)
-    if getattr(args, "aa", None):
+    if args.aa:
         aas = tuple(_load_aa(p) for p in args.aa)
         cascades.append(Cascade("mono", "", (aas,)))
     if not cascades:
@@ -154,8 +154,11 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--weave-duration must be at least 0, not {args.weave_duration}")
     base = _load_assembly(args.base)
     cascades = _gather_cascades(args)
-    script = sim.parse_script(_read(args.script, "script"))
-    trace = sim.run_scenario(base, cascades, script, weave_duration_ms=args.weave_duration)
+    try:
+        script = sim.parse_script(_read(args.script, "script"))
+        trace = sim.run_scenario(base, cascades, script, weave_duration_ms=args.weave_duration)
+    except sim.ScriptError as exc:
+        raise InputError(f"{args.script}: {exc}") from None
     payload = json.dumps(trace.to_json_dict(), indent=2) + "\n"
     _write(args.trace, payload)
     weaves = sum(1 for r in trace.records if r.triggered)
@@ -180,6 +183,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if not 0 <= args.p_a <= 1:
+        raise InputError(f"--p-a must lie in [0, 1], not {args.p_a}")
     result: dict = {}
     if args.fit:
         rows = list(csv.DictReader(_read(args.fit, "benchmark CSV").splitlines()))
@@ -192,16 +197,16 @@ def cmd_analyze(args) -> int:
         print(json.dumps({"a1": a1, "a2": a2, "rms_residual_us": residual}, indent=2))
         return EXIT_OK
     if args.shape:
-        text = _read(args.shape, "shape")
+        # JSON syntax errors and CascadeShape's checks are both ValueErrors.
         try:
-            shape_doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            shape_doc = json.loads(_read(args.shape, "shape"))
+            if not isinstance(shape_doc, dict) or not all(
+                isinstance(shape_doc.get(k), list) and all(type(n) is int for n in shape_doc[k]) for k in "MR"
+            ):
+                raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
+            shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
+        except ValueError as exc:
             raise InputError(f"{args.shape}: {exc}") from None
-        if not isinstance(shape_doc, dict) or not all(
-            isinstance(shape_doc.get(k), list) and all(type(n) is int for n in shape_doc[k]) for k in "MR"
-        ):
-            raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
-        shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
         # Both counts are 2**exponent (times 1 + p_a): refuse one too long to print before building it.
         exponent = sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers)
         digits, limit = math.floor(exponent * math.log10(2)) + 1, sys.get_int_max_str_digits()
@@ -330,7 +335,7 @@ def main(argv=None) -> int:
     except AaSyntaxError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    except (InputError, sim.ScriptError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except NameCollision as exc:

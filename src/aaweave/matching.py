@@ -1,21 +1,22 @@
 """Joinpoint collection, pointcut matching and the advice factory.
 
-A joinpoint is one port of one component, with the component's metadata
-along for filter evaluation.  A cycle matches against a
-``JoinpointIndex`` of the components it may see: the index groups their
-ports by component and builds a ``Joinpoint`` only for a port some rule
-matches, so a woven assembly with thousands of ports costs one pass over
-its components.  Matching an aspect yields candidate joinpoints per
-variable; the cartesian product of the candidates gives the combinations
-(plain ``{variable: joinpoint}`` dicts) and every combination turns into
-one grounded advice instance, with fresh names for instantiated components.
-The factory reads everything else straight from the parsed advice: its
-rules in order and the ports the parser inferred for each local.
+A joinpoint is one port of one component, named by a ``PortRef``.  A
+cycle matches against a ``JoinpointIndex`` of the components it may see:
+the index groups their ports by component, runs filters on each group's
+metadata and builds a ``PortRef`` only for a port some rule matches, so a
+woven assembly with thousands of ports costs one pass over its
+components.  Matching an aspect yields candidate ports per variable; the
+cartesian product of the candidates gives the combinations (plain
+``{variable: port}`` dicts) and every combination turns into one grounded
+advice instance, with fresh names for instantiated components.  The
+factory reads everything else straight from the parsed advice: its rules
+in order and the ports the parser inferred for each local.
 
-Visibility encodes the staging rules for cascades: base components are
-always eligible, woven components only when they were woven in a strictly
-earlier cycle and their namespace is the global one or the requester's
-own.  Nothing woven in the current cycle is ever matchable.
+``collect_joinpoints`` encodes the staging rules for cascades: base
+components are always eligible, woven components only when they were
+woven in a strictly earlier cycle and their namespace is the global one
+or the requester's own.  Nothing woven in the current cycle is ever
+matchable.
 """
 from __future__ import annotations
 
@@ -29,21 +30,8 @@ from .optree import OperatorTree, map_leaves
 GLOBAL_NAMESPACE = ""
 
 
-@value
-class Joinpoint:
-    port: PortRef
-    metadata: dict
-    provenance: Woven | None = None
-
-
-@value
-class Visibility:
-    cycle_index: int = 0
-    requesting_namespace: str = GLOBAL_NAMESPACE
-
-
-# One choice of joinpoint per pointcut variable.
-Combination = dict[str, Joinpoint]
+# One choice of joinpoint (port) per pointcut variable.
+Combination = dict[str, PortRef]
 
 
 @value
@@ -86,71 +74,67 @@ class FreshNames:
         return candidate
 
 
-def collect_joinpoints(assembly, vis: Visibility, currently_weaving=frozenset()) -> JoinpointIndex:
-    """The joinpoints of every component ``vis`` lets a cycle match, as an
-    index over those components in id order.  Fresh ids follow that order,
-    and an assembly keeps none, so this is where it is imposed."""
-    groups = []
-    for cid, c in sorted(assembly.components.items()):
-        p = c.provenance
-        if p is not None:
-            if p.aa_name in currently_weaving:
-                continue
-            if p.cycle >= vis.cycle_index:
-                continue
-            if p.namespace not in (GLOBAL_NAMESPACE, vis.requesting_namespace):
-                continue
-        groups.append((cid, c.metadata, c))
-    return JoinpointIndex(groups)
+def collect_joinpoints(assembly, cycle: int, namespace: str, currently_weaving=frozenset()) -> JoinpointIndex:
+    """The joinpoints of every component that cycle ``cycle``, weaving for
+    ``namespace``, may match, as an index over those components in id
+    order.  Components woven by an aspect in ``currently_weaving`` are left
+    out.  Fresh ids follow that order, and an assembly keeps none, so this
+    is where it is imposed."""
+    return JoinpointIndex([
+        c
+        for _, c in sorted(assembly.components.items())
+        if (p := c.provenance) is None
+        or (p.aa_name not in currently_weaving and p.cycle < cycle and p.namespace in (GLOBAL_NAMESPACE, namespace))
+    ])
 
 
 class JoinpointIndex:
     """Joinpoints grouped by component, prepared for matching many pointcut rules.
 
     ``collect_joinpoints`` builds it; it is all ``match_pointcut`` takes.
-    Each group is ``(cid, metadata, owner)``: a component's id, its
-    metadata and the component itself, whose ports and provenance make up
-    the group's joinpoints.  A rule's component pattern and metadata
-    filters run once per group, and only the ports of accepted groups meet
-    the port pattern; a ``Joinpoint`` is built only for a port that passes.
-    A rule with an equality filter on a string value visits only the
-    groups that a per-key table lists under that value: exactly the groups
-    the filter accepts.  Every other rule scans all groups.  Tables are
-    built on first use, so their cost lands in matching, not in the
-    caller.  Results are kept per (pattern, filters), so a rule repeated
-    verbatim across aspects is matched once.
+    Each group is one component, whose ports are the group's joinpoints.
+    A rule's component pattern and metadata filters run once per group,
+    on the component's id and metadata, and only the ports of accepted
+    groups meet the port pattern; a ``PortRef`` is built only for a port
+    that passes.  A rule with an equality filter on a string value visits
+    only the groups that a per-key table lists under that value: exactly
+    the groups the filter accepts.  Every other rule scans all groups.
+    Tables are built on first use, so their cost lands in matching, not
+    in the caller.  Results are kept per (pattern, filters), so a rule
+    repeated verbatim across aspects is matched once.
 
-    ``len()`` is the number of joinpoints (ports) and iterating yields them
-    all, in group order: components by id, each one's ports in order.
+    ``len()`` is the number of joinpoints and iterating yields each one's
+    ``PortRef``, in group order: components by id, each one's ports in
+    order.
     """
 
-    def __init__(self, groups: list[tuple[str, dict, Component]]):
+    def __init__(self, groups: list[Component]):
         self._groups = groups
-        self._size = sum(len(owner.ports) for _, _, owner in groups)
+        self._size = sum(len(c.ports) for c in groups)
         self._tables: dict[str, dict[str, list]] = {}
-        self._matched: dict[tuple, list[Joinpoint]] = {}
+        self._matched: dict[tuple, list[PortRef]] = {}
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self):
-        for cid, metadata, owner in self._groups:
-            for p in owner.ports:
-                yield Joinpoint(PortRef(cid, p.name, p.direction), metadata, owner.provenance)
+        for c in self._groups:
+            for p in c.ports:
+                yield PortRef(c.id, p.name, p.direction)
 
     def _groups_with(self, key: str, value: str) -> list:
         table = self._tables.get(key)
         if table is None:
             table = {}
-            for group in self._groups:
-                have = group[1].get(key)
+            for c in self._groups:
+                have = c.metadata.get(key)
                 if isinstance(have, str):
-                    table.setdefault(have, []).append(group)
+                    table.setdefault(have, []).append(c)
             self._tables[key] = table
         return table.get(value, [])
 
-    def candidates(self, rule: PointcutRule) -> list[Joinpoint]:
-        """The joinpoints ``rule`` matches, in index order."""
+    def candidates(self, rule: PointcutRule) -> list[PortRef]:
+        """The ports ``rule`` matches, in index order."""
         key = (rule.pattern, rule.filters)
         matched = self._matched.get(key)
         if matched is None:
@@ -161,26 +145,27 @@ class JoinpointIndex:
                     break
             matches_port = rule.pattern.matches_port
             matched = [
-                Joinpoint(PortRef(cid, p.name, p.direction), metadata, owner.provenance)
-                for cid, metadata, owner in groups
-                if rule.accepts_component(cid, metadata)
-                for p in owner.ports
+                PortRef(c.id, p.name, p.direction)
+                for c in groups
+                if rule.accepts_component(c.id, c.metadata)
+                for p in c.ports
                 if matches_port(p.name, p.direction)
             ]
             self._matched[key] = matched
         return matched
 
 
-def match_pointcut(index: JoinpointIndex, aa: AspectOfAssembly) -> dict[str, list[Joinpoint]]:
-    """Candidate joinpoints per pointcut variable, in index order.
+def match_pointcut(index: JoinpointIndex, aa: AspectOfAssembly) -> dict[str, list[PortRef]]:
+    """Candidate ports per pointcut variable, in index order.
 
     Aspects matched through one index share its tables and results.
     """
     return {rule.variable: index.candidates(rule) for rule in aa.pointcut}
 
 
-def combinations(candidates: dict[str, list[Joinpoint]]) -> list[Combination]:
-    """Full cartesian product over variables; empty when any variable is dry.
+def combinations(candidates: dict[str, list[PortRef]]) -> list[Combination]:
+    """Full cartesian product over variables, one ``{variable: port}``
+    dict per choice; empty when any variable is dry.
 
     An aspect with no variables yields exactly one empty combination.
     """
@@ -219,8 +204,7 @@ def instantiate_advice(
     # the key field by field.  The rules fix the number of ids, so the
     # key's length fixes where each part ends.
     parts = [id(rules), aa.name, ns, cycle, *combination]
-    for jp in combination.values():
-        port = jp.port
+    for port in combination.values():
         parts += (port.component_id, port.port_name, port.direction)
     parts += local_ids.values()
     key = tuple(parts)
@@ -233,10 +217,10 @@ def instantiate_advice(
         local = local_ids.get(expr.base)
         if local is not None:
             return PortRef(local, expr.port, REQUIRED if expr.required else PROVIDED)
-        jp = combination[expr.base].port
+        port = combination[expr.base]
         if expr.port is None:
-            return jp
-        return PortRef(jp.component_id, expr.port, REQUIRED if expr.required else PROVIDED)
+            return port
+        return PortRef(port.component_id, expr.port, REQUIRED if expr.required else PROVIDED)
 
     grounded = []
     for rule in rules:

@@ -244,16 +244,16 @@ _OPS = {
 
 
 @lru_cache(maxsize=None)
-def _op_shape(kind: type, arity: int) -> tuple[str, str, tuple[str, ...], tuple[PortSpec, ...]]:
-    """An op's type name, id stem, out port names and port tuple.
+def _op_shape(kind: type, arity: int) -> tuple[str, tuple[str, ...], tuple[PortSpec, ...]]:
+    """An op's type name, out port names and port tuple.
 
     Every op of one kind and arity shares these objects, so its port names
     are made once and its components share one port index.
     """
-    type_name, stem = _OPS[kind]
+    type_name = _OPS[kind][0]
     outs = ("cond", "out_then", "out_else") if kind is If else tuple(f"out_{k}" for k in range(1, arity + 1))
     ports = canonical_ports([PortSpec("in", PROVIDED), *(PortSpec(name, REQUIRED) for name in outs)])
-    return type_name, stem, outs, ports
+    return type_name, outs, ports
 
 
 def _op_children(node: OperatorTree) -> tuple[OperatorTree, ...]:
@@ -284,9 +284,10 @@ def op_stems(tree: OperatorTree) -> tuple[str, ...]:
     return tuple(stems)
 
 
-def _build(node: OperatorTree, group: RewriteGroup, name, components: list, bindings: list) -> tuple[PortRef, ...]:
-    """Lower ``node`` into ``components`` and ``bindings``; return the
-    provided ports a parent should bind to for it."""
+def _build(node: OperatorTree, group: RewriteGroup, ids, components: list, bindings: list) -> tuple[PortRef, ...]:
+    """Lower ``node`` into ``components`` and ``bindings``, each op taking
+    the next of ``ids``; return the provided ports a parent should bind to
+    for it."""
     kind = type(node)
     if kind is Leaf:
         return (node.target,)
@@ -295,24 +296,25 @@ def _build(node: OperatorTree, group: RewriteGroup, name, components: list, bind
             raise CallWithoutOriginal(group.anchor)
         return group.originals
     children = _op_children(node)
-    type_name, stem, outs, ports = _op_shape(kind, len(children))
-    cid, prov = name(stem), group.provenance
+    type_name, outs, ports = _op_shape(kind, len(children))
+    cid, prov = next(ids), group.provenance
     components.append(Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov))
     targets = [(node.cond,)] if kind is If else []
-    targets.extend([_build(child, group, name, components, bindings) for child in children])
+    targets.extend([_build(child, group, ids, components, bindings) for child in children])
     for port, ends in zip(outs, targets):
         source = PortRef(cid, port, REQUIRED)
         bindings.extend([Binding(source, end, prov) for end in ends])
     return (PortRef(cid, "in", PROVIDED),)
 
 
-def _lower_group(group: RewriteGroup, tree: OperatorTree, name) -> tuple[tuple[Component, ...], tuple[Binding, ...]]:
+def _lower_group(group: RewriteGroup, tree: OperatorTree, ids) -> tuple[tuple[Component, ...], tuple[Binding, ...]]:
     """The op components and bindings ``group``'s folded ``tree`` lowers to;
-    ``name(stem)`` gives each op its id.  Both are empty when the tree
-    stands for exactly the group's originals."""
+    ``ids`` is an iterator over the ops' fresh ids, taken in the order of
+    ``op_stems(tree)``.  Both are empty when the tree stands for exactly
+    the group's originals."""
     components: list[Component] = []
     bindings: list[Binding] = []
-    roots = _build(tree, group, name, components, bindings)
+    roots = _build(tree, group, ids, components, bindings)
     if roots == group.originals:
         return (), ()
     anchor, prov = group.anchor, group.provenance
@@ -338,7 +340,7 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
     (each entry holds the tree, so its id is not reused while the entry
     lives), the anchor, the originals and the provenance, so a hit names
     exactly what a miss would and emits the very components and bindings
-    the miss stored.
+    the miss stored.  A miss lowers the group with exactly those ids.
     """
     op_components: list[Component] = []
     removes: list[RemoveBinding] = []
@@ -348,9 +350,8 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
         key = (id(tree), group.anchor, group.originals, group.provenance, ids)
         entry = memo.get(key)
         if entry is None:
-            names = iter(ids)
             # A CallWithoutOriginal raises here and stores nothing.
-            entry = memo[key] = (tree, _lower_group(group, tree, lambda _stem: next(names)))
+            entry = memo[key] = (tree, _lower_group(group, tree, iter(ids)))
         components, group_bindings = entry[1]
         if group_bindings:
             op_components.extend(components)

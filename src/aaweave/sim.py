@@ -155,7 +155,8 @@ def run_scenario(
     distinct advice instance of the replay is grounded once, each distinct
     rewrite group folded once and each distinct folded group lowered once;
     the memo dies with the call.  A script whose timestamps decrease
-    raises :class:`ScriptError` before anything is woven.
+    raises :class:`ScriptError` before anything is woven.  Each
+    :class:`ScriptError` names its event's position (from 1), kind and ``at``.
     """
     known_aas = set()
     for c in cascades:
@@ -163,9 +164,9 @@ def run_scenario(
     selection = set(known_aas)
 
     events = list(script)
-    for prev, nxt in zip(events, events[1:]):
+    for n, (prev, nxt) in enumerate(zip(events, events[1:]), start=2):
         if nxt.at < prev.at:
-            raise ScriptError("script timestamps must be non-decreasing")
+            raise ScriptError(f"event {n} ({nxt.kind} at {nxt.at}): script timestamps must be non-decreasing")
 
     env = base
     memo = Memo()
@@ -176,12 +177,12 @@ def run_scenario(
     i = 0
     while i < len(events):
         trigger_at = max(events[i].at, free_at)
-        batch = []
+        first, batch = i, []
         while i < len(events) and events[i].at <= trigger_at:
             batch.append(events[i])
             i += 1
-        for e in batch:
-            env, selection = _apply_event(env, selection, known_aas, e)
+        for n, e in enumerate(batch, start=first + 1):
+            env, selection = _apply_event(env, selection, known_aas, n, e)
         t0 = time.perf_counter_ns()
         current, instrs, reports = reweave(current, env, cascades, selection, memo)
         duration_us = (time.perf_counter_ns() - t0) / 1000.0
@@ -194,24 +195,26 @@ def run_scenario(
     return Trace(records, current, initial_reports)
 
 
-def _apply_event(env, selection, known_aas, e: EnvEvent):
+def _apply_event(env, selection, known_aas, n: int, e: EnvEvent):
+    """Apply the script's ``n``-th event (from 1), naming it in any error."""
+    where = f"event {n} ({e.kind} at {e.at})"
     try:
         if e.kind == "appear":
             return apply_instructions(env, [AddComponent(e.component)]), selection
         if e.kind == "disappear":
             return apply_instructions(env, [RemoveComponent(e.component_id)]), selection
     except ModelError as exc:
-        raise ScriptError(str(exc)) from None
+        raise ScriptError(f"{where}: {exc}") from None
     if e.kind in ("select", "unselect"):
         if e.aa_name not in known_aas:
-            raise ScriptError(f"unknown aspect {e.aa_name!r}")
+            raise ScriptError(f"{where}: unknown aspect {e.aa_name!r}")
         updated = set(selection)
         if e.kind == "select":
             updated.add(e.aa_name)
         else:
             updated.discard(e.aa_name)
         return env, updated
-    raise ScriptError(f"unknown event kind {e.kind!r}")
+    raise ScriptError(f"{where}: unknown event kind {e.kind!r}")
 
 
 # ---------------------------------------------------------------------------

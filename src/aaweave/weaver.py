@@ -35,7 +35,6 @@ from .matching import (
     GLOBAL_NAMESPACE,
     FreshNames,
     JoinpointIndex,
-    Visibility,
     collect_joinpoints,
     combinations,
     instantiate_advice,
@@ -157,7 +156,7 @@ def _weave_cycle(
         mark = time.perf_counter_ns()
         index = index_by_ns.get(namespace)
         if index is None:
-            index = collect_joinpoints(base, Visibility(cycle_index, namespace), weaving_names)
+            index = collect_joinpoints(base, cycle_index, namespace, weaving_names)
             index_by_ns[namespace] = index
         candidates = match_pointcut(index, aa)
         mark = _lap(durations, "match", mark)
@@ -173,11 +172,12 @@ def _weave_cycle(
             )
         _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
+        # Some combination exists, so every candidate is bound by one.
         crossed = {
-            (aa.name, jp.provenance.aa_name)
-            for combo in combos
-            for jp in combo.values()
-            if jp.provenance is not None and jp.provenance.aa_name != aa.name
+            (aa.name, p.aa_name)
+            for ports in candidates.values()
+            for port in ports
+            if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
         }
         report.cross_aspect_matches.extend(sorted(crossed))
     # A hit adds no entry and a miss exactly one.

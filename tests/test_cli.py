@@ -1,6 +1,10 @@
 import json
 import sys
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from aaweave.cli import main
 from aaweave.model import assembly_from_json
 
@@ -480,3 +484,117 @@ def test_every_file_argument_rejects_a_directory(tmp_path, fixtures_dir, capsys)
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert f"{message} {folder!r}" in err, argv
+
+
+def test_analyze_names_the_shape_or_flag_it_rejects(tmp_path, fixtures_dir, capsys):
+    shape = tmp_path / "shape.json"
+    for doc, message in [
+        ('{"M": [1], "R": [2]}', "producer count 2 out of range for 1 aspects"),
+        ('{"M": [1, 2], "R": [0]}', "per-cycle lists differ in length"),
+    ]:
+        shape.write_text(doc)
+        code, out, err = run(capsys, "analyze", "--shape", str(shape))
+        assert code == 2, doc
+        assert out == ""
+        assert f"{shape}: {message}" in err, doc
+    shape.write_text('{"M": [1, 2, 3], "R": [1, 0, 0]}')
+    cascade = str(fixtures_dir / "scenario.cascade.json")
+    for inputs in (["--shape", str(shape)], ["--cascade", cascade]):
+        for p_a in ("2", "-0.5", "nan"):
+            code, out, err = run(capsys, "analyze", *inputs, "--p-a", p_a)
+            assert code == 2, (inputs, p_a)
+            assert out == ""
+            assert f"--p-a must lie in [0, 1], not {float(p_a)}" in err, (inputs, p_a)
+
+
+def test_simulate_names_the_script_and_event_of_a_replay_error(tmp_path, fixtures_dir, capsys):
+    appear = '{"at": 0, "kind": "appear", "component": {"id": "x"}}'
+    cases = {
+        (appear, appear): "event 2 (appear at 0): component 'x' already present",
+        ("# devices", '{"at": 3, "kind": "disappear", "id": "nosuch"}'):
+            "event 1 (disappear at 3): cannot remove unknown component 'nosuch'",
+        (appear, '{"at": 4, "kind": "select", "aa": "nope"}'): "event 2 (select at 4): unknown aspect 'nope'",
+        ('{"at": 5, "kind": "select", "aa": "dec"}', '{"at": 3, "kind": "unselect", "aa": "dec"}'):
+            "event 2 (unselect at 3): script timestamps must be non-decreasing",
+    }
+    script = tmp_path / "script.jsonl"
+    for lines, message in cases.items():
+        script.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--base", str(fixtures_dir / "empty_base.json"),
+            "--cascade", str(fixtures_dir / "scenario.cascade.json"),
+            "--script", str(script),
+        )
+        assert code == 2, lines
+        assert out == ""
+        assert f"{script}: {message}" in err, lines
+
+
+# Values of every JSON type; a mutation swaps a value for one of another type.
+_JSON_VALUES = (None, True, 7, 1.5, "x", [], {})
+
+
+def _mutated(doc, data):
+    """``doc`` with one mutation drawn by ``data``: drop a key, change a
+    value's type, duplicate a list entry or delete one.  The mutated
+    object or list is found by descending from the root, stopping at each
+    level with even odds, so the outer structure is hit as often as the
+    leaves."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+        if not inner or not data.draw(st.booleans()):
+            break
+        node = node[data.draw(st.sampled_from(inner))]
+    key = data.draw(st.sampled_from(keys))
+    kinds = ["drop", "type"] if isinstance(node, dict) else ["drop", "duplicate", "type"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "type":
+        node[key] = data.draw(st.sampled_from([v for v in _JSON_VALUES if type(v) is not type(node[key])]))
+    elif kind == "drop":
+        del node[key]
+    else:
+        node.insert(data.draw(st.integers(0, len(node))), node[key])
+    return doc
+
+
+@pytest.mark.parametrize("target", ["base", "script", "manifest", "shape"])
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    # Each example rewrites its one input file and reads out what it captured.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_malformed_json_inputs_exit_cleanly_and_are_named(target, tmp_path, fixtures_dir, capsys, data):
+    hospital, empty = fixtures_dir / "hospital_base.json", fixtures_dir / "empty_base.json"
+    cascade = fixtures_dir / "scenario.cascade.json"
+    if target == "base":
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(_mutated(json.loads(hospital.read_text()), data)))
+        argv = ["weave", "--base", str(path), "--cascade", str(cascade)]
+    elif target == "script":
+        path = tmp_path / "script.jsonl"
+        lines = (fixtures_dir / "hospital_script.jsonl").read_text().splitlines()
+        events = _mutated([json.loads(line) for line in lines], data)
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        argv = ["simulate", "--base", str(empty), "--cascade", str(cascade), "--script", str(path)]
+    elif target == "manifest":
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(cascade.read_text())
+        manifest["cycles"] = [[str(fixtures_dir / entry) for entry in rank] for rank in manifest["cycles"]]
+        path.write_text(json.dumps(_mutated(manifest, data)))
+        argv = ["weave", "--base", str(hospital), "--cascade", str(path)]
+    else:
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(_mutated({"M": [1, 2, 3], "R": [1, 0, 0]}, data)))
+        argv = ["analyze", "--shape", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert str(path) in err, err

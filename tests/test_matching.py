@@ -14,8 +14,6 @@ from aaweave.language import (
 from aaweave.matching import (
     FreshNames,
     GroundLink,
-    Joinpoint,
-    Visibility,
     collect_joinpoints,
     combinations,
     instantiate_advice,
@@ -35,7 +33,7 @@ def dev(cid, type_tag="dev", prov=None, **metadata):
 
 
 def jp_by_port(jps):
-    return {(j.port.component_id, j.port.port_name, j.port.direction) for j in jps}
+    return {(port.component_id, port.port_name, port.direction) for port in jps}
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,7 @@ def jp_by_port(jps):
 
 def test_base_assembly_contributes_all_ports():
     base = Assembly.build([dev("a"), dev("b")], [])
-    jps = collect_joinpoints(base, Visibility(0))
+    jps = collect_joinpoints(base, 0, "")
     assert len(jps) == 4
     assert jp_by_port(jps) == {
         ("a", "in", PROVIDED),
@@ -57,24 +55,24 @@ def test_base_assembly_contributes_all_ports():
 def test_earlier_cycle_same_namespace_is_visible():
     woven = dev("Decision1", prov=Woven("dec", 0, "ns"))
     base = Assembly.build([woven], [])
-    assert jp_by_port(collect_joinpoints(base, Visibility(1, "ns")))
-    assert list(collect_joinpoints(base, Visibility(1, "other"))) == []
+    assert jp_by_port(collect_joinpoints(base, 1, "ns"))
+    assert list(collect_joinpoints(base, 1, "other")) == []
     # global-namespace products are matchable by everyone
     glob = Assembly.build([dev("Decision1", prov=Woven("dec", 0, ""))], [])
-    assert jp_by_port(collect_joinpoints(glob, Visibility(1, "other")))
+    assert jp_by_port(collect_joinpoints(glob, 1, "other"))
 
 
 def test_current_cycle_products_are_never_matchable():
     woven = dev("Decision1", prov=Woven("dec", 1, ""))
     base = Assembly.build([woven], [])
-    assert list(collect_joinpoints(base, Visibility(1, ""))) == []
-    assert list(collect_joinpoints(base, Visibility(2, ""))) != []
+    assert list(collect_joinpoints(base, 1, "")) == []
+    assert list(collect_joinpoints(base, 2, "")) != []
 
 
 def test_currently_weaving_aspects_are_excluded():
     woven = dev("Decision1", prov=Woven("dec", 0, ""))
     base = Assembly.build([woven], [])
-    assert list(collect_joinpoints(base, Visibility(1, ""), currently_weaving={"dec"})) == []
+    assert list(collect_joinpoints(base, 1, "", currently_weaving={"dec"})) == []
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +92,47 @@ def test_metadata_filter_separates_candidates():
     aa = parse_aa(LIGHT_AA)
     frugal = dev("light1", "light", energyConsumption=40)
     hungry = dev("light2", "light", energyConsumption=60)
-    jps = collect_joinpoints(Assembly.build([frugal, hungry], []), Visibility(0))
+    jps = collect_joinpoints(Assembly.build([frugal, hungry], []), 0, "")
     got = match_pointcut(jps, aa)
-    assert {j.port.component_id for j in got["light"]} == {"light1"}
+    assert {port.component_id for port in got["light"]} == {"light1"}
 
 
 def test_component_wildcard_matches_every_port():
     src = "Pointcut:\n  Rfid := /rfid.*/\nAdvice:\nschema s(Rfid):\n  Rfid.^out -> (Rfid.in)\n"
     aa = parse_aa(src)
-    jps = collect_joinpoints(Assembly.build([dev("rfid1", "rfid")], []), Visibility(0))
+    jps = collect_joinpoints(Assembly.build([dev("rfid1", "rfid")], []), 0, "")
     got = match_pointcut(jps, aa)
     assert len(got["Rfid"]) == 2  # both ports of rfid1
 
 
 def test_empty_assembly_matches_nothing():
     aa = parse_aa(LIGHT_AA)
-    got = match_pointcut(collect_joinpoints(Assembly.empty(), Visibility(0)), aa)
+    got = match_pointcut(collect_joinpoints(Assembly.empty(), 0, ""), aa)
     assert got == {"light": []}
 
 
-def scan(joinpoints, rule):
+def scan(assembly, joinpoints, rule):
     """Reference matcher: every joinpoint meets the component pattern, then
-    the port pattern and direction, then every filter."""
+    the port pattern and direction, then every filter on its component's
+    metadata in ``assembly``."""
     return [
-        jp
-        for jp in joinpoints
-        if rule.pattern.matches_component(jp.port.component_id)
-        and rule.pattern.matches_port(jp.port.port_name, jp.port.direction)
-        and all(f.evaluate(jp.metadata) for f in rule.filters)
+        port
+        for port in joinpoints
+        if rule.pattern.matches_component(port.component_id)
+        and rule.pattern.matches_port(port.port_name, port.direction)
+        and all(f.evaluate(assembly.components[port.component_id].metadata) for f in rule.filters)
     ]
 
 
-def reference_joinpoints(assembly, vis, weaving=frozenset()):
+def reference_joinpoints(assembly, cycle, namespace, weaving=frozenset()):
     """Reference collection: one joinpoint per port of every component the
     staging rules let the cycle see, in component id order."""
 
     def visible(p):
-        return p is None or (
-            p.aa_name not in weaving and p.cycle < vis.cycle_index and p.namespace in ("", vis.requesting_namespace)
-        )
+        return p is None or (p.aa_name not in weaving and p.cycle < cycle and p.namespace in ("", namespace))
 
     return [
-        Joinpoint(PortRef(c.id, port.name, port.direction), c.metadata, c.provenance)
+        PortRef(c.id, port.name, port.direction)
         for c in sorted(assembly.components.values(), key=lambda c: c.id)
         if visible(c.provenance)
         for port in c.ports
@@ -214,31 +211,32 @@ def _rules(components):
 @settings(max_examples=300, deadline=None)
 @given(
     components=_COMPONENTS,
-    vis=st.builds(Visibility, st.integers(0, 3), st.sampled_from(_NAMESPACES)),
+    cycle=st.integers(0, 3),
+    namespace=st.sampled_from(_NAMESPACES),
     weaving=st.frozensets(st.sampled_from(_ASPECT_NAMES)),
     data=st.data(),
 )
-def test_index_matches_the_reference_scan(components, vis, weaving, data):
+def test_index_matches_the_reference_scan(components, cycle, namespace, weaving, data):
     assembly = Assembly.build(components, [])
-    index = collect_joinpoints(assembly, vis, weaving)
-    listed = reference_joinpoints(assembly, vis, weaving)
+    index = collect_joinpoints(assembly, cycle, namespace, weaving)
+    listed = reference_joinpoints(assembly, cycle, namespace, weaving)
     assert list(index) == listed
     assert len(index) == len(listed)
     aspects = data.draw(st.lists(st.lists(_rules(components), min_size=1, max_size=3), min_size=1, max_size=4))
     for n, rules in enumerate(aspects):
         pointcut = tuple(PointcutRule(f"v{i}", pattern, filters) for i, (pattern, filters) in enumerate(rules))
         aa = AspectOfAssembly(f"a{n}", pointcut, tuple(r.variable for r in pointcut), ())
-        want = {rule.variable: scan(listed, rule) for rule in pointcut}
+        want = {rule.variable: scan(assembly, listed, rule) for rule in pointcut}
         assert match_pointcut(index, aa) == want
 
 
 def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital_base):
-    index = collect_joinpoints(hospital_base, Visibility(0))
-    jps = reference_joinpoints(hospital_base, Visibility(0))
+    index = collect_joinpoints(hospital_base, 0, "")
+    jps = reference_joinpoints(hospital_base, 0, "")
     assert list(index) == jps
     for path in sorted((fixtures_dir / "aa").glob("*.aa")):
         aa = parse_aa(path.read_text(), path=path.name)
-        want = {rule.variable: scan(jps, rule) for rule in aa.pointcut}
+        want = {rule.variable: scan(hospital_base, jps, rule) for rule in aa.pointcut}
         assert match_pointcut(index, aa) == want, path.name
 
 
@@ -248,13 +246,13 @@ def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital
 
 def fake_jp(cid):
     base = Assembly.build([dev(cid)], [])
-    return next(iter(collect_joinpoints(base, Visibility(0))))
+    return next(iter(collect_joinpoints(base, 0, "")))
 
 
 def test_cartesian_product():
     a1, a2, b1 = fake_jp("a1"), fake_jp("a2"), fake_jp("b1")
     got = combinations({"A": [a1, a2], "B": [b1]})
-    assert [(c["A"].port.component_id, c["B"].port.component_id) for c in got] == [
+    assert [(c["A"].component_id, c["B"].component_id) for c in got] == [
         ("a1", "b1"),
         ("a2", "b1"),
     ]
@@ -281,7 +279,7 @@ def test_no_variables_yields_one_empty_combination():
 
 def test_fig2_style_instance(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
-    jps = collect_joinpoints(hospital_base, Visibility(0))
+    jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     assert len(combos) == 1
     inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), memo={})
@@ -295,7 +293,7 @@ def test_fig2_style_instance(fixtures_dir, hospital_base):
 
 def test_zero_param_schema_gives_one_instance(fixtures_dir):
     aa = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
-    combos = combinations(match_pointcut(collect_joinpoints(Assembly.empty(), Visibility(0)), aa))
+    combos = combinations(match_pointcut(collect_joinpoints(Assembly.empty(), 0, ""), aa))
     assert len(combos) == 1
     inst = instantiate_advice(aa, combos[0], FreshNames(), memo={})
     assert [c.id for c in inst.components] == ["Decision1", "Timer1", "Average1"]
@@ -303,7 +301,7 @@ def test_zero_param_schema_gives_one_instance(fixtures_dir):
 
 def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "brightness_light.aa").read_text())
-    jps = collect_joinpoints(hospital_base, Visibility(0))
+    jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     fresh = FreshNames(taken=hospital_base.components)
     a = instantiate_advice(aa, combos[0], fresh, memo={})
@@ -323,7 +321,7 @@ def test_fresh_names_skip_taken_ids():
 
 def test_inferred_ports_follow_advice_usage(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
-    jps = collect_joinpoints(hospital_base, Visibility(0))
+    jps = collect_joinpoints(hospital_base, 0, "")
     inst = instantiate_advice(
         aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), memo={}
     )
@@ -337,7 +335,7 @@ def test_inferred_ports_follow_advice_usage(fixtures_dir, hospital_base):
 def test_determinism_same_inputs_same_instances(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
     def build():
-        jps = collect_joinpoints(hospital_base, Visibility(0))
+        jps = collect_joinpoints(hospital_base, 0, "")
         combos = combinations(match_pointcut(jps, aa))
         fresh = FreshNames(taken=hospital_base.components)
         return [instantiate_advice(aa, c, fresh, memo={}) for c in combos]

@@ -14,7 +14,6 @@ from aaweave.matching import (
     FreshNames,
     GroundLink,
     GroundRewrite,
-    Visibility,
     collect_joinpoints,
     combinations,
     instantiate_advice,
@@ -254,7 +253,7 @@ def _hospital_instances(fixtures_dir, hospital_base):
     fresh = FreshNames(taken=hospital_base.components)
     for name in ("identity_management.aa", "brightness_light.aa"):
         aa = parse_aa((fixtures_dir / "aa" / name).read_text())
-        jps = collect_joinpoints(hospital_base, Visibility(0))
+        jps = collect_joinpoints(hospital_base, 0, "")
         for combo in combinations(match_pointcut(jps, aa)):
             instances.append(instantiate_advice(aa, combo, fresh, memo={}))
     return instances
@@ -405,7 +404,7 @@ def test_grounding_builds_the_normal_form(hospital_base):
     )
     raw = aa.rules[0].tree
     assert raw != normalize(raw)  # the parser keeps source order
-    (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, Visibility(0)), aa))
+    (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, 0, ""), aa))
     (rule,) = instantiate_advice(aa, combo, FreshNames(), memo={}).grounded_rules
     leaf = Leaf(provided("light1", "SetState"))
     assert rule.tree == Par((leaf, Seq((leaf, leaf, leaf))))

@@ -358,15 +358,16 @@ def replay_checked(base, cascades, script):
         lowered.append((plan, instrs, len(performed) - before))
         return instrs
 
-    def spy_lower_group(group, tree, name):
-        ids = []
+    def spy_lower_group(group, tree, ids):
+        taken = []
 
-        def naming(stem):
-            ids.append(name(stem))
-            return ids[-1]
+        def taking():
+            for cid in ids:
+                taken.append(cid)
+                yield cid
 
-        fragment = lower_group(group, tree, naming)
-        performed.append(((id(tree), group.anchor, group.originals, group.provenance, tuple(ids)), fragment))
+        fragment = lower_group(group, tree, taking())
+        performed.append(((id(tree), group.anchor, group.originals, group.provenance, tuple(taken)), fragment))
         return fragment
 
     with mock.patch.object(sim, "weave_cascade", spy_cascade), mock.patch.object(sim, "reweave", spy_reweave), \

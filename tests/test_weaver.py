@@ -20,7 +20,7 @@ from aaweave.model import (
 )
 from aaweave.optree import map_leaves
 from aaweave.weaver import PHASES, Cascade, Memo, NameCollision, reweave, union, weave_cascade, weave_cycle
-from aaweave.sim import WorkloadSpec, continuum_workload, generate_workload
+from aaweave.sim import WorkloadSpec, continuum_workload, generate_workload, parse_script, run_scenario
 
 
 def weave_mono(base, aas):
@@ -333,9 +333,9 @@ def test_every_one_shot_weave_starts_from_an_empty_memo():
         folded.append(group)
         return merge_group(group)
 
-    def lower_group(group, tree, name, lower_group=merge_module._lower_group):
+    def lower_group(group, tree, ids, lower_group=merge_module._lower_group):
         lowered.append(group)
-        return lower_group(group, tree, name)
+        return lower_group(group, tree, ids)
 
     # Counting the pairwise steps also catches a cache inside ``merge_group``.
     steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
@@ -443,11 +443,27 @@ def test_private_cascades_do_not_interact(hub_base):
     assert seen["probe_g"] == {("make_g", "")}
 
 
-def test_cross_aspect_matches_are_surfaced(hospital_base, scenario_cascade):
-    _, reports = weave_cascade(hospital_base, [scenario_cascade])
-    assert ("obs_rfid", "dec") in reports[1].cross_aspect_matches
-    assert ("obs_switch", "dec") in reports[1].cross_aspect_matches
-    assert reports[0].cross_aspect_matches == []
+def test_cross_aspect_matches_are_surfaced(fixtures_dir, hospital_base, scenario_cascade, assistance_cascade, energy_cascade):
+    def crossed(reports):
+        return [r.cross_aspect_matches for r in reports]
+
+    full = [
+        [],
+        [("obs_rfid", "dec"), ("obs_switch", "dec")],
+        [("action_light", "dec"), ("action_shutter", "dec")],
+    ]
+    assert crossed(weave_cascade(hospital_base, [scenario_cascade])[1]) == full
+    assert crossed(weave_cascade(hospital_base, [assistance_cascade, energy_cascade])[1]) == full
+    # The replay builds the hospital device by device and then loses
+    # light1, so action_light stops matching dec's product.
+    script = parse_script((fixtures_dir / "hospital_script.jsonl").read_text())
+    trace = run_scenario(Assembly.empty(), [scenario_cascade], script)
+    assert crossed(trace.initial_reports) == [[], [], []]
+    assert [crossed(record.reports) for record in trace.records] == [
+        [], [], [], [],
+        full,
+        [[], [("obs_rfid", "dec"), ("obs_switch", "dec")], [("action_shutter", "dec")]],
+    ]
 
 
 def test_weave_result_keeps_assembly_invariants(hospital_base, scenario_cascade):
