@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
         print(json.dumps({"a1": a1, "a2": a2, "rms_residual_us": residual}, indent=2))
         return EXIT_OK
     if args.shape:
-        # JSON syntax errors and CascadeShape's checks are both ValueErrors.
+        # JSON syntax errors, CascadeShape's checks and the counts' limits are all ValueErrors.
         try:
             shape_doc = json.loads(_read(args.shape, "shape"))
             if not isinstance(shape_doc, dict) or not all(
@@ -205,15 +205,15 @@ def cmd_analyze(args) -> int:
             ):
                 raise InputError(f'{args.shape}: a shape is {{"M": [...], "R": [...]}} with lists of integers')
             shape = analysis.CascadeShape(tuple(shape_doc["M"]), tuple(shape_doc["R"]))
+            # Both counts are 2**exponent (times 1 + p_a): refuse one too long to print before building it.
+            exponent = sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers)
+            digits, limit = math.floor(exponent * math.log10(2)) + 1, sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise ValueError(f"2**{exponent} configurations have {digits} digits; at most {limit} print")
+            result["multi_configurations"] = analysis.count_cascade_configurations(shape)
+            result["mono_configurations"] = analysis.count_mono_configurations(exponent, args.p_a)
         except ValueError as exc:
             raise InputError(f"{args.shape}: {exc}") from None
-        # Both counts are 2**exponent (times 1 + p_a): refuse one too long to print before building it.
-        exponent = sum(shape.per_cycle_aas) - sum(shape.per_cycle_producers)
-        digits, limit = math.floor(exponent * math.log10(2)) + 1, sys.get_int_max_str_digits()
-        if limit and digits > limit:
-            raise InputError(f"{args.shape}: 2**{exponent} configurations have {digits} digits; at most {limit} print")
-        result["multi_configurations"] = analysis.count_cascade_configurations(shape)
-        result["mono_configurations"] = analysis.count_mono_configurations(exponent, args.p_a)
         result["shape"] = {"M": list(shape.per_cycle_aas), "R": list(shape.per_cycle_producers)}
         print(json.dumps(result, indent=2))
         return EXIT_OK

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 
 from .matching import GroundLink
 from .model import (
@@ -115,9 +114,10 @@ def _merge(a: OperatorTree, b: OperatorTree, anchor) -> OperatorTree:
 
 @dataclass(frozen=True)
 class RewriteGroup:
-    """All trees that landed on one shared anchor, each in normal form, with
-    the anchor's original destinations (in port order) and the provenance
-    of everything lowering adds for it; one shape from detect to lower."""
+    """All trees that landed on one shared anchor, each in normal form (the
+    leaves of its originals first, then its rule trees in no order a fold
+    depends on), with the anchor's originals in port order and the
+    provenance of all lowering adds for it; one shape from detect to lower."""
 
     anchor: PortRef
     trees: tuple[OperatorTree, ...]
@@ -163,48 +163,38 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     Anchors that end up with a single leaf are plain new links; everything
     else is a :class:`RewriteGroup` for :func:`merge_group`, in anchor
     order.  Both carry their contributors' joint provenance in ``cycle``.
-    An anchor's trees follow its originals in the order their rules came
-    in, instance by instance.
+    An anchor's trees are its originals' leaves, in port order, then its
+    rule trees in no order that the result depends on.
 
     Only two kinds of base binding are looked at: those arriving at a
     rewritten port and those leaving an anchor.  A binding whose
     component id rules it out is passed over before any port is hashed.
-    Their order does not matter: rule numbers and sorts fix the result.
+    Their order does not matter: only anchors and originals are sorted.
     """
     plan = MergedPlan()
-    # Entries are (rule number, tree, contributor).  The rule numbers put
-    # back in order the entries of an anchor that has links of its own or
-    # bindings to more than one rewritten port.
-    per_anchor: dict[PortRef, list[tuple[int, OperatorTree, tuple[str, str]]]] = {}
-    per_target: dict[PortRef, list[tuple[int, OperatorTree, tuple[str, str]]]] = {}
-    n, target, landed = 0, None, None
+    per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
+    per_target: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
+    target, landed = None, None
     for inst in instances:
         who = (inst.aa_name, inst.namespace)
         plan.component_adds.extend(inst.components)
         for rule in inst.grounded_rules:
-            n += 1
             if type(rule) is GroundLink:
-                per_anchor.setdefault(rule.source, []).append((n, rule.tree, who))
+                per_anchor.setdefault(rule.source, []).append((rule.tree, who))
                 continue
             # Rules that rewrite a pointcut variable's own port share the
             # joinpoint's PortRef object, so a run of them hashes it once.
             if rule.target is not target:
                 target = rule.target
                 landed = per_target.setdefault(target, [])
-            landed.append((n, rule.tree, who))
+            landed.append((rule.tree, who))
 
-    unsorted = set()
     target_ids = {t.component_id for t in per_target}
     for b in base.by_endpoints.values():
         if b.target.component_id in target_ids:
             arriving = per_target.get(b.target)
             if arriving is not None:
-                entries = per_anchor.get(b.source)
-                if entries is None:
-                    per_anchor[b.source] = list(arriving)
-                else:
-                    entries.extend(arriving)
-                    unsorted.add(b.source)
+                per_anchor.setdefault(b.source, []).extend(arriving)
 
     outgoing: dict[PortRef, list[PortRef]] = {}
     anchor_ids = {a.component_id for a in per_anchor}
@@ -215,18 +205,15 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     groups: list[RewriteGroup] = []
     for anchor in sorted(per_anchor, key=PortRef.key):
         entries = per_anchor[anchor]
-        if unsorted and anchor in unsorted:
-            entries.sort(key=itemgetter(0))
         originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
         trees = [Leaf(target) for target in originals]
-        trees.extend(t for _, t, _ in entries)
-        contributors = tuple(sorted({who for _, _, who in entries}))
+        trees.extend(t for t, _ in entries)
+        contributors = tuple(sorted({who for _, who in entries}))
         prov = _joint_provenance(contributors, cycle)
         if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
             plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))
             continue
         groups.append(RewriteGroup(anchor, tuple(trees), contributors, originals, prov))
-    plan.component_adds.sort(key=lambda c: c.id)
     return groups, plan
 
 
@@ -323,8 +310,11 @@ def _lower_group(group: RewriteGroup, tree: OperatorTree, ids) -> tuple[tuple[Co
 
 
 def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
-    """Turn a plan and its folded groups, in anchor order, into ordered
-    add/remove instructions.
+    """Turn a plan and its folded groups, in anchor order, into component
+    adds, removals and binding adds.  Within a kind the order is anchor
+    order (plain bindings first, a group's bindings in build order), so the
+    first binding that fails to apply is deterministic; nothing else reads
+    the order, as ``apply_instructions`` stores maps.
 
     Operator nodes become synthetic components typed ``op.*`` with one
     provided ``in`` port and a required port per child; an op takes its
@@ -355,16 +345,9 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
         components, group_bindings = entry[1]
         if group_bindings:
             op_components.extend(components)
-            anchor = group.anchor
-            removes.extend([RemoveBinding(anchor, o) for o in group.originals])
+            removes.extend([RemoveBinding(group.anchor, o) for o in group.originals])
             bindings.extend(group_bindings)
-
-    out: list[Instruction] = [AddComponent(c) for c in plan.component_adds]
-    out.extend([AddComponent(c) for c in op_components])
-    out.extend(sorted(removes, key=lambda i: (i.source.key(), i.target.key())))
-    bindings.sort(key=Binding.endpoints)
-    out.extend([AddBinding(b) for b in bindings])
-    return out
+    return [*map(AddComponent, [*plan.component_adds, *op_components]), *removes, *map(AddBinding, bindings)]
 
 
 def _joint_provenance(contributors, cycle: int) -> Woven:

@@ -485,16 +485,17 @@ def _provenance_to_json(p: Woven | None) -> dict:
     return {"kind": "woven", "aa": p.aa_name, "cycle": p.cycle, "namespace": p.namespace}
 
 
-def _provenance_from_json(d: dict | None) -> Woven | None:
-    kind = "base" if d is None else _object(d, "provenance").get("kind", "base")
+def _provenance_from_json(d: dict | None, what: str) -> Woven | None:
+    kind = "base" if d is None else _typed(d, dict, what).get("kind", "base")
     if kind == "base":
         return None
     if kind != "woven":
-        raise ModelError(f"provenance kind must be 'base' or 'woven', not {kind!r}")
+        raise ModelError(f"{what} kind must be 'base' or 'woven', not {kind!r}")
     cycle = d.get("cycle", 0)
     if type(cycle) is not int:
-        raise ModelError(f"provenance cycle must be an integer, not {cycle!r}")
-    return Woven(_text(d.get("aa"), "provenance aa"), cycle, _text(d.get("namespace", ""), "provenance namespace"))
+        raise ModelError(f"{what} cycle must be an integer, not {cycle!r}")
+    namespace = _typed(d.get("namespace", ""), str, f"{what} namespace")
+    return Woven(_typed(d.get("aa"), str, f"{what} aa"), cycle, namespace)
 
 
 def component_to_json(c: Component) -> dict:
@@ -508,38 +509,42 @@ def component_to_json(c: Component) -> dict:
     }
 
 
-def _text(value, what: str) -> str:
-    """``value`` if it is a string; names and ids are compared and sorted
+_JSON_NOUNS = {str: "a string", dict: "an object", list: "a list"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; names and ids are compared and sorted
     against each other, so any other type fails here, not mid-weave."""
-    if not isinstance(value, str):
-        raise ModelError(f"{what} must be a string, not {value!r}")
+    if not isinstance(value, kind):
+        raise ModelError(f"{what} must be {_JSON_NOUNS[kind]}, not {value!r}")
     return value
 
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ModelError(f"{what} must be an object, not {value!r}")
-    return value
+def _required(d: dict, key: str, kind: type, what: str):
+    """``d[key]``, which the object ``what`` must have, if it is a ``kind``."""
+    if key not in d:
+        raise ModelError(f'{what}: missing "{key}"')
+    return _typed(d[key], kind, f"{what} {key}")
 
 
-def _port_from_json(d: dict) -> PortSpec:
-    direction = d["direction"]
+def _port_from_json(d, what: str) -> PortSpec:
+    d = _typed(d, dict, what)
+    direction = _required(d, "direction", str, what)
     if direction not in (PROVIDED, REQUIRED):
-        raise ModelError(f"port direction must be {PROVIDED!r} or {REQUIRED!r}, not {direction!r}")
-    return PortSpec(_text(d["name"], "port name"), direction)
+        raise ModelError(f"{what} direction must be {PROVIDED!r} or {REQUIRED!r}, not {direction!r}")
+    return PortSpec(_required(d, "name", str, what), direction)
 
 
-def component_from_json(d: dict) -> Component:
-    ports = d.get("ports", [])
-    if not isinstance(ports, list):
-        raise ModelError(f"component ports must be a list, not {ports!r}")
+def component_from_json(d, what: str = "component") -> Component:
+    d = _typed(d, dict, what)
+    ports = _typed(d.get("ports", []), list, f"{what} ports")
     return Component(
-        id=_text(d["id"], "component id"),
-        type_name=_text(d.get("type", ""), "component type"),
-        properties=dict(_object(d.get("properties", {}), "component properties")),
-        metadata=dict(_object(d.get("metadata", {}), "component metadata")),
-        ports=tuple(_port_from_json(_object(p, "a port")) for p in ports),
-        provenance=_provenance_from_json(d.get("provenance")),
+        id=_required(d, "id", str, what),
+        type_name=_typed(d.get("type", ""), str, f"{what} type"),
+        properties=dict(_typed(d.get("properties", {}), dict, f"{what} properties")),
+        metadata=dict(_typed(d.get("metadata", {}), dict, f"{what} metadata")),
+        ports=tuple(_port_from_json(p, f"{what} port {k}") for k, p in enumerate(ports)),
+        provenance=_provenance_from_json(d.get("provenance"), f"{what} provenance"),
     )
 
 
@@ -557,21 +562,31 @@ def to_json_dict(assembly: Assembly) -> dict:
     }
 
 
-def _endpoint_from_json(d: dict, direction: str) -> PortRef:
-    return PortRef(_text(d["component"], "binding component"), _text(d["port"], "binding port"), direction)
+def _endpoint_from_json(d: dict, key: str, direction: str, what: str) -> PortRef:
+    d, what = _required(d, key, dict, what), f"{what} {key}"
+    return PortRef(_required(d, "component", str, what), _required(d, "port", str, what), direction)
 
 
-def from_json_dict(d: dict) -> Assembly:
-    comps = [component_from_json(cd) for cd in d.get("components", ())]
-    bindings = [
-        Binding(
-            source=_endpoint_from_json(bd["source"], REQUIRED),
-            target=_endpoint_from_json(bd["target"], PROVIDED),
-            provenance=_provenance_from_json(bd.get("provenance")),
-        )
-        for bd in d.get("bindings", ())
-    ]
-    return Assembly.build(comps, bindings)
+def _binding_from_json(d, what: str) -> Binding:
+    d = _typed(d, dict, what)
+    return Binding(
+        _endpoint_from_json(d, "source", REQUIRED, what),
+        _endpoint_from_json(d, "target", PROVIDED, what),
+        _provenance_from_json(d.get("provenance"), f"{what} provenance"),
+    )
+
+
+def from_json_dict(d) -> Assembly:
+    """The assembly a JSON document describes; an error names the entry
+    at fault by its index, such as ``binding 3 source``, and the field."""
+    if not isinstance(d, dict):
+        raise ModelError(f"an assembly must be an object, not {type(d).__name__}")
+    components = _typed(d.get("components", []), list, '"components"')
+    bindings = _typed(d.get("bindings", []), list, '"bindings"')
+    return Assembly.build(
+        [component_from_json(c, f"component {k}") for k, c in enumerate(components)],
+        [_binding_from_json(b, f"binding {k}") for k, b in enumerate(bindings)],
+    )
 
 
 def assembly_to_json(assembly: Assembly) -> str:

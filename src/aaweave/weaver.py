@@ -17,7 +17,7 @@ recomputes its target from the base; any other weave starts from an empty
 memo of its own.  Each step takes its fresh ids before it looks up, so a
 hit names exactly what a miss would.  A reused instance is the very
 objects of its first grounding, so the groups it lands in hit the fold
-memo, which is keyed by the identity of their rule trees, and a reused
+memo, keyed by the multiset of their rule trees' identities, and a reused
 lowering emits the very op components and bindings it stored, so ``diff``
 passes all of them over unchanged.
 
@@ -59,8 +59,9 @@ class Memo:
     the module docstring).
 
     ``instances`` is ``instantiate_advice``'s memo; ``lowerings`` is
-    ``lower``'s.  ``folds`` maps a group's originals and the identities of
-    its rule trees, ``group.trees[len(group.originals):]``, to the group's
+    ``lower``'s.  ``folds`` maps a group's originals and the sorted ids of
+    its rule trees, ``group.trees[len(group.originals):]``, a multiset in
+    any order (one tree such as ``CALL`` can land twice), to the group's
     trees, their folded tree and its op stems (``op_stems``); each entry
     holds the trees, so no id in its key is reused while it lives.  A clash
     stores no fold and a call without an original no lowering.
@@ -191,7 +192,7 @@ def _weave_cycle(
         folds, folded = memo.folds, []
         for group in groups:
             originals = group.originals
-            key = (originals, tuple([id(tree) for tree in group.trees[len(originals):]]))
+            key = (originals, tuple(sorted([id(tree) for tree in group.trees[len(originals):]])))
             entry = folds.get(key)
             if entry is None:
                 # A clash raises here and leaves nothing in ``folds``.

@@ -1,4 +1,5 @@
 import json
+import shutil
 import sys
 
 import pytest
@@ -300,28 +301,28 @@ def test_weave_rejects_non_string_names_in_the_base(tmp_path, fixtures_dir, caps
     link = {"source": {"component": "switch", "port": "out"}, "target": {"component": "light1", "port": "SetState"}}
     woven = {"kind": "woven", "aa": "a"}
     cases = [
-        ("component id", {"components": [{**light, "id": 5}]}),
-        ("component type", {"components": [{**light, "type": 7}]}),
-        ("port name", {"components": [{**light, "ports": [{"name": 1, "direction": "provided"}]}]}),
-        ("port direction", {"components": [{**light, "ports": [{"name": "SetState", "direction": "up"}]}]}),
+        ("component 0 id", {"components": [{**light, "id": 5}]}),
+        ("component 0 type", {"components": [{**light, "type": 7}]}),
+        ("component 0 port 0 name", {"components": [{**light, "ports": [{"name": 1, "direction": "provided"}]}]}),
+        ("component 0 port 0 direction", {"components": [{**light, "ports": [{"name": "SetState", "direction": "up"}]}]}),
         (
-            "binding component",
+            "binding 0 target component",
             {"components": [light, switch], "bindings": [{**link, "target": {"component": 5, "port": "SetState"}}]},
         ),
         (
-            "binding port",
+            "binding 0 source port",
             {"components": [light, switch], "bindings": [{**link, "source": {"component": "switch", "port": 2}}]},
         ),
-        ("provenance aa", {"components": [{**light, "provenance": {**woven, "aa": 5}}]}),
-        ("provenance aa", {"components": [{**light, "provenance": {"kind": "woven"}}]}),
-        ("provenance kind", {"components": [{**light, "provenance": {**woven, "kind": "mystery"}}]}),
-        ("provenance namespace", {"components": [{**light, "provenance": {**woven, "namespace": ["n"]}}]}),
+        ("component 0 provenance aa", {"components": [{**light, "provenance": {**woven, "aa": 5}}]}),
+        ("component 0 provenance aa", {"components": [{**light, "provenance": {"kind": "woven"}}]}),
+        ("component 0 provenance kind", {"components": [{**light, "provenance": {**woven, "kind": "mystery"}}]}),
+        ("component 0 provenance namespace", {"components": [{**light, "provenance": {**woven, "namespace": ["n"]}}]}),
         *(
-            ("provenance cycle", {"components": [{**light, "provenance": {**woven, "cycle": cycle}}]})
+            ("component 0 provenance cycle", {"components": [{**light, "provenance": {**woven, "cycle": cycle}}]})
             for cycle in (1.9, True, "7")
         ),
         (
-            "provenance cycle",
+            "binding 0 provenance cycle",
             {"components": [light, switch], "bindings": [{**link, "provenance": {**woven, "cycle": None}}]},
         ),
     ]
@@ -387,6 +388,40 @@ def test_analyze_refuses_a_shape_count_too_long_to_print(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+_LAMP = {"id": "lamp", "ports": [{"name": "on", "direction": "provided"}]}
+_ON = {"component": "lamp", "port": "on"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"components": [{"type": "t"}]}, 'component 0: missing "id"'),
+        ({"components": [_LAMP, {"id": "x", "ports": [{"name": "p"}]}]}, 'component 1 port 0: missing "direction"'),
+        ({"components": 5}, '"components" must be a list, not 5'),
+        ({"components": None}, '"components" must be a list, not None'),
+        ({"components": [_LAMP], "bindings": 5}, '"bindings" must be a list, not 5'),
+        ({"components": ["lamp"]}, "component 0 must be an object, not 'lamp'"),
+        ({"components": [_LAMP], "bindings": [{"source": "lamp.on", "target": _ON}]},
+         "binding 0 source must be an object, not 'lamp.on'"),
+        ({"components": [_LAMP], "bindings": [{"source": _ON}]}, 'binding 0: missing "target"'),
+        ({"components": [_LAMP], "bindings": [{"source": {"port": "on"}, "target": _ON}]},
+         'binding 0 source: missing "component"'),
+        ([_LAMP], "an assembly must be an object, not list"),
+    ],
+    ids=[
+        "no id", "no port direction", "components a number", "components null", "bindings a number",
+        "component a string", "source a string", "no target", "no source component", "a list",
+    ],
+)
+def test_the_base_reader_names_the_entry_and_the_field(tmp_path, fixtures_dir, capsys, doc, message):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "weave", "--base", str(base), "--aa", str(fixtures_dir / "aa" / "decision.aa"))
+    assert code == 2
+    assert out == ""
+    assert err == f"{base}: {message}\n"
+
+
 def test_analyze_counts_a_shape_past_float_range(tmp_path, capsys):
     shape = tmp_path / "shape.json"
     shape.write_text('{"M": [2000], "R": [0]}')
@@ -397,7 +432,7 @@ def test_analyze_counts_a_shape_past_float_range(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--shape", str(shape), "--p-a", "0.5")
     assert code == 2
     assert out == ""
-    assert "too many to count" in err
+    assert f"{shape}: 2**2000 * (1 + 0.5) configurations are too many to count" in err
     assert "Traceback" not in err
 
 
@@ -412,11 +447,11 @@ def test_simulate_names_the_line_of_a_malformed_event(tmp_path, fixtures_dir, ca
         '{"at": "2", "kind": "select", "aa": "IdentityManagement"}': '"at" must be an integer, not "2"',
         '{"at": 1, "kind": "select", "aa": [1]}': '"aa" must be a string, not [1]',
         '{"at": 1, "kind": "disappear"}': "missing key 'id'",
-        '{"at": 0, "kind": "appear", "component": {"id": "x", "ports": ["a"]}}': "a port must be an object, not 'a'",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "ports": ["a"]}}': "component port 0 must be an object, not 'a'",
         '{"at": 0, "kind": "appear", "component": {"id": "x", "ports": "a"}}': "component ports must be a list, not 'a'",
         '{"at": 0, "kind": "appear", "component": {"id": "x", "properties": 5}}': "component properties must be an object, not 5",
         '{"at": 0, "kind": "appear", "component": {"id": "x", "metadata": [1]}}': "component metadata must be an object, not [1]",
-        '{"at": 0, "kind": "appear", "component": {"id": "x", "provenance": 5}}': "provenance must be an object, not 5",
+        '{"at": 0, "kind": "appear", "component": {"id": "x", "provenance": 5}}': "component provenance must be an object, not 5",
     }
     script = tmp_path / "script.jsonl"
     for line, message in cases.items():
@@ -595,6 +630,69 @@ def test_malformed_json_inputs_exit_cleanly_and_are_named(target, tmp_path, fixt
         path.write_text(json.dumps(_mutated({"M": [1, 2, 3], "R": [1, 0, 0]}, data)))
         argv = ["analyze", "--shape", str(path)]
     code, _, err = run(capsys, *argv)
+    assert code in (0, 2, 3), err
+    if code == 2:
+        assert str(path) in err, err
+
+
+# Characters a mutation inserts into aspect text: quotes, brackets, the
+# pattern and port signs, a non-ASCII letter, digit and superscript digit,
+# and some plain ASCII.
+_INSERTED = "'\"{}()[]/!^é٣²;:.|->= a1\n"
+
+
+def _mutated_text(text, data):
+    """``text`` truncated, or with one character deleted, duplicated or
+    inserted, as drawn by ``data``."""
+    k = data.draw(st.integers(0, len(text) - 1))
+    kind = data.draw(st.sampled_from(["truncate", "delete", "duplicate", "insert"]))
+    if kind == "truncate":
+        return text[:k]
+    if kind == "delete":
+        return text[:k] + text[k + 1:]
+    if kind == "duplicate":
+        return text[: k + 1] + text[k:]
+    return text[:k] + data.draw(st.sampled_from(_INSERTED)) + text[k:]
+
+
+@pytest.mark.parametrize("command", ["validate", "weave", "simulate"])
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    # Each example mutates one file of its copy of the fixtures and restores it.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_aspect_text_and_truncated_files_exit_cleanly_and_are_named(
+    command, tmp_path, fixtures_dir, capsys, data
+):
+    inputs = tmp_path / "fixtures"
+    if not inputs.exists():
+        shutil.copytree(fixtures_dir, inputs)
+    manifest, script = inputs / "scenario.cascade.json", inputs / "hospital_script.jsonl"
+    base = inputs / ("hospital_base.json" if command == "weave" else "empty_base.json")
+    if command == "validate":
+        files = sorted((inputs / "aa").glob("*.aa"))
+    else:
+        cycles = json.loads(manifest.read_text())["cycles"]
+        files = [*(inputs / entry for rank in cycles for entry in rank), base, manifest]
+        files += [script] if command == "simulate" else []
+    path = data.draw(st.sampled_from(files))
+    original = path.read_text(encoding="utf-8")
+    if path.suffix == ".aa":
+        path.write_text(_mutated_text(original, data), encoding="utf-8")
+    else:
+        path.write_text(original[: data.draw(st.integers(0, len(original) - 1))], encoding="utf-8")
+    argv = {
+        "validate": ["--aa", str(path)],
+        "weave": ["--base", str(base), "--cascade", str(manifest)],
+        "simulate": ["--base", str(base), "--cascade", str(manifest), "--script", str(script)],
+    }[command]
+    try:
+        code, _, err = run(capsys, command, *argv)
+    finally:
+        path.write_text(original, encoding="utf-8")
     assert code in (0, 2, 3), err
     if code == 2:
         assert str(path) in err, err

@@ -8,9 +8,14 @@ from aaweave import matching, weaver
 from aaweave.language import parse_aa
 from aaweave.merge import detect_conflicts, merge_group
 from aaweave.model import (
+    PROVIDED,
+    REQUIRED,
     AddBinding,
     AddComponent,
     Assembly,
+    Binding,
+    Component,
+    PortSpec,
     Woven,
     apply_instructions,
     canonical_equal,
@@ -384,6 +389,50 @@ def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
     assert emitted[0] == emitted[1] and shared == alone
     steps = [sum(len(g.trees) - 1 for g in groups) for groups in detected]
     assert [r.merge_ops for r in shared_reports + alone_reports] == steps
+
+
+def fan_out_parts():
+    """One anchor ``src.out`` bound to ``lamp.on`` and ``fan.on``, beside
+    two components ``d1`` and ``d2`` that declare no required port."""
+    components = [
+        Component("src", "t", ports=(PortSpec("out", REQUIRED),)),
+        Component("lamp", "t", ports=(PortSpec("on", PROVIDED),)),
+        Component("fan", "t", ports=(PortSpec("on", PROVIDED),)),
+        Component("d1", "t", ports=(PortSpec("x", PROVIDED),)),
+        Component("d2", "t", ports=(PortSpec("x", PROVIDED),)),
+    ]
+    return components, [Binding(required("src", "out"), provided(t, "on")) for t in ("lamp", "fan")]
+
+
+def test_a_fold_is_reused_whatever_order_its_rule_trees_arrive_in():
+    # Each aspect rewrites one of the two ports bound to src.out, so the
+    # anchor's rule trees arrive in the order the base lists its bindings.
+    components, bindings = fan_out_parts()
+    pointcut = "Pointcut:\n  lamp := /lamp.on/\n  fan := /fan.on/\nAdvice:\n"
+    aas = (
+        parse_aa(pointcut + "schema a(lamp, fan):\n  lamp -> (fan ; call)\n"),
+        parse_aa(pointcut + "schema b(lamp, fan):\n  fan -> (lamp ; call)\n"),
+    )
+    cascades, memo = [Cascade("c", cycles=(aas,))], Memo()
+    first, (first_report,) = weave_cascade(Assembly.build(components, bindings), cascades, memo)
+    again, (again_report,) = weave_cascade(Assembly.build(components, bindings[::-1]), cascades, memo)
+    assert first_report.failure is None and first_report.conflict_groups == 1
+    assert again_report.folds_reused == again_report.conflict_groups == 1
+    assert again == first
+
+
+def test_the_failing_binding_does_not_depend_on_arrival_order():
+    components, bindings = fan_out_parts()
+    aas = [
+        parse_aa(f"Pointcut:\n  d := /{d}/\n  lamp := /lamp.on/\nAdvice:\nschema {d}(d, lamp):\n  d.^{port} -> (lamp)\n")
+        for d, port in (("d1", "Missing"), ("d2", "Gone"))
+    ]
+    failures = set()
+    for ordered in (bindings, bindings[::-1]):
+        for order in itertools.permutations(aas):
+            _, (report,) = weave_cascade(Assembly.build(components, ordered), [Cascade("c", cycles=(order,))])
+            failures.add(report.failure)
+    assert failures == {"binding d1.^Missing -> lamp.on woven by 'd1': d1 declares no required port 'Missing'"}
 
 
 def test_confluence_weaving_twice_changes_nothing(hospital_base, mono_cascade):
