@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import analysis, sim
 from .language import AaSyntaxError, Instantiate, parse_aa
-from .model import assembly_from_json, assembly_to_json, to_dot
+from .model import ModelError, assembly_to_json, from_json_dict, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
 EXIT_OK = 0
@@ -60,11 +60,22 @@ def _write(path: str | None, text: str) -> None:
         raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
-def _load_assembly(path: str):
-    text = _read(path, "assembly")
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``.  Malformed JSON, an integer too long
+    to convert (both ``ValueError``s) and nesting deeper than the decoder's
+    stack allows are an ``InputError`` that names the file."""
+    text = _read(path, what)
     try:
-        return assembly_from_json(text)
-    except Exception as exc:  # JSON and model errors alike
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _load_assembly(path: str):
+    doc = _read_json(path, "assembly")
+    try:
+        return from_json_dict(doc)
+    except ModelError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -79,11 +90,7 @@ def load_cascade_manifest(path: str) -> Cascade:
     {"file": ..., "namespace": ...} to pin an aspect's own namespace.
     """
     manifest_path = Path(path)
-    text = _read(path, "cascade manifest")
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    manifest = _read_json(path, "cascade manifest")
     if not isinstance(manifest, dict):
         raise InputError(f"{path}: a cascade manifest is a JSON object")
     ranks = manifest.get("cycles", [])
@@ -197,9 +204,9 @@ def cmd_analyze(args) -> int:
         print(json.dumps({"a1": a1, "a2": a2, "rms_residual_us": residual}, indent=2))
         return EXIT_OK
     if args.shape:
-        # JSON syntax errors, CascadeShape's checks and the counts' limits are all ValueErrors.
+        shape_doc = _read_json(args.shape, "shape")
+        # CascadeShape's checks and the counts' limits are ValueErrors.
         try:
-            shape_doc = json.loads(_read(args.shape, "shape"))
             if not isinstance(shape_doc, dict) or not all(
                 isinstance(shape_doc.get(k), list) and all(type(n) is int for n in shape_doc[k]) for k in "MR"
             ):
@@ -252,7 +259,7 @@ def cmd_validate(args) -> int:
     for path in args.aa:
         try:
             aa = _load_aa(path)
-        except AaSyntaxError as exc:
+        except (AaSyntaxError, InputError) as exc:
             print(str(exc), file=sys.stderr)
             status = EXIT_INVALID
             continue

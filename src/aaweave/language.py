@@ -312,13 +312,13 @@ class Instantiate:
 
 @value
 class Link:
-    source: PortExpr
+    source: PortExpr  # a PortRef once grounded, as are the tree's refs
     tree: OperatorTree
 
 
 @value
 class Rewrite:
-    target: PortExpr
+    target: PortExpr  # a PortRef once grounded, as are the tree's refs
     tree: OperatorTree
 
 
@@ -696,15 +696,27 @@ class _Parser:
 
 
 def parse_aa(text: str, path: str | None = None) -> AspectOfAssembly:
-    """Parse one aspect source into its structured form."""
-    return _Parser(_tokenize(text, path), path).parse_aa()
+    """Parse one aspect source into its structured form.
+
+    Nesting deeper than the interpreter's stack allows is a syntax error
+    at the token the parser stopped at."""
+    parser = _Parser(_tokenize(text, path), path)
+    try:
+        return parser.parse_aa()
+    except RecursionError:
+        pass  # failing outside the handler chains no RecursionError
+    parser.fail("expression nested too deeply")
 
 
 def parse_operator_expr(text: str, path: str | None = None) -> OperatorTree:
     parser = _Parser(_tokenize(text, path), path)
-    tree = parser.parse_op_expr()
-    parser.expect("EOF", "end of expression")
-    return tree
+    try:
+        tree = parser.parse_op_expr()
+        parser.expect("EOF", "end of expression")
+        return tree
+    except RecursionError:
+        pass  # as in parse_aa
+    parser.fail("expression nested too deeply")
 
 
 # ---------------------------------------------------------------------------

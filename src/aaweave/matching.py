@@ -10,7 +10,9 @@ cartesian product of the candidates gives the combinations (plain
 ``{variable: port}`` dicts) and every combination turns into one grounded
 advice instance, with fresh names for instantiated components.  The
 factory reads everything else straight from the parsed advice: its rules
-in order and the ports the parser inferred for each local.
+in order and the ports the parser inferred for each local.  A grounded
+rule is the parsed ``Link`` or ``Rewrite`` with ``PortRef``s in place of
+port expressions, as a grounded tree is the parsed tree over ports.
 
 ``collect_joinpoints`` encodes the staging rules for cascades: base
 components are always eligible, woven components only when they were
@@ -24,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 from .language import AspectOfAssembly, Instantiate, Link, PointcutRule, PortExpr, Rewrite
-from .model import PROVIDED, REQUIRED, Component, PortRef, Woven, value
-from .optree import OperatorTree, map_leaves
+from .model import PROVIDED, REQUIRED, Component, PortRef, Woven
+from .optree import map_leaves
 
 GLOBAL_NAMESPACE = ""
 
@@ -34,25 +36,12 @@ GLOBAL_NAMESPACE = ""
 Combination = dict[str, PortRef]
 
 
-@value
-class GroundLink:
-    source: PortRef
-    tree: OperatorTree
-
-
-@value
-class GroundRewrite:
-    target: PortRef
-    tree: OperatorTree
-
-
 @dataclass(frozen=True)
 class AdviceInstance:
     aa_name: str
     namespace: str
-    combination: Combination
     components: tuple[Component, ...]
-    grounded_rules: tuple[GroundLink | GroundRewrite, ...]
+    grounded_rules: tuple[Link | Rewrite, ...]
 
 
 class FreshNames:
@@ -179,39 +168,38 @@ def instantiate_advice(
     fresh: FreshNames,
     *,
     cycle: int = 0,
-    namespace: str | None = None,
+    namespace: str,
     memo: dict,
 ) -> AdviceInstance:
     """Ground one combination: substitute variables, allocate fresh ids.
 
     Every ``Instantiate`` gets a fresh id, in rule order, and becomes a
-    component with the ports the parser inferred; every arrow becomes one
-    ``GroundLink`` or ``GroundRewrite``, in rule order.
+    component with the ports the parser inferred; every ``Link`` and
+    ``Rewrite`` becomes the same rule over ``PortRef``s, in rule order.
 
-    ``memo`` maps all that grounding reads to the components and grounded
-    rules it made, in one flat tuple: the identity of ``aa.rules`` (each
-    entry holds the tuple, so its id is not reused while the entry lives),
-    the aspect's name, namespace and cycle, the combination's variables,
-    the fields of their ports and the fresh ids.  The ids are allocated
-    first, so a hit names exactly what a miss would and returns the very
-    objects made before.
+    ``memo`` maps all that grounding reads to ``(aa.rules, instance)``.
+    The key is one flat tuple: the identity of ``aa.rules`` (each entry
+    holds the tuple, so its id is not reused while the entry lives), the
+    aspect's name, namespace and cycle, the combination's variables, the
+    fields of their ports and the fresh ids.  The ids are allocated first,
+    so a hit names exactly what a miss would and returns the very instance
+    made before.
     """
-    ns = namespace if namespace is not None else (aa.namespace or GLOBAL_NAMESPACE)
     rules = aa.rules
     inits = [rule for rule in rules if type(rule) is Instantiate]
     local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
     # Strings cache their hash and ``PortRef``s do not, so the ports enter
     # the key field by field.  The rules fix the number of ids, so the
     # key's length fixes where each part ends.
-    parts = [id(rules), aa.name, ns, cycle, *combination]
+    parts = [id(rules), aa.name, namespace, cycle, *combination]
     for port in combination.values():
         parts += (port.component_id, port.port_name, port.direction)
     parts += local_ids.values()
     key = tuple(parts)
     hit = memo.get(key)
     if hit is not None:
-        return AdviceInstance(aa.name, ns, combination, hit[1], hit[2])
-    prov = Woven(aa.name, cycle, ns)
+        return hit[1]
+    prov = Woven(aa.name, cycle, namespace)
 
     def ground(expr: PortExpr) -> PortRef:
         local = local_ids.get(expr.base)
@@ -226,9 +214,9 @@ def instantiate_advice(
     for rule in rules:
         kind = type(rule)
         if kind is Link:
-            grounded.append(GroundLink(ground(rule.source), map_leaves(rule.tree, ground)))
+            grounded.append(Link(ground(rule.source), map_leaves(rule.tree, ground)))
         elif kind is Rewrite:
-            grounded.append(GroundRewrite(ground(rule.target), map_leaves(rule.tree, ground)))
+            grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
     components = tuple(
         Component(
             id=local_ids[rule.local_name],
@@ -240,6 +228,6 @@ def instantiate_advice(
         )
         for rule in inits
     )
-    grounded = tuple(grounded)
-    memo[key] = (rules, components, grounded)
-    return AdviceInstance(aa.name, ns, combination, components, grounded)
+    instance = AdviceInstance(aa.name, namespace, components, tuple(grounded))
+    memo[key] = (rules, instance)
+    return instance

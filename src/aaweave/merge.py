@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .matching import GroundLink
+from .language import Link
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -179,7 +179,7 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
         who = (inst.aa_name, inst.namespace)
         plan.component_adds.extend(inst.components)
         for rule in inst.grounded_rules:
-            if type(rule) is GroundLink:
+            if type(rule) is Link:
                 per_anchor.setdefault(rule.source, []).append((rule.tree, who))
                 continue
             # Rules that rewrite a pointcut variable's own port share the

@@ -100,7 +100,7 @@ def parse_script(text: str) -> list[EnvEvent]:
             events.append(event_from_json(doc))
         except KeyError as exc:
             raise ScriptError(f"script line {lineno}: missing key {exc}") from None
-        except (json.JSONDecodeError, ModelError, ScriptError) as exc:
+        except (ValueError, RecursionError, ModelError, ScriptError) as exc:
             raise ScriptError(f"script line {lineno}: {exc}") from None
     return events
 

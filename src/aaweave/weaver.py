@@ -16,7 +16,7 @@ each distinct lowering performed once, while every re-weave still
 recomputes its target from the base; any other weave starts from an empty
 memo of its own.  Each step takes its fresh ids before it looks up, so a
 hit names exactly what a miss would.  A reused instance is the very
-objects of its first grounding, so the groups it lands in hit the fold
+object of its first grounding, so the groups it lands in hit the fold
 memo, keyed by the multiset of their rule trees' identities, and a reused
 lowering emits the very op components and bindings it stored, so ``diff``
 passes all of them over unchanged.
@@ -64,7 +64,9 @@ class Memo:
     any order (one tree such as ``CALL`` can land twice), to the group's
     trees, their folded tree and its op stems (``op_stems``); each entry
     holds the trees, so no id in its key is reused while it lives.  A clash
-    stores no fold and a call without an original no lowering.
+    stores no fold and a call without an original no lowering.  Each
+    ``instances`` entry is ``(aa.rules, instance)``, and a hit returns the
+    stored instance.
     """
 
     instances: dict = field(default_factory=dict)

@@ -696,3 +696,62 @@ def test_mutated_aspect_text_and_truncated_files_exit_cleanly_and_are_named(
     assert code in (0, 2, 3), err
     if code == 2:
         assert str(path) in err, err
+
+
+def _deep_ifs(depth):
+    body = "d.In"
+    for _ in range(depth):
+        body = f"if (d.C) {{{body}}} else {{nop}}"
+    return f"Advice:\nschema deep():\n  d : 'T';\n  d.^Out -> ({body})\n"
+
+
+_DEEP_JSON = "[" * 200_000
+_LONG_INT = "7" * 5000
+_DEEP_PARENS = "Advice:\nschema deep():\n  d : 'T';\n  d.^Out -> (" + "(" * 5000 + "d.In" + ")" * 5000 + ")\n"
+
+
+@pytest.mark.parametrize(
+    "target, text",
+    [
+        ("base", _DEEP_JSON),
+        ("manifest", _DEEP_JSON),
+        ("shape", _DEEP_JSON),
+        ("script", _DEEP_JSON),
+        ("manifest", f'{{"cycles": [], "n": {_LONG_INT}}}'),
+        ("script", f'{{"at": {_LONG_INT}, "kind": "disappear", "component_id": "x"}}\n'),
+        ("validate", _deep_ifs(450)),
+        ("validate", _DEEP_PARENS),
+        ("weave", _deep_ifs(450)),
+        ("weave", _DEEP_PARENS),
+        ("validate", None),
+    ],
+    ids=[
+        "deep-base", "deep-manifest", "deep-shape", "deep-script", "long-int-manifest", "long-int-script",
+        "deep-ifs-validate", "deep-parens-validate", "deep-ifs-weave", "deep-parens-weave", "unreadable-validate",
+    ],
+)
+def test_deep_nesting_long_integers_and_unreadable_files_exit_2_and_are_named(
+    target, text, tmp_path, fixtures_dir, capsys
+):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    hospital, empty = fixtures_dir / "hospital_base.json", fixtures_dir / "empty_base.json"
+    cascade, decision = fixtures_dir / "scenario.cascade.json", fixtures_dir / "aa" / "decision.aa"
+    argv = {
+        "base": ["weave", "--base", path, "--cascade", cascade],
+        "manifest": ["weave", "--base", hospital, "--cascade", path],
+        "shape": ["analyze", "--shape", path],
+        "script": ["simulate", "--base", empty, "--cascade", cascade, "--script", path],
+        "validate": ["validate", "--aa", path, "--aa", decision],
+        "weave": ["weave", "--base", hospital, "--aa", path],
+    }[target]
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2, err
+    assert str(path) in err, err
+    if target == "script":
+        assert f"{path}: script line 1: " in err, err
+    if target == "validate":
+        assert f"{decision}: ok" in out
+    if text is not None and text.startswith("Advice:"):
+        assert "nested too deeply" in err, err

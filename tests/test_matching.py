@@ -5,6 +5,7 @@ from aaweave.language import (
     DIGIT,
     STAR,
     AspectOfAssembly,
+    Link,
     MetadataFilter,
     Pattern,
     PointcutRule,
@@ -13,7 +14,6 @@ from aaweave.language import (
 )
 from aaweave.matching import (
     FreshNames,
-    GroundLink,
     collect_joinpoints,
     combinations,
     instantiate_advice,
@@ -282,11 +282,11 @@ def test_fig2_style_instance(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), memo={})
+    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), namespace="", memo={})
     assert [c.id for c in inst.components] == ["Decision1", "Timer1"]
     assert len(inst.grounded_rules) == 5
     link = inst.grounded_rules[2]
-    assert isinstance(link, GroundLink)
+    assert isinstance(link, Link)
     assert link.source.component_id == "switch"
     assert link.source.direction == REQUIRED
 
@@ -295,7 +295,7 @@ def test_zero_param_schema_gives_one_instance(fixtures_dir):
     aa = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
     combos = combinations(match_pointcut(collect_joinpoints(Assembly.empty(), 0, ""), aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames(), memo={})
+    inst = instantiate_advice(aa, combos[0], FreshNames(), namespace="", memo={})
     assert [c.id for c in inst.components] == ["Decision1", "Timer1", "Average1"]
 
 
@@ -304,13 +304,28 @@ def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     fresh = FreshNames(taken=hospital_base.components)
-    a = instantiate_advice(aa, combos[0], fresh, memo={})
-    b = instantiate_advice(aa, combos[0], fresh, memo={})
+    a = instantiate_advice(aa, combos[0], fresh, namespace="", memo={})
+    b = instantiate_advice(aa, combos[0], fresh, namespace="", memo={})
     ids_a = {c.id for c in a.components}
     ids_b = {c.id for c in b.components}
     assert ids_a == {"threshold1", "Average1"}
     assert ids_b == {"threshold2", "Average2"}
     assert not (ids_a & ids_b)
+
+
+def test_a_grounding_hit_returns_the_stored_instance(fixtures_dir, hospital_base):
+    aa = parse_aa((fixtures_dir / "aa" / "brightness_light.aa").read_text())
+    combo = combinations(match_pointcut(collect_joinpoints(hospital_base, 0, ""), aa))[0]
+    memo = {}
+    first = instantiate_advice(aa, combo, FreshNames(taken=hospital_base.components), namespace="", memo=memo)
+    again = instantiate_advice(aa, dict(combo), FreshNames(taken=hospital_base.components), namespace="", memo=memo)
+    assert again is first
+    assert [entry[1] for entry in memo.values()] == [first]
+    # Other fresh ids are another instance.
+    fresh = FreshNames(taken=hospital_base.components)
+    fresh.fresh("threshold")
+    other = instantiate_advice(aa, combo, fresh, namespace="", memo=memo)
+    assert other is not first and len(memo) == 2
 
 
 def test_fresh_names_skip_taken_ids():
@@ -323,7 +338,7 @@ def test_inferred_ports_follow_advice_usage(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
     jps = collect_joinpoints(hospital_base, 0, "")
     inst = instantiate_advice(
-        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), memo={}
+        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), namespace="", memo={}
     )
     decision = next(c for c in inst.components if c.id == "Decision1")
     assert decision.has_port("SetTime", PROVIDED)
@@ -338,5 +353,5 @@ def test_determinism_same_inputs_same_instances(fixtures_dir, hospital_base):
         jps = collect_joinpoints(hospital_base, 0, "")
         combos = combinations(match_pointcut(jps, aa))
         fresh = FreshNames(taken=hospital_base.components)
-        return [instantiate_advice(aa, c, fresh, memo={}) for c in combos]
+        return [instantiate_advice(aa, c, fresh, namespace="", memo={}) for c in combos]
     assert build() == build()

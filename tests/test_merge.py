@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aaweave import weaver
-from aaweave.language import parse_aa
+from aaweave.language import Link, Rewrite, parse_aa
 from aaweave.matching import (
     AdviceInstance,
     FreshNames,
-    GroundLink,
-    GroundRewrite,
     collect_joinpoints,
     combinations,
     instantiate_advice,
@@ -257,7 +255,7 @@ def _hospital_instances(fixtures_dir, hospital_base):
         aa = parse_aa((fixtures_dir / "aa" / name).read_text())
         jps = collect_joinpoints(hospital_base, 0, "")
         for combo in combinations(match_pointcut(jps, aa)):
-            instances.append(instantiate_advice(aa, combo, fresh, memo={}))
+            instances.append(instantiate_advice(aa, combo, fresh, namespace="", memo={}))
     return instances
 
 
@@ -301,7 +299,7 @@ def detect_over_full_maps(base, instances, cycle=0):
         who = (inst.aa_name, inst.namespace)
         plan.component_adds.extend(inst.components)
         for rule in inst.grounded_rules:
-            if isinstance(rule, GroundLink):
+            if isinstance(rule, Link):
                 per_anchor.setdefault(rule.source, []).append((rule.tree, who))
             else:
                 for bd in incoming.get(rule.target, ()):
@@ -354,17 +352,17 @@ def fan_in_assembly():
 
 
 def instance(aa, *rules):
-    return AdviceInstance(aa, "", {}, (), tuple(rules))
+    return AdviceInstance(aa, "", (), rules)
 
 
 def test_a_rewrite_groups_each_anchor_with_its_own_originals():
     base = fan_in_assembly()
     tree = If(threshold, light_on, CALL)
     instances = [
-        instance("r", GroundRewrite(provided("t", "in"), tree)),
+        instance("r", Rewrite(provided("t", "in"), tree)),
         # Nothing arrives at these ports: no anchor, no contributor.
-        instance("idle", GroundRewrite(provided("t", "idle"), shutter_open),
-                 GroundRewrite(provided("nowhere", "in"), shutter_open)),
+        instance("idle", Rewrite(provided("t", "idle"), shutter_open),
+                 Rewrite(provided("nowhere", "in"), shutter_open)),
     ]
     groups, plan = detect_conflicts(base, instances)
     target = provided("t", "in")
@@ -380,10 +378,10 @@ def test_an_anchors_trees_are_its_originals_then_every_rule_tree():
     base = apply_instructions(fan_in_assembly(), [AddBinding(Binding(required("a1", "out"), provided("u", "in")))])
     anchor = required("a1", "out")
     rules = [
-        ("r1", GroundRewrite(provided("u", "in"), a)),
-        ("l", GroundLink(anchor, b)),
-        ("r2", GroundRewrite(provided("t", "in"), c)),
-        ("r3", GroundRewrite(provided("u", "in"), light_on)),
+        ("r1", Rewrite(provided("u", "in"), a)),
+        ("l", Link(anchor, b)),
+        ("r2", Rewrite(provided("t", "in"), c)),
+        ("r3", Rewrite(provided("u", "in"), light_on)),
     ]
     instances = [instance(aa, rule) for aa, rule in rules]
     groups, plan = detect_conflicts(base, instances, cycle=1)
@@ -422,7 +420,7 @@ def test_grounding_builds_the_normal_form(hospital_base):
     raw = aa.rules[0].tree
     assert raw != normalize(raw)  # the parser keeps source order
     (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, 0, ""), aa))
-    (rule,) = instantiate_advice(aa, combo, FreshNames(), memo={}).grounded_rules
+    (rule,) = instantiate_advice(aa, combo, FreshNames(), namespace="", memo={}).grounded_rules
     leaf = Leaf(provided("light1", "SetState"))
     assert rule.tree == Par((leaf, Seq((leaf, leaf, leaf))))
 
@@ -598,7 +596,7 @@ def test_lowering_keeps_each_groups_stamp(fixtures_dir, hospital_base):
     linked_by: dict = {}
     for inst in instances:
         for rule in inst.grounded_rules:
-            if isinstance(rule, GroundLink):
+            if isinstance(rule, Link):
                 linked_by.setdefault(rule.source, set()).add(inst.aa_name)
     assert plan.plain_bindings
     for b in plan.plain_bindings:

@@ -395,12 +395,12 @@ def replay_checked(base, cascades, script):
     session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
 
     # Each distinct instance was grounded once; a reused one is the very
-    # objects of its first grounding.
+    # object of its first grounding.
     reused = sum(r.instances_reused for reports in session for r in reports)
     assert len(memo.instances) + reused == len(session_instances)
-    assert session_groundings == sum(len(rules) for _, _, rules in memo.instances.values())
-    stored = {id(components) for _, components, _ in memo.instances.values()}
-    assert {id(inst.components) for inst in session_instances} == stored
+    assert session_groundings == sum(len(inst.grounded_rules) for _, inst in memo.instances.values())
+    stored = {id(inst) for _, inst in memo.instances.values()}
+    assert {id(inst) for inst in session_instances} == stored
     # Each distinct group was folded once; every other one was reused.
     assert len(memo_folds) == len(set(memo_folds)) == len(memo.folds)
     assert set(memo_folds) == set(folded)
@@ -505,14 +505,14 @@ def test_aspects_sharing_rules_never_share_instances(fixtures_dir, hospital_base
         owners: dict[int, set] = {}
         for inst in instances:
             provenance = {c.provenance for c in inst.components}
-            owners.setdefault(id(inst.components), set()).update(provenance)
+            owners.setdefault(id(inst), set()).update(provenance)
             assert {(p.aa_name, p.namespace) for p in provenance} == {(inst.aa_name, inst.namespace)}, case
         assert all(len(provenance) == 1 for provenance in owners.values()), case
         # The ids Decision2, Timer2 and Average2 went to each aspect in turn.
         took = {
             (c.provenance.aa_name, c.provenance.namespace, c.provenance.cycle)
-            for _, components, _ in memo.instances.values()
-            for c in components
+            for _, inst in memo.instances.values()
+            for c in inst.components
             if c.id == "Decision2"
         }
         assert took == takers, case
