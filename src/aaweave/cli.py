@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, sim
-from .language import AaSyntaxError, Instantiate, parse_aa
+from .language import AaSyntaxError, Instantiate, parse_aa, parse_number
 from .model import ModelError, assembly_to_json, from_json_dict, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
@@ -66,7 +66,7 @@ def _read_json(path: str, what: str):
     stack allows are an ``InputError`` that names the file."""
     text = _read(path, what)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_number)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 

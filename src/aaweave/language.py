@@ -357,18 +357,26 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _IDENT_START = frozenset(string.ascii_letters + "_")
 
 
-def _number_value(text: str, line: int, col: int, path) -> int | float:
+def parse_number(text: str) -> int | float:
     """The value of a literal in ``_NUMBER``'s syntax: a float with a '.',
-    else an int.  One that overflows a float or has more digits than
-    ``int`` converts is a syntax error at the literal."""
+    else an int; a ``ValueError`` that shows one out of range.  JSON
+    inputs read their integers with it too (``json.loads``'s ``parse_int``)."""
     try:
         number = float(text) if "." in text else int(text)
     except ValueError:  # more digits than ``int`` converts
         number = math.inf
     if isinstance(number, float) and not math.isfinite(number):
         shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
-        raise AaSyntaxError(f"number {shown} is out of range", line, col, path)
+        raise ValueError(f"number {shown} is out of range")
     return number
+
+
+def _number_value(text: str, line: int, col: int, path) -> int | float:
+    """``parse_number``, with an out-of-range number a syntax error at the literal."""
+    try:
+        return parse_number(text)
+    except ValueError as exc:
+        raise AaSyntaxError(str(exc), line, col, path) from None
 
 
 def _tokenize(text: str, path: str | None) -> list[_Token]:

@@ -169,7 +169,7 @@ def instantiate_advice(
     *,
     cycle: int = 0,
     namespace: str,
-    memo: dict,
+    memo,
 ) -> AdviceInstance:
     """Ground one combination: substitute variables, allocate fresh ids.
 
@@ -177,13 +177,9 @@ def instantiate_advice(
     component with the ports the parser inferred; every ``Link`` and
     ``Rewrite`` becomes the same rule over ``PortRef``s, in rule order.
 
-    ``memo`` maps all that grounding reads to ``(aa.rules, instance)``.
-    The key is one flat tuple: the identity of ``aa.rules`` (each entry
-    holds the tuple, so its id is not reused while the entry lives), the
-    aspect's name, namespace and cycle, the combination's variables, the
-    fields of their ports and the fresh ids.  The ids are allocated first,
-    so a hit names exactly what a miss would and returns the very instance
-    made before.
+    ``memo`` is the weave's instances, which pin ``aa.rules``; the key
+    holds the aspect's name, namespace and cycle, the combination's
+    variables and the fields of their ports besides.
     """
     rules = aa.rules
     inits = [rule for rule in rules if type(rule) is Instantiate]
@@ -195,39 +191,36 @@ def instantiate_advice(
     for port in combination.values():
         parts += (port.component_id, port.port_name, port.direction)
     parts += local_ids.values()
-    key = tuple(parts)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    prov = Woven(aa.name, cycle, namespace)
 
-    def ground(expr: PortExpr) -> PortRef:
-        local = local_ids.get(expr.base)
-        if local is not None:
-            return PortRef(local, expr.port, REQUIRED if expr.required else PROVIDED)
-        port = combination[expr.base]
-        if expr.port is None:
-            return port
-        return PortRef(port.component_id, expr.port, REQUIRED if expr.required else PROVIDED)
+    def build() -> AdviceInstance:
+        def ground(expr: PortExpr) -> PortRef:
+            cid = local_ids.get(expr.base)
+            if cid is None:
+                port = combination[expr.base]
+                if expr.port is None:
+                    return port
+                cid = port.component_id
+            return PortRef(cid, expr.port, REQUIRED if expr.required else PROVIDED)
 
-    grounded = []
-    for rule in rules:
-        kind = type(rule)
-        if kind is Link:
-            grounded.append(Link(ground(rule.source), map_leaves(rule.tree, ground)))
-        elif kind is Rewrite:
-            grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
-    components = tuple(
-        Component(
-            id=local_ids[rule.local_name],
-            type_name=rule.type_name,
-            properties=dict(rule.init_props),
-            metadata={"type": rule.type_name},
-            ports=rule.ports,
-            provenance=prov,
+        grounded = []
+        for rule in rules:
+            kind = type(rule)
+            if kind is Link:
+                grounded.append(Link(ground(rule.source), map_leaves(rule.tree, ground)))
+            elif kind is Rewrite:
+                grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
+        prov = Woven(aa.name, cycle, namespace)
+        components = tuple(
+            Component(
+                id=local_ids[rule.local_name],
+                type_name=rule.type_name,
+                properties=dict(rule.init_props),
+                metadata={"type": rule.type_name},
+                ports=rule.ports,
+                provenance=prov,
+            )
+            for rule in inits
         )
-        for rule in inits
-    )
-    instance = AdviceInstance(aa.name, namespace, components, tuple(grounded))
-    memo[key] = (rules, instance)
-    return instance
+        return AdviceInstance(aa.name, namespace, components, tuple(grounded))
+
+    return memo.recall(tuple(parts), rules, build)

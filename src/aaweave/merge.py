@@ -68,6 +68,14 @@ class CallWithoutOriginal(Exception):
         self.anchor = anchor
 
 
+class NestedTooDeeply(Exception):
+    """Folding or lowering the trees at one anchor ran out of stack."""
+
+    def __init__(self, anchor):
+        super().__init__(f"the merged tree at {anchor} is nested too deeply")
+        self.anchor = anchor
+
+
 # ---------------------------------------------------------------------------
 # The ⊗ operator
 
@@ -309,7 +317,7 @@ def _lower_group(group: RewriteGroup, tree: OperatorTree, ids) -> tuple[tuple[Co
     return tuple(components), tuple(bindings)
 
 
-def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
+def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
     """Turn a plan and its folded groups, in anchor order, into component
     adds, removals and binding adds.  Within a kind the order is anchor
     order (plain bindings first, a group's bindings in build order), so the
@@ -325,12 +333,8 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
     whose tree lowers to exactly its originals emits nothing.
 
     ``folded`` holds ``(group, tree, stems)`` triples, ``stems`` being
-    ``op_stems(tree)``, and ``memo`` is the weave's lowerings.  Each
-    group's ids are taken first, then looked up with the tree's identity
-    (each entry holds the tree, so its id is not reused while the entry
-    lives), the anchor, the originals and the provenance, so a hit names
-    exactly what a miss would and emits the very components and bindings
-    the miss stored.  A miss lowers the group with exactly those ids.
+    ``op_stems(tree)``.  ``memo`` is the weave's lowerings, which pin the
+    tree.  A tree too deep for the stack raises :class:`NestedTooDeeply`.
     """
     op_components: list[Component] = []
     removes: list[RemoveBinding] = []
@@ -338,11 +342,10 @@ def lower(plan: MergedPlan, folded, fresh, memo: dict) -> list[Instruction]:
     for group, tree, stems in folded:
         ids = tuple([fresh.fresh(stem) for stem in stems])
         key = (id(tree), group.anchor, group.originals, group.provenance, ids)
-        entry = memo.get(key)
-        if entry is None:
-            # A CallWithoutOriginal raises here and stores nothing.
-            entry = memo[key] = (tree, _lower_group(group, tree, iter(ids)))
-        components, group_bindings = entry[1]
+        try:
+            components, group_bindings = memo.recall(key, tree, lambda: _lower_group(group, tree, iter(ids)))
+        except RecursionError:
+            raise NestedTooDeeply(group.anchor) from None
         if group_bindings:
             op_components.extend(components)
             removes.extend([RemoveBinding(group.anchor, o) for o in group.originals])

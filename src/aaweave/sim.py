@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .language import parse_aa
+from .language import parse_aa, parse_number
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -94,7 +94,7 @@ def parse_script(text: str) -> list[EnvEvent]:
         if not line or line.startswith("#"):
             continue
         try:
-            doc = json.loads(line)
+            doc = json.loads(line, parse_int=parse_number)
             if not isinstance(doc, dict):
                 raise ScriptError(f"an event is a JSON object, not {line}")
             events.append(event_from_json(doc))
@@ -151,12 +151,10 @@ def run_scenario(
     Zero still coalesces events sharing a timestamp.
 
     Every re-weave recomputes its target from the aspect-free base.  The
-    weaves of one call share a :class:`~aaweave.weaver.Memo`, so each
-    distinct advice instance of the replay is grounded once, each distinct
-    rewrite group folded once and each distinct folded group lowered once;
-    the memo dies with the call.  A script whose timestamps decrease
-    raises :class:`ScriptError` before anything is woven.  Each
-    :class:`ScriptError` names its event's position (from 1), kind and ``at``.
+    weaves of one call share a :class:`~aaweave.weaver.Memo`, which dies
+    with the call.  A script whose timestamps decrease raises
+    :class:`ScriptError` before anything is woven.  Each :class:`ScriptError`
+    names its event's position (from 1), kind and ``at``.
     """
     known_aas = set()
     for c in cascades:

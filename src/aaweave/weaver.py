@@ -8,18 +8,8 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-Every weave runs through one :class:`Memo` of three pure steps: grounding
-an advice instance, folding a rewrite group and lowering a folded group.
-A replay hands all weaves of its session one memo, so each distinct
-instance is grounded once per session, each distinct group folded once and
-each distinct lowering performed once, while every re-weave still
-recomputes its target from the base; any other weave starts from an empty
-memo of its own.  Each step takes its fresh ids before it looks up, so a
-hit names exactly what a miss would.  A reused instance is the very
-object of its first grounding, so the groups it lands in hit the fold
-memo, keyed by the multiset of their rule trees' identities, and a reused
-lowering emits the very op components and bindings it stored, so ``diff``
-passes all of them over unchanged.
+Every weave grounds, folds and lowers through a :class:`Memo`, which a
+replay shares among the weaves of its session.
 
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
@@ -40,7 +30,7 @@ from .matching import (
     instantiate_advice,
     match_pointcut,
 )
-from .merge import CallWithoutOriginal, DelegateClash, detect_conflicts, lower, merge_group, op_stems
+from .merge import CallWithoutOriginal, DelegateClash, NestedTooDeeply, detect_conflicts, lower, merge_group, op_stems
 from .model import Assembly, Instruction, ModelError, apply_instructions, diff
 
 # Timed phases of one cycle, in pipeline order; every report carries
@@ -53,25 +43,42 @@ class NameCollision(Exception):
     """Two distinct aspects share a (namespace, name) pair."""
 
 
-@dataclass
-class Memo:
-    """The memo of one weave, or of every weave of a replay session (see
-    the module docstring).
+class MemoTable(dict):
+    """One pure step's memo: ``key -> (pin, value)``, counting its ``hits``.
 
-    ``instances`` is ``instantiate_advice``'s memo; ``lowerings`` is
-    ``lower``'s.  ``folds`` maps a group's originals and the sorted ids of
-    its rule trees, ``group.trees[len(group.originals):]``, a multiset in
-    any order (one tree such as ``CALL`` can land twice), to the group's
-    trees, their folded tree and its op stems (``op_stems``); each entry
-    holds the trees, so no id in its key is reused while it lives.  A clash
-    stores no fold and a call without an original no lowering.  Each
-    ``instances`` entry is ``(aa.rules, instance)``, and a hit returns the
-    stored instance.
+    A step takes its fresh ids before it looks up and puts them in its
+    key, so a hit names exactly what a miss would.  The rest of the key is
+    all the step reads, flat, with ``id()``s standing for the objects the
+    entry pins, so no id in a live key is reused.  A hit returns the very
+    value stored, so all it emits passes ``diff`` by identity.
     """
 
-    instances: dict = field(default_factory=dict)
-    folds: dict = field(default_factory=dict)
-    lowerings: dict = field(default_factory=dict)
+    hits = 0
+
+    def recall(self, key, pin, build):
+        """The value stored under ``key``, or else ``build()``'s, stored
+        with ``pin``; a ``build`` that raises stores nothing."""
+        entry = self.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry[1]
+        value = build()
+        self[key] = (pin, value)
+        return value
+
+
+@dataclass
+class Memo:
+    """The memo of one weave, or of every weave of a replay session.
+
+    ``folds`` keys a group on its originals and the ids of its rule trees
+    as a multiset (``CALL`` can land twice), pinning all its trees, and
+    stores the folded tree and its ``op_stems``.
+    """
+
+    instances: MemoTable = field(default_factory=MemoTable)
+    folds: MemoTable = field(default_factory=MemoTable)
+    lowerings: MemoTable = field(default_factory=MemoTable)
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,7 @@ class WeaveReport:
     conflict_groups: int = 0
     conflict_fraction: float = 0.0
     merge_ops: int = 0
-    # Advice instances, folds and lowerings taken from the session's memo;
+    # Hits in the memo's instances, folds and lowerings (``MemoTable.hits``);
     # ``merge_ops`` still counts the reused groups' fold steps.
     instances_reused: int = 0
     folds_reused: int = 0
@@ -152,8 +159,7 @@ def _weave_cycle(
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
     index_by_ns: dict[str, JoinpointIndex] = {}
-    grounded = memo.instances
-    known = len(grounded)
+    instance_hits = memo.instances.hits
 
     for aa, namespace in pairs:
         mark = time.perf_counter_ns()
@@ -171,7 +177,7 @@ def _weave_cycle(
             continue
         for combo in combos:
             instances.append(
-                instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace, memo=grounded)
+                instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace, memo=memo.instances)
             )
         _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
@@ -183,34 +189,29 @@ def _weave_cycle(
             if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
         }
         report.cross_aspect_matches.extend(sorted(crossed))
-    # A hit adds no entry and a miss exactly one.
-    report.instances_reused = len(instances) - (len(grounded) - known)
+    report.instances_reused = memo.instances.hits - instance_hits
 
     # Any weave-time error aborts the cycle atomically: its input assembly
     # is returned unchanged and the message lands in ``report.failure``.
     mark, phase = time.perf_counter_ns(), "merge"
+    fold_hits, lowering_hits = memo.folds.hits, memo.lowerings.hits
     try:
         groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
-        folds, folded = memo.folds, []
+        folded = []
         for group in groups:
             originals = group.originals
             key = (originals, tuple(sorted([id(tree) for tree in group.trees[len(originals):]])))
-            entry = folds.get(key)
-            if entry is None:
-                # A clash raises here and leaves nothing in ``folds``.
-                tree = merge_group(group)
-                entry = folds[key] = (group.trees, tree, op_stems(tree))
-            else:
-                report.folds_reused += 1
-            folded.append((group, entry[1], entry[2]))
+            try:
+                tree, stems = memo.folds.recall(key, group.trees, lambda: (tree := merge_group(group), op_stems(tree)))
+            except RecursionError:
+                raise NestedTooDeeply(group.anchor) from None
+            folded.append((group, tree, stems))
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
-        stored = len(memo.lowerings)
         instructions = lower(plan, folded, fresh, memo.lowerings)
-        # As with instances, a hit adds no entry and a miss exactly one.
-        report.lowerings_reused = len(groups) - (len(memo.lowerings) - stored)
+        report.lowerings_reused = memo.lowerings.hits - lowering_hits
         result = apply_instructions(base, instructions)
-    except (DelegateClash, CallWithoutOriginal) as exc:
+    except (DelegateClash, CallWithoutOriginal, NestedTooDeeply) as exc:
         failing = next(g for g in groups if g.anchor == exc.anchor)
         aspects = sorted({aa for aa, _ in failing.contributors})
         report.failure = f"{exc} (aspects: {', '.join(aspects)})"
@@ -219,6 +220,7 @@ def _weave_cycle(
         report.failure = str(exc)
         return base, report
     finally:
+        report.folds_reused = memo.folds.hits - fold_hits
         _lap(durations, phase, mark)
 
     conflicts = sum(1 for g in groups if g.is_conflict())
@@ -233,8 +235,7 @@ def weave_cascade(base: Assembly, cascades, memo: Memo | None = None) -> tuple[A
 
     A failing cycle aborts the fold: the output of the cycles before it is
     returned together with the failure report.  ``memo`` is a replay
-    session's memo (see the module docstring); a call without one weaves
-    through a fresh :class:`Memo` of its own.
+    session's; a call without one weaves through an empty :class:`Memo`.
     """
     memo = memo or Memo()
     reports: list[WeaveReport] = []
@@ -302,11 +303,8 @@ def reweave(
     """Recompute the target from the aspect-free base and diff against
     what is deployed, so withdrawing an aspect removes exactly its
     contributions.  When a cycle fails, the deployed assembly stands and
-    no instruction is emitted.  A replay passes its session's ``memo`` so
-    that what an earlier weave grounded, folded or lowered is not done
-    again; the target is rewoven from the base all the same.  Without
-    ``memo`` the weave starts from an empty one, as ``weave_cascade``
-    does."""
+    no instruction is emitted.  ``memo`` is as for ``weave_cascade``; the
+    target is rewoven from the base all the same."""
     target, reports = weave_cascade(base, select_aspects(cascades, selection), memo)
     if any(r.failure for r in reports):
         return current, [], reports

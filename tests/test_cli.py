@@ -7,7 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aaweave.cli import main
-from aaweave.model import assembly_from_json
+from aaweave.language import parse_aa
+from aaweave.model import REQUIRED, PortRef, assembly_from_json
+from aaweave.sim import EnvEvent, run_scenario
+from aaweave.weaver import Cascade, Memo, weave_cascade
 
 
 def run(capsys, *argv):
@@ -755,3 +758,100 @@ def test_deep_nesting_long_integers_and_unreadable_files_exit_2_and_are_named(
         assert f"{decision}: ok" in out
     if text is not None and text.startswith("Advice:"):
         assert "nested too deeply" in err, err
+    if text is not None and _LONG_INT in text:
+        assert f"number {_LONG_INT[:12]}... (5000 characters) is out of range" in err, err
+
+
+# ---------------------------------------------------------------------------
+# folds too deep for the stack
+
+_DEEP_BASE = {
+    "components": [
+        {"id": "s", "type": "T", "ports": [{"name": "out", "direction": "required"}]},
+        {"id": "t", "type": "T", "ports": [{"name": p, "direction": "provided"} for p in ("in", "CA", "CB")]},
+    ],
+    "bindings": [{"source": {"component": "s", "port": "out"}, "target": {"component": "t", "port": "in"}}],
+}
+
+
+def _deep_aspect(cond, depth):
+    """Aspect ``deepCA`` or ``deepCB``: ``s.^out`` rewired through
+    ``depth`` nested ``if (t.<cond>)``s, each with a ``nop`` branch.  Two
+    aspects on different conditions fold into a tree as deep as both."""
+    body = "t.in"
+    for _ in range(depth):
+        body = f"if (t.{cond}) {{{body}}} else {{nop}}"
+    return f"Pointcut:\n  s := /s.^out/\n  t := /t.in/\nAdvice:\nschema deep{cond}(s, t):\n  s -> ({body})\n"
+
+
+def _weave_deep(tmp_path, capsys, *depths):
+    """``weave`` of one aspect per depth, on ``t.CA`` then ``t.CB``, over
+    the base ``s.^out -> t.in``; returns the exit code, stderr and whether
+    ``--out`` was written."""
+    base, out = tmp_path / "base.json", tmp_path / "woven.json"
+    base.write_text(json.dumps(_DEEP_BASE))
+    out.unlink(missing_ok=True)
+    argv = ["weave", "--base", str(base), "--out", str(out)]
+    for cond, depth in zip(("CA", "CB"), depths):
+        aa = tmp_path / f"deep{cond}.aa"
+        aa.write_text(_deep_aspect(cond, depth))
+        argv += ["--aa", str(aa)]
+    code, _, err = run(capsys, *argv)
+    return code, err, out.exists()
+
+
+def test_a_fold_too_deep_fails_its_cycle_and_stores_no_lowering(tmp_path, capsys):
+    # Each aspect weaves alone; together they fold into a tree too deep to
+    # lower.  250 sits between the pair's threshold and the parser's.
+    assert _weave_deep(tmp_path, capsys, 250)[0] == 0
+    assert _weave_deep(tmp_path, capsys, 0, 250)[0] == 0
+    code, err, written = _weave_deep(tmp_path, capsys, 250, 250)
+    assert code == 3 and not written, err
+    assert "weave failed in cycle 0: the merged tree at s.^out is nested too deeply (aspects: deepCA, deepCB)" in err
+    memo = Memo()
+    aas = tuple(parse_aa(_deep_aspect(cond, 250)) for cond in ("CA", "CB"))
+    base = assembly_from_json(json.dumps(_DEEP_BASE))
+    result, (report,) = weave_cascade(base, [Cascade("c", cycles=(aas,))], memo)
+    assert result is base and "s.^out" in report.failure and report.lowerings_reused == 0
+    assert not any(key[1] == PortRef("s", "out", REQUIRED) for key in memo.lowerings)
+
+
+def test_no_depth_that_parses_crashes_a_weave(tmp_path, capsys):
+    # Bisect for the deepest single aspect ``weave`` parses; every depth
+    # tried on the way, that one included, exits 0 or 3.  The limit itself
+    # depends on the Python version and the stack, so none is asserted.
+    parses, fails = 0, 2000
+    while fails - parses > 1:
+        depth = (parses + fails) // 2
+        code, err, _ = _weave_deep(tmp_path, capsys, depth)
+        assert code in (0, 2, 3), err
+        if code == 2:
+            assert "nested too deeply" in err, err
+            fails = depth
+        else:
+            parses = depth
+    assert parses > 0
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shares=st.lists(st.integers(0, 150) | st.integers(250, 280) | st.integers(400, 450), min_size=2, max_size=2))
+def test_pairs_of_deep_aspects_weave_or_fail_cleanly(tmp_path, capsys, shares):
+    # Depths in thousandths of the recursion limit, which Hypothesis raises
+    # while a test runs: shallow, deep enough that a pair fails, and too
+    # deep to parse, each far from where the stack sets those limits on
+    # Python 3.11.
+    depths = [share * sys.getrecursionlimit() // 1000 for share in shares]
+    code, err, _ = _weave_deep(tmp_path, capsys, *depths)
+    assert code in (0, 2, 3), err
+
+
+def test_a_replay_keeps_the_deployed_assembly_when_a_fold_is_too_deep():
+    base = assembly_from_json(json.dumps(_DEEP_BASE))
+    aas = tuple(parse_aa(_deep_aspect(cond, 250)) for cond in ("CA", "CB"))
+    script = [EnvEvent(0, "unselect", aa_name="deepCB"), EnvEvent(1, "select", aa_name="deepCB")]
+    trace = run_scenario(base, [Cascade("c", cycles=(aas,))], script)
+    deployed, failed = trace.records
+    assert deployed.reports[0].failure is None and deployed.instructions > 0
+    assert "nested too deeply" in failed.reports[0].failure and failed.instructions == 0
+    alone, _ = weave_cascade(base, [Cascade("c", cycles=(aas[:1],))])
+    assert trace.final_assembly == alone

@@ -4,11 +4,14 @@
 ``perfbench/fingerprints.json``; a change that alters what the weaver
 produces would otherwise show only when the benchmark runs.  This test
 replays variant 0 of each generated workload and the CLI run over the
-fixtures.  The workloads module is loaded by path, read only.
+fixtures, and pins how much of variant 0's replay the session memo
+reuses.  The workloads module is loaded by path, read only.
 """
 import importlib.util
 import json
 from pathlib import Path
+
+from aaweave.sim import run_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +41,15 @@ def test_variant_0_and_the_cli_reproduce_the_recorded_fingerprints(tmp_path):
         assert cli.reference(state) == recorded["cli-fixtures"]["any"]
     finally:
         cli.close(state)
+
+
+def test_variant_0_replay_reuses_what_it_reused_before():
+    # The summed (instances, folds, lowerings) reuse counts of the
+    # initial weave and every re-weave of ``replay-churn``'s variant 0.  A
+    # change to what the session memo keeps or keys on must restate them.
+    workloads = load_workloads()
+    base, cascades = workloads.generated_inputs("replay-churn", 0)
+    trace = run_scenario(base, cascades, workloads.churn_script(base, cascades, 0))
+    reports = [*trace.initial_reports, *(r for record in trace.records for r in record.reports)]
+    totals = tuple(sum(getattr(r, f"{step}_reused") for r in reports) for step in ("instances", "folds", "lowerings"))
+    assert totals == (5416, 2583, 2234)

@@ -20,6 +20,7 @@ from aaweave.matching import (
     match_pointcut,
 )
 from aaweave.model import PROVIDED, REQUIRED, Assembly, Component, PortRef, PortSpec, Woven
+from aaweave.weaver import MemoTable
 
 
 def dev(cid, type_tag="dev", prov=None, **metadata):
@@ -282,7 +283,7 @@ def test_fig2_style_instance(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), namespace="", memo={})
+    inst = instantiate_advice(aa, combos[0], FreshNames(taken=hospital_base.components), namespace="", memo=MemoTable())
     assert [c.id for c in inst.components] == ["Decision1", "Timer1"]
     assert len(inst.grounded_rules) == 5
     link = inst.grounded_rules[2]
@@ -295,7 +296,7 @@ def test_zero_param_schema_gives_one_instance(fixtures_dir):
     aa = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
     combos = combinations(match_pointcut(collect_joinpoints(Assembly.empty(), 0, ""), aa))
     assert len(combos) == 1
-    inst = instantiate_advice(aa, combos[0], FreshNames(), namespace="", memo={})
+    inst = instantiate_advice(aa, combos[0], FreshNames(), namespace="", memo=MemoTable())
     assert [c.id for c in inst.components] == ["Decision1", "Timer1", "Average1"]
 
 
@@ -304,8 +305,8 @@ def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
     jps = collect_joinpoints(hospital_base, 0, "")
     combos = combinations(match_pointcut(jps, aa))
     fresh = FreshNames(taken=hospital_base.components)
-    a = instantiate_advice(aa, combos[0], fresh, namespace="", memo={})
-    b = instantiate_advice(aa, combos[0], fresh, namespace="", memo={})
+    a = instantiate_advice(aa, combos[0], fresh, namespace="", memo=MemoTable())
+    b = instantiate_advice(aa, combos[0], fresh, namespace="", memo=MemoTable())
     ids_a = {c.id for c in a.components}
     ids_b = {c.id for c in b.components}
     assert ids_a == {"threshold1", "Average1"}
@@ -316,7 +317,7 @@ def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
 def test_a_grounding_hit_returns_the_stored_instance(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "brightness_light.aa").read_text())
     combo = combinations(match_pointcut(collect_joinpoints(hospital_base, 0, ""), aa))[0]
-    memo = {}
+    memo = MemoTable()
     first = instantiate_advice(aa, combo, FreshNames(taken=hospital_base.components), namespace="", memo=memo)
     again = instantiate_advice(aa, dict(combo), FreshNames(taken=hospital_base.components), namespace="", memo=memo)
     assert again is first
@@ -338,7 +339,7 @@ def test_inferred_ports_follow_advice_usage(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "identity_management.aa").read_text())
     jps = collect_joinpoints(hospital_base, 0, "")
     inst = instantiate_advice(
-        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), namespace="", memo={}
+        aa, combinations(match_pointcut(jps, aa))[0], FreshNames(taken=hospital_base.components), namespace="", memo=MemoTable()
     )
     decision = next(c for c in inst.components if c.id == "Decision1")
     assert decision.has_port("SetTime", PROVIDED)
@@ -353,5 +354,5 @@ def test_determinism_same_inputs_same_instances(fixtures_dir, hospital_base):
         jps = collect_joinpoints(hospital_base, 0, "")
         combos = combinations(match_pointcut(jps, aa))
         fresh = FreshNames(taken=hospital_base.components)
-        return [instantiate_advice(aa, c, fresh, namespace="", memo={}) for c in combos]
+        return [instantiate_advice(aa, c, fresh, namespace="", memo=MemoTable()) for c in combos]
     assert build() == build()

@@ -51,6 +51,7 @@ from aaweave.model import (
 )
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, sort_key
 from aaweave.sim import WorkloadSpec, generate_workload
+from aaweave.weaver import MemoTable
 
 light_on = Leaf(provided("light", "on"))
 shutter_open = Leaf(provided("shutter", "open"))
@@ -255,7 +256,7 @@ def _hospital_instances(fixtures_dir, hospital_base):
         aa = parse_aa((fixtures_dir / "aa" / name).read_text())
         jps = collect_joinpoints(hospital_base, 0, "")
         for combo in combinations(match_pointcut(jps, aa)):
-            instances.append(instantiate_advice(aa, combo, fresh, namespace="", memo={}))
+            instances.append(instantiate_advice(aa, combo, fresh, namespace="", memo=MemoTable()))
     return instances
 
 
@@ -420,7 +421,7 @@ def test_grounding_builds_the_normal_form(hospital_base):
     raw = aa.rules[0].tree
     assert raw != normalize(raw)  # the parser keeps source order
     (combo,) = combinations(match_pointcut(collect_joinpoints(hospital_base, 0, ""), aa))
-    (rule,) = instantiate_advice(aa, combo, FreshNames(), namespace="", memo={}).grounded_rules
+    (rule,) = instantiate_advice(aa, combo, FreshNames(), namespace="", memo=MemoTable()).grounded_rules
     leaf = Leaf(provided("light1", "SetState"))
     assert rule.tree == Par((leaf, Seq((leaf, leaf, leaf))))
 
@@ -468,14 +469,14 @@ def anchor_assembly():
 
 def lower_pairs(plan, pairs, fresh):
     """``lower`` of ``(group, tree)`` pairs through a memo of its own."""
-    return lower(plan, [(group, tree, op_stems(tree)) for group, tree in pairs], fresh, {})
+    return lower(plan, [(group, tree, op_stems(tree)) for group, tree in pairs], fresh, MemoTable())
 
 
 def test_lower_single_plain_binding():
     base = anchor_assembly()
     plan = MergedPlan()
     plan.plain_bindings.append(Binding(required("switch", "value"), provided("threshold", "IsReached")))
-    instrs = lower(plan, [], FreshNames(taken=base.components), {})
+    instrs = lower(plan, [], FreshNames(taken=base.components), MemoTable())
     assert instrs == [AddBinding(plan.plain_bindings[0])]
 
 
@@ -561,10 +562,10 @@ def test_groups_sharing_a_folded_tree_get_lowerings_of_their_own():
         [rewrite_group(switch, (tree,), (reached,))],
         [rewrite_group(switch, (tree,), (on,), aa="y")],
     ]
-    memo: dict = {}
+    memo = MemoTable()
     first = []
     for groups in calls:
-        want = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), {})
+        want = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), MemoTable())
         got = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), memo)
         assert got == want
         first.append(got)

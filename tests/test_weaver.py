@@ -24,7 +24,7 @@ from aaweave.model import (
     required,
 )
 from aaweave.optree import map_leaves
-from aaweave.weaver import PHASES, Cascade, Memo, NameCollision, reweave, union, weave_cascade, weave_cycle
+from aaweave.weaver import PHASES, Cascade, Memo, MemoTable, NameCollision, reweave, union, weave_cascade, weave_cycle
 from aaweave.sim import WorkloadSpec, continuum_workload, generate_workload, parse_script, run_scenario
 
 
@@ -304,6 +304,27 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
     assert "Decision1" in woven.components  # cycle 0 output survives
 
 
+def test_a_memo_table_hit_returns_the_stored_value_and_counts_it():
+    table, pin, value = MemoTable(), object(), object()
+    assert table.recall(("k", 1), pin, lambda: value) is value
+    assert table.hits == 0 and table == {("k", 1): (pin, value)}
+    # A hit builds nothing and returns the very object stored.
+    assert table.recall(("k", 1), object(), lambda: pytest.fail("built on a hit")) is value
+    assert table.hits == 1 and table[("k", 1)][0] is pin
+
+
+def test_a_memo_table_stores_nothing_when_build_raises():
+    table = MemoTable()
+
+    def build():
+        raise RecursionError("too deep")
+
+    with pytest.raises(RecursionError):
+        table.recall("k", object(), build)
+    assert table == {} and table.hits == 0
+    assert table.recall("k", None, lambda: 7) == 7 and table.hits == 0
+
+
 def test_every_one_shot_weave_starts_from_an_empty_memo():
     # Only a replay session shares groundings, folds and lowerings between
     # weaves: a one-shot weave, such as each weave of criterion 9's sweep,
@@ -365,7 +386,7 @@ def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
     # Anchors with the same originals and the very same rule trees share
     # a fold within one weave; the weave emits what it emits when every
     # group is folded on its own, and merge_ops still counts every group.
-    class NoHits(dict):
+    class NoHits(MemoTable):
         def get(self, key, default=None):
             return default
 
