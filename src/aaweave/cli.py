@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, sim
-from .language import AaSyntaxError, Instantiate, parse_aa, parse_number
+from .language import AaSyntaxError, Instantiate, load_json, parse_aa
 from .model import ModelError, assembly_to_json, from_json_dict, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
@@ -61,12 +61,13 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _read_json(path: str, what: str):
-    """The JSON document in ``path``.  Malformed JSON, an integer too long
-    to convert (both ``ValueError``s) and nesting deeper than the decoder's
-    stack allows are an ``InputError`` that names the file."""
+    """The JSON document in ``path``.  Malformed JSON, a number that is
+    not finite or too long to convert (all ``ValueError``s) and nesting
+    deeper than the decoder's stack allows are an ``InputError`` that names
+    the file."""
     text = _read(path, what)
     try:
-        return json.loads(text, parse_int=parse_number)
+        return load_json(text)
     except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 

@@ -29,6 +29,7 @@ negation spelling is rejected outright.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import string
@@ -360,15 +361,34 @@ _IDENT_START = frozenset(string.ascii_letters + "_")
 def parse_number(text: str) -> int | float:
     """The value of a literal in ``_NUMBER``'s syntax: a float with a '.',
     else an int; a ``ValueError`` that shows one out of range.  JSON
-    inputs read their integers with it too (``json.loads``'s ``parse_int``)."""
+    inputs read their integers with it too (see :func:`load_json`)."""
     try:
         number = float(text) if "." in text else int(text)
     except ValueError:  # more digits than ``int`` converts
         number = math.inf
-    if isinstance(number, float) and not math.isfinite(number):
+    return _finite(number, text) if isinstance(number, float) else number
+
+
+def _finite(number: float, text: str) -> float:
+    """``number``, read from ``text``, unless it is infinite or NaN."""
+    if not math.isfinite(number):
         shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
         raise ValueError(f"number {shown} is out of range")
     return number
+
+
+def _no_constant(text: str):
+    raise ValueError(f"{text} is not a JSON number")
+
+
+def load_json(text: str):
+    """The JSON document ``text``, read strictly: ``NaN``, ``Infinity`` and
+    ``-Infinity``, a float out of range (``1e400``) and an integer too long
+    to convert raise ``ValueError``, so every number read is finite and
+    writes back as JSON."""
+    return json.loads(
+        text, parse_int=parse_number, parse_float=lambda t: _finite(float(t), t), parse_constant=_no_constant
+    )
 
 
 def _number_value(text: str, line: int, col: int, path) -> int | float:

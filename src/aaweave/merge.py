@@ -158,7 +158,7 @@ class MergedPlan:
     plain_bindings: list[Binding] = field(default_factory=list)
 
 
-def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[RewriteGroup], MergedPlan]:
+def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[list[RewriteGroup], MergedPlan]:
     """Group grounded rules by anchor.
 
     Link rules anchor at their required source port.  Rewrite rules anchor
@@ -173,6 +173,10 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
     order.  Both carry their contributors' joint provenance in ``cycle``.
     An anchor's trees are its originals' leaves, in port order, then its
     rule trees in no order that the result depends on.
+
+    ``memo`` is the weave's :class:`~aaweave.weaver.Memo`: its ``stamps``
+    hand out that provenance and its ``plain_bindings`` the plain links,
+    so a re-weave of a replay session emits the very objects it deployed.
 
     Only two kinds of base binding are looked at: those arriving at a
     rewritten port and those leaving an anchor.  A binding whose
@@ -211,16 +215,28 @@ def detect_conflicts(base: Assembly, instances, cycle: int = 0) -> tuple[list[Re
             outgoing.setdefault(b.source, []).append(b.target)
 
     groups: list[RewriteGroup] = []
+    stamps, plain = memo.stamps, memo.plain_bindings
     for anchor in sorted(per_anchor, key=PortRef.key):
         entries = per_anchor[anchor]
-        originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
+        contributors = (entries[0][1],) if len(entries) == 1 else tuple(sorted({who for _, who in entries}))
+        prov = stamps.get((contributors, cycle))
+        if prov is None:
+            prov = stamps[contributors, cycle] = _joint_provenance(contributors, cycle)
+        originals = outgoing.get(anchor)
+        if originals is None:
+            tree = entries[0][0]
+            if len(entries) == 1 and type(tree) is Leaf:
+                # The entry pins the leaf and its binding holds the anchor
+                # and the stamp, so no id in a live key is reused.
+                plan.plain_bindings.append(
+                    plain.recall((id(anchor), id(tree), id(prov)), tree, lambda: Binding(anchor, tree.target, prov))
+                )
+                continue
+            originals = ()
+        else:
+            originals = tuple(sorted(originals, key=PortRef.key))
         trees = [Leaf(target) for target in originals]
         trees.extend(t for t, _ in entries)
-        contributors = tuple(sorted({who for _, who in entries}))
-        prov = _joint_provenance(contributors, cycle)
-        if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
-            plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))
-            continue
         groups.append(RewriteGroup(anchor, tuple(trees), contributors, originals, prov))
     return groups, plan
 
@@ -279,10 +295,10 @@ def op_stems(tree: OperatorTree) -> tuple[str, ...]:
     return tuple(stems)
 
 
-def _build(node: OperatorTree, group: RewriteGroup, ids, components: list, bindings: list) -> tuple[PortRef, ...]:
-    """Lower ``node`` into ``components`` and ``bindings``, each op taking
-    the next of ``ids``; return the provided ports a parent should bind to
-    for it."""
+def _build(node: OperatorTree, group: RewriteGroup, ids, adds: list, binds: list) -> tuple[PortRef, ...]:
+    """Lower ``node`` into ``adds`` and ``binds``, the instructions adding
+    its op components and their bindings, each op taking the next of
+    ``ids``; return the provided ports a parent should bind to for it."""
     kind = type(node)
     if kind is Leaf:
         return (node.target,)
@@ -293,28 +309,32 @@ def _build(node: OperatorTree, group: RewriteGroup, ids, components: list, bindi
     children = _op_children(node)
     type_name, outs, ports = _op_shape(kind, len(children))
     cid, prov = next(ids), group.provenance
-    components.append(Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov))
+    adds.append(AddComponent(Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov)))
     targets = [(node.cond,)] if kind is If else []
-    targets.extend([_build(child, group, ids, components, bindings) for child in children])
+    targets.extend([_build(child, group, ids, adds, binds) for child in children])
     for port, ends in zip(outs, targets):
         source = PortRef(cid, port, REQUIRED)
-        bindings.extend([Binding(source, end, prov) for end in ends])
+        binds.extend([AddBinding(Binding(source, end, prov)) for end in ends])
     return (PortRef(cid, "in", PROVIDED),)
 
 
-def _lower_group(group: RewriteGroup, tree: OperatorTree, ids) -> tuple[tuple[Component, ...], tuple[Binding, ...]]:
-    """The op components and bindings ``group``'s folded ``tree`` lowers to;
-    ``ids`` is an iterator over the ops' fresh ids, taken in the order of
-    ``op_stems(tree)``.  Both are empty when the tree stands for exactly
-    the group's originals."""
-    components: list[Component] = []
-    bindings: list[Binding] = []
-    roots = _build(tree, group, ids, components, bindings)
+Lowering = tuple[tuple[AddComponent, ...], tuple[RemoveBinding, ...], tuple[AddBinding, ...]]
+
+
+def _lower_group(group: RewriteGroup, tree: OperatorTree, ids) -> Lowering:
+    """The instructions ``group``'s folded ``tree`` lowers to: the adds of
+    its op components, the removals of the anchor's original bindings and
+    the adds of its bindings.  ``ids`` is an iterator over the ops' fresh
+    ids, taken in the order of ``op_stems(tree)``.  All three are empty
+    when the tree stands for exactly the group's originals."""
+    adds: list[AddComponent] = []
+    binds: list[AddBinding] = []
+    roots = _build(tree, group, ids, adds, binds)
     if roots == group.originals:
-        return (), ()
+        return (), (), ()
     anchor, prov = group.anchor, group.provenance
-    bindings.extend([Binding(anchor, root, prov) for root in roots])
-    return tuple(components), tuple(bindings)
+    binds.extend([AddBinding(Binding(anchor, root, prov)) for root in roots])
+    return tuple(adds), tuple([RemoveBinding(anchor, o) for o in group.originals]), tuple(binds)
 
 
 def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
@@ -334,23 +354,26 @@ def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
 
     ``folded`` holds ``(group, tree, stems)`` triples, ``stems`` being
     ``op_stems(tree)``.  ``memo`` is the weave's lowerings, which pin the
-    tree.  A tree too deep for the stack raises :class:`NestedTooDeeply`.
+    tree and store each group's instructions as :func:`_lower_group` made
+    them, so a hit emits them as they are.  A tree too deep for the stack
+    raises :class:`NestedTooDeeply`.
     """
-    op_components: list[Component] = []
+    adds: list[AddComponent] = list(map(AddComponent, plan.component_adds))
     removes: list[RemoveBinding] = []
-    bindings = list(plan.plain_bindings)
+    binds: list[AddBinding] = list(map(AddBinding, plan.plain_bindings))
     for group, tree, stems in folded:
         ids = tuple([fresh.fresh(stem) for stem in stems])
         key = (id(tree), group.anchor, group.originals, group.provenance, ids)
         try:
-            components, group_bindings = memo.recall(key, tree, lambda: _lower_group(group, tree, iter(ids)))
+            group_adds, group_removes, group_binds = memo.recall(
+                key, tree, lambda: _lower_group(group, tree, iter(ids))
+            )
         except RecursionError:
             raise NestedTooDeeply(group.anchor) from None
-        if group_bindings:
-            op_components.extend(components)
-            removes.extend([RemoveBinding(group.anchor, o) for o in group.originals])
-            bindings.extend(group_bindings)
-    return [*map(AddComponent, [*plan.component_adds, *op_components]), *removes, *map(AddBinding, bindings)]
+        adds.extend(group_adds)
+        removes.extend(group_removes)
+        binds.extend(group_binds)
+    return [*adds, *removes, *binds]
 
 
 def _joint_provenance(contributors, cycle: int) -> Woven:

@@ -279,6 +279,13 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
     ``RemoveComponent`` cascades to every binding incident to the component.
     ``AddBinding`` onto an undeclared port of a woven component declares the
     port; base components reject unknown ports with :class:`DanglingBinding`.
+
+    A binding add is admitted by one inline check of both ends: each
+    component exists and declares the port in the end's direction, which
+    is the right one, and the endpoint key is new.  Only a binding that
+    fails it goes through :func:`_admit_endpoint`, which declares a woven
+    component's port or raises, so that function stays the one definition
+    of admission and of its messages.
     """
     comps = dict(assembly.components)
     bindings = dict(assembly.by_endpoints)
@@ -288,15 +295,22 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
         if kind is AddBinding:
             for ins in run:
                 b = ins.binding
-                key = b.endpoints()
-                try:
-                    _admit_endpoint(comps, b.source, REQUIRED)
-                    _admit_endpoint(comps, b.target, PROVIDED)
-                    if key in bindings:
-                        raise DuplicateBinding("already present")
-                except ModelError as exc:
-                    by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
-                    raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
+                s, t = b.source, b.target
+                key = (s.component_id, s.port_name, t.component_id, t.port_name)
+                sc, tc = comps.get(s.component_id), comps.get(t.component_id)
+                if (
+                    sc is None or tc is None or key in bindings
+                    or s.direction != REQUIRED or (s.port_name, REQUIRED) not in sc._port_index
+                    or t.direction != PROVIDED or (t.port_name, PROVIDED) not in tc._port_index
+                ):
+                    try:
+                        _admit_endpoint(comps, s, REQUIRED)
+                        _admit_endpoint(comps, t, PROVIDED)
+                        if key in bindings:
+                            raise DuplicateBinding("already present")
+                    except ModelError as exc:
+                        by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
+                        raise type(exc)(f"binding {s} -> {t}{by}: {exc}") from None
                 bindings[key] = b
         elif kind is AddComponent:
             for ins in run:

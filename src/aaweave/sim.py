@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .language import parse_aa, parse_number
+from .language import load_json, parse_aa
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -94,7 +94,7 @@ def parse_script(text: str) -> list[EnvEvent]:
         if not line or line.startswith("#"):
             continue
         try:
-            doc = json.loads(line, parse_int=parse_number)
+            doc = load_json(line)
             if not isinstance(doc, dict):
                 raise ScriptError(f"an event is a JSON object, not {line}")
             events.append(event_from_json(doc))

@@ -73,12 +73,21 @@ class Memo:
 
     ``folds`` keys a group on its originals and the ids of its rule trees
     as a multiset (``CALL`` can land twice), pinning all its trees, and
-    stores the folded tree and its ``op_stems``.
+    stores the folded tree and its ``op_stems``.  ``lowerings`` stores a
+    group's instructions ready made (see ``merge._lower_group``).
+
+    ``stamps`` and ``plain_bindings`` are ``detect_conflicts``'s: one
+    ``Woven`` per (contributors, cycle), and one plain ``Binding`` per
+    (anchor, leaf, stamp), keyed on the ``id()``s of all three and pinning
+    the leaf, so that a weave with no hits pays no hash of a port.  Both
+    make each re-weave hand on the objects the last one deployed.
     """
 
     instances: MemoTable = field(default_factory=MemoTable)
     folds: MemoTable = field(default_factory=MemoTable)
     lowerings: MemoTable = field(default_factory=MemoTable)
+    stamps: dict = field(default_factory=dict)
+    plain_bindings: MemoTable = field(default_factory=MemoTable)
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,7 @@ def _weave_cycle(
     mark, phase = time.perf_counter_ns(), "merge"
     fold_hits, lowering_hits = memo.folds.hits, memo.lowerings.hits
     try:
-        groups, plan = detect_conflicts(base, instances, cycle=cycle_index)
+        groups, plan = detect_conflicts(base, instances, memo, cycle=cycle_index)
         folded = []
         for group in groups:
             originals = group.originals

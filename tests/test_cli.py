@@ -762,6 +762,57 @@ def test_deep_nesting_long_integers_and_unreadable_files_exit_2_and_are_named(
         assert f"number {_LONG_INT[:12]}... (5000 characters) is out of range" in err, err
 
 
+@pytest.mark.parametrize(
+    "target,literal,message",
+    [
+        ("base", "1e400", "number 1e400 is out of range"),
+        ("base", "-1e400", "number -1e400 is out of range"),
+        ("base", "NaN", "NaN is not a JSON number"),
+        ("manifest", "Infinity", "Infinity is not a JSON number"),
+        ("manifest", "1e400", "number 1e400 is out of range"),
+        ("script", "-Infinity", "-Infinity is not a JSON number"),
+        ("script", "1e400", "number 1e400 is out of range"),
+    ],
+)
+def test_non_finite_numbers_exit_2_and_are_named(target, literal, message, tmp_path, fixtures_dir, capsys):
+    # Python's json reads these as inf or nan, which the weave would write
+    # back as ``Infinity`` or ``NaN``: no JSON reader takes that output.
+    path = tmp_path / "input"
+    hospital, empty = fixtures_dir / "hospital_base.json", fixtures_dir / "empty_base.json"
+    cascade = fixtures_dir / "scenario.cascade.json"
+    if target == "base":
+        text = hospital.read_text().replace('"properties": {}', f'"properties": {{"x": {literal}}}', 1)
+        assert literal in text
+        argv = ["weave", "--base", path, "--cascade", cascade]
+    elif target == "manifest":
+        manifest = json.loads(cascade.read_text())
+        manifest["cycles"] = [[str(fixtures_dir / entry) for entry in rank] for rank in manifest["cycles"]]
+        text = json.dumps(manifest)[:-1] + f', "weight": {literal}}}'
+        argv = ["weave", "--base", hospital, "--cascade", path]
+    else:
+        text = f'{{"at": 0, "kind": "disappear", "component_id": "x", "weight": {literal}}}\n'
+        argv = ["simulate", "--base", empty, "--cascade", cascade, "--script", path]
+    path.write_text(text)
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 2, err
+    assert f"{path}: " in err and message in err, err
+    if target == "script":
+        assert f"{path}: script line 1: " in err, err
+    assert out == ""
+
+
+def test_json_floats_in_exponent_form_still_read(tmp_path, fixtures_dir, capsys):
+    base = json.loads((fixtures_dir / "hospital_base.json").read_text())
+    first = base["components"][0]
+    first["properties"]["x"] = 1000.0
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base).replace("1000.0", "1e3", 1))
+    code, out, err = run(capsys, "weave", "--base", str(path), "--cascade", str(fixtures_dir / "scenario.cascade.json"))
+    assert code == 0, err
+    woven = {c["id"]: c for c in json.loads(out)["components"]}
+    assert woven[first["id"]]["properties"]["x"] == 1000.0
+
+
 # ---------------------------------------------------------------------------
 # folds too deep for the stack
 

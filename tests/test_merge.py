@@ -51,7 +51,7 @@ from aaweave.model import (
 )
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, sort_key
 from aaweave.sim import WorkloadSpec, generate_workload
-from aaweave.weaver import MemoTable
+from aaweave.weaver import Memo, MemoTable
 
 light_on = Leaf(provided("light", "on"))
 shutter_open = Leaf(provided("shutter", "open"))
@@ -262,7 +262,7 @@ def _hospital_instances(fixtures_dir, hospital_base):
 
 def test_shared_anchor_groups(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
-    groups, plan = detect_conflicts(hospital_base, instances)
+    groups, plan = detect_conflicts(hospital_base, instances, Memo())
     conflicts = [g for g in groups if g.is_conflict()]
     assert len(conflicts) == 1
     (group,) = conflicts
@@ -274,14 +274,14 @@ def test_shared_anchor_groups(fixtures_dir, hospital_base):
 
 def test_disjoint_rules_are_plain(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
-    groups, plan = detect_conflicts(hospital_base, instances)
+    groups, plan = detect_conflicts(hospital_base, instances, Memo())
     assert len(plan.plain_bindings) == 6
     assert len(plan.component_adds) == 4
 
 
 def test_instantiations_never_conflict(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
-    groups, plan = detect_conflicts(hospital_base, instances)
+    groups, plan = detect_conflicts(hospital_base, instances, Memo())
     added = {c.id for c in plan.component_adds}
     assert added == {"Decision1", "Timer1", "threshold1", "Average1"}
     # adding a component is never itself an anchor
@@ -365,7 +365,7 @@ def test_a_rewrite_groups_each_anchor_with_its_own_originals():
         instance("idle", Rewrite(provided("t", "idle"), shutter_open),
                  Rewrite(provided("nowhere", "in"), shutter_open)),
     ]
-    groups, plan = detect_conflicts(base, instances)
+    groups, plan = detect_conflicts(base, instances, Memo())
     target = provided("t", "in")
     assert groups == [
         RewriteGroup(required(a, "out"), (Leaf(target), tree), (("r", ""),), (target,), Woven("r", 0, ""))
@@ -385,7 +385,7 @@ def test_an_anchors_trees_are_its_originals_then_every_rule_tree():
         ("r3", Rewrite(provided("u", "in"), light_on)),
     ]
     instances = [instance(aa, rule) for aa, rule in rules]
-    groups, plan = detect_conflicts(base, instances, cycle=1)
+    groups, plan = detect_conflicts(base, instances, Memo(), cycle=1)
     (group,) = [g for g in groups if g.anchor == anchor]
     originals = (provided("t", "in"), provided("u", "in"))
     assert group.originals == originals
@@ -402,8 +402,8 @@ def test_detect_agrees_with_full_binding_maps(seed, cycles, p):
     base, cascades = generate_workload(spec)
     seen = []
 
-    def spy(assembly, instances, cycle=0):
-        got = detect_conflicts(assembly, instances, cycle=cycle)
+    def spy(assembly, instances, memo, cycle=0):
+        got = detect_conflicts(assembly, instances, memo, cycle=cycle)
         want = detect_over_full_maps(assembly, instances, cycle=cycle)
         seen.append(in_canonical_order(got) == in_canonical_order(want))
         return got
@@ -572,19 +572,17 @@ def test_groups_sharing_a_folded_tree_get_lowerings_of_their_own():
     assert len(memo) == 4
     assert [i.component.id for i in first[0] if isinstance(i, AddComponent)] == ["seq1", "seq2"]
     assert {(i.source, i.target) for i in first[1] if isinstance(i, RemoveBinding)} == {(switch, reached)}
-    # Repeats hit and emit the very objects stored.
+    # Repeats hit and emit the very instructions stored.
     for groups, before in zip(calls, first):
         again = lower(MergedPlan(), [(g, tree, stems) for g in groups], FreshNames(), memo)
         assert again == before
-        assert all((i.component if isinstance(i, AddComponent) else i.binding) is
-                   (j.component if isinstance(j, AddComponent) else j.binding)
-                   for i, j in zip(again, before) if not isinstance(i, RemoveBinding))
+        assert all(i is j for i, j in zip(again, before))
     assert len(memo) == 4
 
 
 def test_lowering_soundness_on_hospital(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
-    groups, plan = detect_conflicts(hospital_base, instances)
+    groups, plan = detect_conflicts(hospital_base, instances, Memo())
     instrs = lower_pairs(plan, [(g, merge_group(g)) for g in groups], FreshNames(taken=hospital_base.components))
     woven = apply_instructions(hospital_base, instrs)  # validates invariants
     assert "if1" in woven.components
@@ -593,7 +591,7 @@ def test_lowering_soundness_on_hospital(fixtures_dir, hospital_base):
 def test_lowering_keeps_each_groups_stamp(fixtures_dir, hospital_base):
     instances = _hospital_instances(fixtures_dir, hospital_base)
     assert {inst.namespace for inst in instances} == {""}
-    groups, plan = detect_conflicts(hospital_base, instances, cycle=2)
+    groups, plan = detect_conflicts(hospital_base, instances, Memo(), cycle=2)
     linked_by: dict = {}
     for inst in instances:
         for rule in inst.grounded_rules:

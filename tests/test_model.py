@@ -556,6 +556,83 @@ def test_remove_missing_binding_raises():
         )
 
 
+def apply_by_reference(assembly: Assembly, instructions) -> Assembly:
+    """``apply_instructions`` for component and binding adds as it was
+    before admission took one inline check: every end of every binding
+    through ``_admit_endpoint``."""
+    comps, bindings = dict(assembly.components), dict(assembly.by_endpoints)
+    for ins in instructions:
+        if type(ins) is AddComponent:
+            c = ins.component
+            if c.id in comps:
+                raise DuplicateComponent(f"component {c.id!r} already present")
+            comps[c.id] = c
+            continue
+        b = ins.binding
+        try:
+            model._admit_endpoint(comps, b.source, REQUIRED)
+            model._admit_endpoint(comps, b.target, PROVIDED)
+            if b.endpoints() in bindings:
+                raise DuplicateBinding("already present")
+        except model.ModelError as exc:
+            by = f" woven by {b.provenance.aa_name!r}" if b.provenance else ""
+            raise type(exc)(f"binding {b.source} -> {b.target}{by}: {exc}") from None
+        bindings[b.endpoints()] = b
+    return Assembly(comps, bindings)
+
+
+_SIDES = tuple(itertools.product(("p", "q"), (PROVIDED, REQUIRED)))
+
+
+@st.composite
+def admission_batches(draw):
+    """A small assembly of base (``b*``) and woven (``w*``) components, and
+    a batch of component and binding adds over it: ends on unknown
+    components (``x``), in the wrong direction, on undeclared ports of
+    either kind of component, and repeated components and bindings.  Ends
+    are drawn mostly in the right direction, so many batches apply."""
+    def component(cid):
+        sides = draw(st.lists(st.sampled_from(_SIDES), min_size=1, max_size=4, unique=True), label=f"{cid} ports")
+        prov = Woven("w", 0) if cid.startswith("w") else None
+        return Component(cid, "t", ports=tuple(PortSpec(n, d) for n, d in sides), provenance=prov)
+
+    def end(direction):
+        cid = draw(st.sampled_from(("b1", "b1", "b2", "w1", "w1", "w2", "x")), label="id")
+        if draw(st.integers(0, 7), label="wrong direction") == 0:
+            direction = REQUIRED if direction == PROVIDED else PROVIDED
+        return model.PortRef(cid, draw(st.sampled_from(("p", "q")), label="port"), direction)
+
+    assembly = Assembly.build([component(cid) for cid in ("b1", "b2", "w1")], [])
+    batch = []
+    for _ in range(draw(st.integers(1, 10), label="instructions")):
+        kind = draw(st.sampled_from(("component", "binding", "binding", "binding", "repeat")), label="kind")
+        adds = [i for i in batch if type(i) is AddBinding]
+        if kind == "component":
+            batch.append(AddComponent(component(draw(st.sampled_from(("w2", "w2", "w2", "b1")), label="id"))))
+        elif kind == "repeat" and adds:
+            batch.append(draw(st.sampled_from(adds), label="repeated"))
+        else:
+            prov = draw(st.sampled_from((None, Woven("a", 1))), label="provenance")
+            batch.append(AddBinding(Binding(end(REQUIRED), end(PROVIDED), prov)))
+    return assembly, batch
+
+
+def _outcome(apply, assembly, batch):
+    try:
+        return apply(assembly, batch)
+    except model.ModelError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=admission_batches())
+def test_admission_agrees_with_admitting_every_end(case):
+    # The inline check admits what every end's ``_admit_endpoint`` admits,
+    # declares the same ports and raises the same error with the same text.
+    assembly, batch = case
+    assert _outcome(apply_instructions, assembly, batch) == _outcome(apply_by_reference, assembly, batch)
+
+
 def test_canonical_equal_distinguishes_same_stem_wiring():
     def relay(cid):
         return Component(cid, "relay", ports=(PortSpec("out", REQUIRED),), provenance=Woven("ln", 0))

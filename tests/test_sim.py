@@ -13,10 +13,10 @@ from aaweave.merge import _lower_group as lower_group
 from aaweave.merge import lower, merge_group
 from aaweave.model import (
     PROVIDED,
+    AddBinding,
     AddComponent,
     Component,
     PortSpec,
-    RemoveBinding,
     apply_instructions,
     canonical_equal,
     required,
@@ -407,19 +407,23 @@ def replay_checked(base, cascades, script):
     reused = sum(r.folds_reused for reports in session for r in reports)
     assert len(memo_folds) + reused == len(folded)
     # Each distinct lowering was performed once, under the ids it took, and
-    # stored; a failed one stored nothing.  Every other group of a lowering
-    # that returned reused one.
-    assert [(key, fragment) for key, (_, fragment) in memo.lowerings.items()] == memo_performed
+    # its instructions stored as made; a failed one stored nothing.  Every
+    # other group of a lowering that returned reused one.
+    stored = [(key, lowering) for key, (_, lowering) in memo.lowerings.items()]
+    assert [key for key, _ in stored] == [key for key, _ in memo_performed]
+    assert all(lowering is made for (_, lowering), (_, made) in zip(stored, memo_performed))
     reused = sum(r.lowerings_reused for reports in session for r in reports)
     assert sum(n for *_, n in session_lowered) + reused == sum(n for *_, n in lowered)
-    # A lowering emits only the stored op components and bindings besides
-    # the cycle's advice components and plain bindings.
-    ops = {id(x) for _, (components, bindings) in memo.lowerings.values() for x in (*components, *bindings)}
+    # A lowering emits only stored instructions besides the adds of the
+    # cycle's advice components and of its plain bindings, which are the
+    # session table's.
+    ops = {id(i) for _, lowering in memo.lowerings.values() for part in lowering for i in part}
+    plain = {id(b) for _, b in memo.plain_bindings.values()}
     for plan, instrs, _ in session_lowered:
-        fresh_objects = {id(x) for x in (*plan.component_adds, *plan.plain_bindings)}
-        emitted = [i.component if type(i) is AddComponent else i.binding
-                   for i in instrs if type(i) is not RemoveBinding]
-        assert all(id(x) in ops or id(x) in fresh_objects for x in emitted)
+        advice = {id(c) for c in plan.component_adds}
+        assert all(id(b) in plain for b in plan.plain_bindings)
+        assert all(id(i) in ops or (type(i) is AddComponent and id(i.component) in advice)
+                   or (type(i) is AddBinding and id(i.binding) in plain) for i in instrs)
     return memo, session, session_instances
 
 

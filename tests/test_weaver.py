@@ -336,7 +336,7 @@ def test_every_one_shot_weave_starts_from_an_empty_memo():
     def cycle(base, pairs, cycle_index, fresh, memo, weave_cycle=weaver._weave_cycle):
         # A weave's cycles share one memo, empty when its first cycle begins.
         if cycle_index == 0:
-            assert not (memo.instances or memo.folds or memo.lowerings)
+            assert not (memo.instances or memo.folds or memo.lowerings or memo.stamps or memo.plain_bindings)
             memos.append(memo)
         assert memo is memos[-1]
         return weave_cycle(base, pairs, cycle_index, fresh, memo)
