@@ -276,8 +276,10 @@ def _sweep(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:step")
     start, stop, step = (int(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("sweep must be start:stop:step with step > 0")
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"sweep step must be > 0, not {step}")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"sweep stop {stop} is below its start {start}")
     return start, stop, step
 
 

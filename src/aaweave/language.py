@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import lru_cache
 
-from .model import PROVIDED, REQUIRED, PortSpec, canonical_ports, value
+from .model import PROVIDED, REQUIRED, PortSet, PortSpec, canonical_ports, value
 from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
 # Tokens the grammar is built from, in the order the tokenizer tries them
@@ -303,12 +303,14 @@ class Instantiate:
     """An advice-local component.  The parser infers ``ports`` from how the
     advice's arrows touch it: the left side of a link is required; the left
     side of a rewrite and every reference in a tree are provided.  Ports
-    that only later aspects mention surface when their bindings apply."""
+    that only later aspects mention surface when their bindings apply.
+    The parser's ``ports`` is a ``PortSet``, which every component the
+    factory builds from it keeps."""
 
     local_name: str
     type_name: str
     init_props: dict = field(default_factory=dict)
-    ports: tuple[PortSpec, ...] = ()
+    ports: PortSet = ()
 
 
 @value

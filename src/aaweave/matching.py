@@ -87,10 +87,15 @@ class JoinpointIndex:
     groups meet the port pattern; a ``PortRef`` is built only for a port
     that passes.  A rule with an equality filter on a string value visits
     only the groups that a per-key table lists under that value: exactly
-    the groups the filter accepts.  Every other rule scans all groups.
-    Tables are built on first use, so their cost lands in matching, not
-    in the caller.  Results are kept per (pattern, filters), so a rule
-    repeated verbatim across aspects is matched once.
+    the groups the filter accepts.  A rule without one whose component
+    pattern is all literals visits only the groups a name table lists
+    under the literals' text, lower-cased: a superset of the groups the
+    pattern accepts, since an id the ASCII case-blind pattern matches
+    equals that text after ``str.lower()``, and each listed group still
+    goes through ``accepts_component``.  Every other rule scans all
+    groups.  Tables are built on first use, so their cost lands in
+    matching, not in the caller.  Results are kept per (pattern,
+    filters), so a rule repeated verbatim across aspects is matched once.
 
     ``len()`` is the number of joinpoints and iterating yields each one's
     ``PortRef``, in group order: components by id, each one's ports in
@@ -101,6 +106,7 @@ class JoinpointIndex:
         self._groups = groups
         self._size = sum(len(c.ports) for c in groups)
         self._tables: dict[str, dict[str, list]] = {}
+        self._names: dict[str, list] | None = None
         self._matched: dict[tuple, list[PortRef]] = {}
 
     def __len__(self) -> int:
@@ -122,6 +128,14 @@ class JoinpointIndex:
             self._tables[key] = table
         return table.get(value, [])
 
+    def _groups_named(self, name: str) -> list:
+        table = self._names
+        if table is None:
+            table = self._names = {}
+            for c in self._groups:
+                table.setdefault(c.id.lower(), []).append(c)
+        return table.get(name, [])
+
     def candidates(self, rule: PointcutRule) -> list[PortRef]:
         """The ports ``rule`` matches, in index order."""
         key = (rule.pattern, rule.filters)
@@ -132,6 +146,10 @@ class JoinpointIndex:
                 if f.op == "eq" and isinstance(f.value, str):
                     groups = self._groups_with(f.key, f.value)
                     break
+            else:
+                atoms = rule.pattern.component_atoms
+                if all(atom[0] == "lit" for atom in atoms):
+                    groups = self._groups_named("".join(atom[1] for atom in atoms).lower())
             matches_port = rule.pattern.matches_port
             matched = [
                 PortRef(c.id, p.name, p.direction)

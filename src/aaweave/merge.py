@@ -40,6 +40,7 @@ from .model import (
     Component,
     Instruction,
     PortRef,
+    PortSet,
     PortSpec,
     RemoveBinding,
     Woven,
@@ -255,11 +256,12 @@ _OPS = {
 
 
 @lru_cache(maxsize=None)
-def _op_shape(kind: type, arity: int) -> tuple[str, tuple[str, ...], tuple[PortSpec, ...]]:
-    """An op's type name, out port names and port tuple.
+def _op_shape(kind: type, arity: int) -> tuple[str, tuple[str, ...], PortSet]:
+    """An op's type name, out port names and ``PortSet``.
 
     Every op of one kind and arity shares these objects, so its port names
-    are made once and its components share one port index.
+    are made once and its components keep the one shared ``PortSet``, index
+    and all.
     """
     type_name = _OPS[kind][0]
     outs = ("cond", "out_then", "out_else") if kind is If else tuple(f"out_{k}" for k in range(1, arity + 1))

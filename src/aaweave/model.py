@@ -107,46 +107,62 @@ class PortSpec:
     direction: str  # PROVIDED or REQUIRED
 
 
-def canonical_ports(ports) -> tuple[PortSpec, ...]:
-    """A port set in the one order every component keeps: by direction, then name.
+class PortSet(tuple):
+    """A port set as the tuple of its ports in the one order every
+    component keeps, by direction, then name, with no repeats.
 
-    A tuple already in that order, with no repeats, comes back as it is.
+    It carries ``pairs``, the frozenset of its ports' ``(name,
+    direction)`` pairs, which ``Component.has_port`` reads.  Being a
+    tuple, it compares, hashes, prints and exports as one; adding to it
+    or slicing it gives a plain tuple.  Get one from ``canonical_ports``,
+    which hands out one object per distinct set.
     """
-    if type(ports) is tuple:
-        keys = [(p.direction, p.name) for p in ports]
-        if all(a < b for a, b in zip(keys, keys[1:])):
-            return ports
-    return tuple(sorted(set(ports), key=lambda p: (p.direction, p.name)))
+
+    def __new__(cls, ports):
+        self = super().__new__(cls, sorted(set(ports), key=lambda p: (p.direction, p.name)))
+        self.pairs = frozenset((p.name, p.direction) for p in self)
+        return self
+
+
+def canonical_ports(ports) -> PortSet:
+    """The ``PortSet`` of ``ports``, in any order and with any repeats.
+
+    A ``PortSet`` comes back as it is.  Any other port collection is
+    looked up by value, so equal port sets are one object with one
+    index, however often they are built; the lookup keeps a bounded
+    number of sets.
+    """
+    if type(ports) is PortSet:
+        return ports
+    return _interned(frozenset(ports))
 
 
 @lru_cache(maxsize=1 << 16)
-def _port_index(ports: tuple[PortSpec, ...]) -> frozenset[tuple[str, str]]:
-    """The (name, direction) pairs of a port tuple; components with equal
-    port tuples share one index."""
-    return frozenset((p.name, p.direction) for p in ports)
+def _interned(ports: frozenset[PortSpec]) -> PortSet:
+    return PortSet(ports)
 
 
 @dataclass(frozen=True)
 class Component:
-    """A black box.  Its ports are a set kept in one canonical order, so
-    equality, export and joinpoint order never depend on how the caller
-    listed them; ``__post_init__`` sets that order and the port index."""
+    """A black box.  Its ports are a ``PortSet``, kept in one canonical
+    order, so equality, export and joinpoint order never depend on how
+    the caller listed them.  ``__post_init__`` keeps a ``PortSet`` it is
+    given, such as the parser's ``Instantiate.ports`` or lowering's op
+    shapes, and passes any other collection through ``canonical_ports``."""
 
     id: str
     type_name: str
     properties: dict[str, Value] = field(default_factory=dict)
     metadata: dict[str, Value] = field(default_factory=dict)
-    ports: tuple[PortSpec, ...] = ()
+    ports: PortSet = ()
     provenance: Woven | None = None
-    _port_index: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ports = canonical_ports(self.ports)
-        object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "_port_index", _port_index(ports))
+        if type(self.ports) is not PortSet:
+            object.__setattr__(self, "ports", canonical_ports(self.ports))
 
     def has_port(self, name: str, direction: str) -> bool:
-        return (name, direction) in self._port_index
+        return (name, direction) in self.ports.pairs
 
     def with_port(self, spec: PortSpec) -> "Component":
         return replace(self, ports=self.ports + (spec,))
@@ -300,8 +316,8 @@ def apply_instructions(assembly: Assembly, instructions) -> Assembly:
                 sc, tc = comps.get(s.component_id), comps.get(t.component_id)
                 if (
                     sc is None or tc is None or key in bindings
-                    or s.direction != REQUIRED or (s.port_name, REQUIRED) not in sc._port_index
-                    or t.direction != PROVIDED or (t.port_name, PROVIDED) not in tc._port_index
+                    or s.direction != REQUIRED or (s.port_name, REQUIRED) not in sc.ports.pairs
+                    or t.direction != PROVIDED or (t.port_name, PROVIDED) not in tc.ports.pairs
                 ):
                     try:
                         _admit_endpoint(comps, s, REQUIRED)

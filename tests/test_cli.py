@@ -502,6 +502,24 @@ def test_bench_and_simulate_reject_out_of_range_counts(fixtures_dir, capsys):
         assert "Traceback" not in err
 
 
+def test_bench_names_the_fault_of_a_sweep(capsys):
+    cases = [
+        ("5:1:1", "sweep stop 1 is below its start 5"),
+        ("0:10:0", "sweep step must be > 0, not 0"),
+        ("0:10:-2", "sweep step must be > 0, not -2"),
+        ("5:1:0", "sweep step must be > 0, not 0"),
+    ]
+    for sweep, message in cases:
+        code, out, err = run(capsys, "bench", "--sweep", sweep, "--p", "0", "--reps", "1")
+        assert code == 1, sweep  # a usage error
+        assert out == ""
+        assert message in err, sweep
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "bench", "--sweep", "5:5:1", "--p", "0", "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[0].startswith("joinpoints,")
+
+
 def test_every_file_argument_rejects_a_directory(tmp_path, fixtures_dir, capsys):
     base = str(fixtures_dir / "hospital_base.json")
     cascade = str(fixtures_dir / "scenario.cascade.json")

@@ -141,7 +141,10 @@ def reference_joinpoints(assembly, cycle, namespace, weaving=frozenset()):
 
 
 DIRECTIONS = (PROVIDED, REQUIRED)
-_NAMES = ("dev1", "Dev1", "DEV1", "dev12", "light1", "Light2", "hub", "x")
+# Ids that differ only in ASCII case (``Hub``), or only in the case of a
+# non-ASCII letter (``DÉV1``, ``dÉv1``), which the ASCII case-blind
+# pattern ``dév1`` does not match although ``str.lower()`` equates them.
+_NAMES = ("dev1", "Dev1", "DEV1", "dev12", "light1", "Light2", "hub", "Hub", "x", "dév1", "DÉV1", "dÉv1")
 _KEYS = ("type", "level")
 # Few values, so that components share them: strings differing in case or
 # reading as numbers, and numbers equal across int, float and bool.
@@ -181,10 +184,17 @@ _ATOMS = st.one_of(
             (literal("in"),),
             (literal("set"), DIGIT),
             (STAR, literal("state")),
+            # All literals: matched through the index's name table.
+            (literal("hub"),),
+            (literal("HUB"),),
+            (literal("dé"), literal("v1")),
+            (literal("DEV1"),),
+            (literal("dev"), literal("1")),
         )
     ),
     st.lists(
-        st.sampled_from((literal("dev"), literal("light"), literal("1"), literal("in"), STAR, DIGIT)), max_size=3
+        st.sampled_from((literal("dev"), literal("light"), literal("1"), literal("in"), literal("HUB"), STAR, DIGIT)),
+        max_size=3,
     ).map(tuple),
 )
 

@@ -21,6 +21,7 @@ from aaweave.model import (
     DanglingBinding,
     DuplicateBinding,
     DuplicateComponent,
+    PortSet,
     PortSpec,
     RemoveBinding,
     RemoveComponent,
@@ -30,6 +31,7 @@ from aaweave.model import (
     assembly_from_json,
     assembly_to_json,
     canonical_equal,
+    canonical_ports,
     diff,
     provided,
     required,
@@ -129,14 +131,65 @@ def test_component_ports_are_a_canonical_set():
     assert Component("y", "t", ports=c.ports).ports is c.ports  # already canonical: kept as it is
 
 
+def test_port_tuples_in_any_order_give_one_port_set():
+    pa, pb, ra = PortSpec("a", PROVIDED), PortSpec("b", PROVIDED), PortSpec("a", REQUIRED)
+    sets = [canonical_ports(order) for order in itertools.permutations((pa, pb, ra))]
+    sets += [canonical_ports([ra, pa, pb, pa]), canonical_ports({pa, pb, ra}), comp("x", pb, ra, pa).ports]
+    first = sets[0]
+    assert type(first) is PortSet and first == (pa, pb, ra)
+    assert all(s is first for s in sets)
+    assert first.pairs == {("a", PROVIDED), ("b", PROVIDED), ("a", REQUIRED)}
+    # A copy in the same order is still looked up, not kept.
+    assert canonical_ports(tuple(first)) is first
+    assert canonical_ports([pa]) is not first
+
+
+def test_a_component_keeps_the_port_set_it_is_given():
+    ports = canonical_ports([PortSpec("in", PROVIDED), PortSpec("out", REQUIRED)])
+    for c in (
+        Component("x", "t", ports=ports),
+        replace(Component("y", "t", ports=ports), id="z"),
+        Component("w", "t", ports=ports, provenance=Woven("a", 0)),
+    ):
+        assert c.ports is ports
+    # Every component's ports are a port set, however they were given.
+    for given_ports in ((), [PortSpec("in", PROVIDED)], (PortSpec("in", PROVIDED),)):
+        assert type(Component("x", "t", ports=given_ports).ports) is PortSet
+    loaded = assembly_from_json(assembly_to_json(Assembly.build([comp("x", *ports)], [])))
+    assert type(loaded.components["x"].ports) is PortSet
+
+
+def test_with_port_gives_a_canonical_port_set_holding_the_port():
+    c = comp("x", PortSpec("b", PROVIDED), PortSpec("a", REQUIRED))
+    for spec in (PortSpec("a", PROVIDED), PortSpec("z", REQUIRED), PortSpec("b", PROVIDED)):
+        grown = c.with_port(spec)
+        assert type(grown.ports) is PortSet
+        assert grown.ports is canonical_ports([*c.ports, spec])
+        assert list(grown.ports) == sorted({*c.ports, spec}, key=lambda p: (p.direction, p.name))
+        assert grown.has_port(spec.name, spec.direction)
+
+
+def test_parsing_again_adds_no_port_set(fixtures_dir):
+    text = (fixtures_dir / "aa" / "identity_management.aa").read_text()
+    first = language.parse_aa(text)
+    size = model._interned.cache_info().currsize
+    for _ in range(1000):
+        again = language.parse_aa(text)
+    assert model._interned.cache_info().currsize == size
+    locals_ = [(a, b) for a, b in zip(first.rules, again.rules) if isinstance(a, language.Instantiate)]
+    assert locals_
+    for a, b in locals_:
+        assert type(a.ports) is PortSet and a.ports is b.ports
+
+
 def test_components_with_equal_ports_share_one_port_index():
     pa, ra = PortSpec("in", PROVIDED), PortSpec("out", REQUIRED)
     x, y = comp("x", ra, pa), comp("y", pa, ra, prov=Woven("a", 0))
     other = comp("z", pa)
     for c in (x, y, other):
         assert c.has_port("in", PROVIDED) and not c.has_port("in", REQUIRED)
-    assert x.__dict__["_port_index"] is y.__dict__["_port_index"]
-    assert other.__dict__["_port_index"] is not x.__dict__["_port_index"]
+    assert x.ports.pairs is y.ports.pairs
+    assert other.ports.pairs is not x.ports.pairs
 
     # Declaring a port on a woven component gives it an index that holds
     # the port; the component it replaced keeps the shared one.
