@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import analysis, sim
-from .language import AaSyntaxError, Instantiate, load_json, parse_aa
-from .model import ModelError, assembly_to_json, from_json_dict, to_dot
+from .language import AaSyntaxError, Instantiate, parse_aa
+from .model import ModelError, assembly_to_json, from_json_dict, load_json, to_dot
 from .weaver import Cascade, NameCollision, reweave, union
 
 EXIT_OK = 0
@@ -342,10 +342,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except AaSyntaxError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
-    except (InputError, ValueError) as exc:
+    except (AaSyntaxError, InputError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     except NameCollision as exc:

@@ -29,15 +29,13 @@ negation spelling is rejected outright.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
-import string
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import lru_cache
 
-from .model import PROVIDED, REQUIRED, PortSet, PortSpec, canonical_ports, value
+from .model import PROVIDED, REQUIRED, PortSet, PortSpec, canonical_ports, parse_number, value
 from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
 
 # Tokens the grammar is built from, in the order the tokenizer tries them
@@ -149,38 +147,34 @@ class PointcutRule:
         return True
 
 
+# Whitespace, then at most one atom: a digit class, a star or a literal.
+_ATOM = re.compile(r"\s*(?:(\[\[:digit:\]\]|\[:digit:\])|(\.?\*)|(\w+))?")
+
+
 def _scan_atoms(text: str, line: int, col: int, path) -> tuple:
+    """The atoms of one pattern part, read one ``_ATOM`` match at a time.
+    Its ``\\s`` and ``\\w`` are the ``str.isspace`` and ``str.isalnum``-or-``_``
+    classes: whitespace between atoms is skipped, and a literal is a run of
+    word characters that may hold non-ASCII letters and digits."""
     atoms: list[tuple] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith("[[:digit:]]", i):
+    i = 0
+    while True:
+        m = _ATOM.match(text, i)
+        i = m.end()
+        if m.lastindex == 1:
             atoms.append(DIGIT)
-            i += 11
-        elif text.startswith("[:digit:]", i):
-            atoms.append(DIGIT)
-            i += 9
-        elif ch == "[":
+        elif m.lastindex == 2:
+            atoms.append(STAR)
+        elif m.lastindex == 3:
+            atoms.append(literal(m.group(3)))
+        elif i == len(text):
+            return tuple(atoms)
+        elif text[i] == "[":
             raise AaSyntaxError(f"unterminated or unknown character class in pattern {text!r}", line, col, path)
-        elif ch == "*":
-            atoms.append(STAR)
-            i += 1
-        elif text.startswith(".*", i):
-            atoms.append(STAR)
-            i += 2
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            atoms.append(literal(text[i:j]))
-            i = j
-        elif ch == "!":
+        elif text[i] == "!":
             raise NegationRejected("negation is not expressible in patterns", line, col, path)
         else:
-            raise AaSyntaxError(f"unexpected character {ch!r} in pattern {text!r}", line, col, path)
-    return tuple(atoms)
+            raise AaSyntaxError(f"unexpected character {text[i]!r} in pattern {text!r}", line, col, path)
 
 
 def _split_pattern(raw: str, line: int, col: int, path) -> tuple[str, str | None, str | None]:
@@ -354,43 +348,14 @@ class _Token:
 
 # Numbers and names are ASCII only: any other letter or digit outside a
 # string or pattern is an unexpected character.
-_NUMBER = re.compile(r"-?[0-9]+(\.[0-9]+)?")
-_NUMBER_START = frozenset("-0123456789")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_IDENT_START = frozenset(string.ascii_letters + "_")
-
-
-def parse_number(text: str) -> int | float:
-    """The value of a literal in ``_NUMBER``'s syntax: a float with a '.',
-    else an int; a ``ValueError`` that shows one out of range.  JSON
-    inputs read their integers with it too (see :func:`load_json`)."""
-    try:
-        number = float(text) if "." in text else int(text)
-    except ValueError:  # more digits than ``int`` converts
-        number = math.inf
-    return _finite(number, text) if isinstance(number, float) else number
-
-
-def _finite(number: float, text: str) -> float:
-    """``number``, read from ``text``, unless it is infinite or NaN."""
-    if not math.isfinite(number):
-        shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
-        raise ValueError(f"number {shown} is out of range")
-    return number
-
-
-def _no_constant(text: str):
-    raise ValueError(f"{text} is not a JSON number")
-
-
-def load_json(text: str):
-    """The JSON document ``text``, read strictly: ``NaN``, ``Infinity`` and
-    ``-Infinity``, a float out of range (``1e400``) and an integer too long
-    to convert raise ``ValueError``, so every number read is finite and
-    writes back as JSON."""
-    return json.loads(
-        text, parse_int=parse_number, parse_float=lambda t: _finite(float(t), t), parse_constant=_no_constant
-    )
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+# Blanks and a comment, then at most one token, whose kind is the name of
+# the group that took it.  A match that takes none stops at the character
+# at fault, or at the '/' that opens a pattern.
+_TOKEN = re.compile(
+    rf"[ \t\r]*(?:#[^\n]*)?(?:(?P<NEWLINE>\n)|(?P<NUMBER>{_NUMBER.pattern})|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<STRING>'[^']*'|\"[^\"]*\")|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})|(?P<EOF>\Z))?"
+)
 
 
 def _number_value(text: str, line: int, col: int, path) -> int | float:
@@ -402,67 +367,42 @@ def _number_value(text: str, line: int, col: int, path) -> int | float:
 
 
 def _tokenize(text: str, path: str | None) -> list[_Token]:
+    """The tokens of ``text``, ending in EOF.  A string runs to the next
+    quote of its own kind and may span lines; the positions of what follows
+    count its newlines.  A column counts characters from 1."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, i = 1, 0, 0
+    while True:
+        m = _TOKEN.match(text, i)
+        kind, i = m.lastgroup, m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, i
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "!":
-            raise NegationRejected("negation syntax is not part of the language", line, col, path)
-        if ch == "/" and tokens and tokens[-1].kind == ":=":
+        start = m.start(kind) if kind else i
+        col = start - line_start + 1
+        if kind is None:
+            ch = text[i]
+            if ch == "!":
+                raise NegationRejected("negation syntax is not part of the language", line, col, path)
+            if ch != "/" or not tokens or tokens[-1].kind != ":=":
+                problem = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
+                raise AaSyntaxError(problem, line, col, path)
             end = text.find("/", i + 1)
             nl = text.find("\n", i + 1)
             if end < 0 or (0 <= nl < end):
                 raise AaSyntaxError("unterminated pattern", line, col, path)
-            raw = text[i : end + 1]
-            tokens.append(_Token("PATTERN", raw, line, col))
-            col += end + 1 - i
+            tokens.append(_Token("PATTERN", text[i : end + 1], line, col))
             i = end + 1
             continue
-        if ch in "'\"":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise AaSyntaxError("unterminated string", line, col, path)
-            tokens.append(_Token("STRING", text[i + 1 : end], line, col))
-            col += end + 1 - i
-            i = end + 1
+        word = m.group(kind)
+        if kind == "STRING":
+            tokens.append(_Token(kind, word[1:-1], line, col))
+            if "\n" in word:
+                line, line_start = line + word.count("\n"), start + word.rfind("\n") + 1
             continue
-        if ch in _NUMBER_START:
-            m = _NUMBER.match(text, i)
-            if m is not None:
-                tokens.append(_Token("NUMBER", m.group(), line, col))
-                col += m.end() - i
-                i = m.end()
-                continue
-        if ch in _IDENT_START:
-            m = _IDENT.match(text, i)
-            tokens.append(_Token("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise AaSyntaxError(f"unexpected character {ch!r}", line, col, path)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+        tokens.append(_Token(word if kind == "SYMBOL" else kind, word, line, col))
+        if kind == "EOF":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +545,11 @@ class _Parser:
             children.append(self.parse_op_seq())
         return par_of(children)
 
+    def parse_whole_op_expr(self) -> OperatorTree:
+        tree = self.parse_op_expr()
+        self.expect("EOF", "end of expression")
+        return tree
+
     def parse_op_seq(self) -> OperatorTree:
         children = [self.parse_op_atom()]
         while self.cur.kind == ";":
@@ -725,28 +670,25 @@ class _Parser:
         return Link(lhs, tree) if pattern.port_required else Rewrite(lhs, tree)
 
 
-def parse_aa(text: str, path: str | None = None) -> AspectOfAssembly:
-    """Parse one aspect source into its structured form.
-
-    Nesting deeper than the interpreter's stack allows is a syntax error
-    at the token the parser stopped at."""
+def _parse(text: str, path: str | None, production):
+    """``production`` run on a parser over ``text``.  Nesting deeper than
+    the interpreter's stack allows is a syntax error at the token the
+    parser stopped at."""
     parser = _Parser(_tokenize(text, path), path)
     try:
-        return parser.parse_aa()
+        return production(parser)
     except RecursionError:
         pass  # failing outside the handler chains no RecursionError
     parser.fail("expression nested too deeply")
 
 
+def parse_aa(text: str, path: str | None = None) -> AspectOfAssembly:
+    """Parse one aspect source into its structured form."""
+    return _parse(text, path, _Parser.parse_aa)
+
+
 def parse_operator_expr(text: str, path: str | None = None) -> OperatorTree:
-    parser = _Parser(_tokenize(text, path), path)
-    try:
-        tree = parser.parse_op_expr()
-        parser.expect("EOF", "end of expression")
-        return tree
-    except RecursionError:
-        pass  # as in parse_aa
-    parser.fail("expression nested too deeply")
+    return _parse(text, path, _Parser.parse_whole_op_expr)
 
 
 # ---------------------------------------------------------------------------

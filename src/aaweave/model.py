@@ -16,6 +16,7 @@ have closed port sets and reject unknown ports.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import lru_cache
@@ -509,6 +510,39 @@ def canonical_equal(a: Assembly, b: Assembly) -> bool:
 # Serialization
 
 
+def parse_number(text: str) -> int | float:
+    """The value of a numeral: a float with a '.', else an int; a
+    ``ValueError`` that shows one out of range.  The aspect language reads
+    its numbers with it, and :func:`load_json` its integers."""
+    try:
+        number = float(text) if "." in text else int(text)
+    except ValueError:  # more digits than ``int`` converts
+        number = math.inf
+    return _finite(number, text) if isinstance(number, float) else number
+
+
+def _finite(number: float, text: str) -> float:
+    """``number``, read from ``text``, unless it is infinite or NaN."""
+    if not math.isfinite(number):
+        shown = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
+        raise ValueError(f"number {shown} is out of range")
+    return number
+
+
+def _no_constant(text: str):
+    raise ValueError(f"{text} is not a JSON number")
+
+
+def load_json(text: str):
+    """The JSON document ``text``, read strictly: ``NaN``, ``Infinity`` and
+    ``-Infinity``, a float out of range (``1e400``) and an integer too long
+    to convert raise ``ValueError``, so every number read is finite and
+    writes back as JSON."""
+    return json.loads(
+        text, parse_int=parse_number, parse_float=lambda t: _finite(float(t), t), parse_constant=_no_constant
+    )
+
+
 def _provenance_to_json(p: Woven | None) -> dict:
     if p is None:
         return {"kind": "base"}
@@ -624,7 +658,8 @@ def assembly_to_json(assembly: Assembly) -> str:
 
 
 def assembly_from_json(text: str) -> Assembly:
-    return from_json_dict(json.loads(text))
+    """The assembly in JSON ``text``, read as :func:`load_json` reads it."""
+    return from_json_dict(load_json(text))
 
 
 def to_dot(assembly: Assembly) -> str:

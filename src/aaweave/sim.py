@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .language import load_json, parse_aa
+from .language import parse_aa
 from .model import (
     PROVIDED,
     REQUIRED,
@@ -38,6 +38,7 @@ from .model import (
     apply_instructions,
     component_from_json,
     component_to_json,
+    load_json,
     to_json_dict,
 )
 from .weaver import PHASES, Cascade, Memo, WeaveReport, reweave, weave_cascade

@@ -230,6 +230,19 @@ def test_syntax_error_carries_position():
     assert "bad.aa:3:" in str(err.value)
 
 
+def test_a_string_spanning_lines_advances_the_line_count():
+    src = "Advice:\nschema s():\n  x : 'a\nb';\n  $\n"
+    with pytest.raises(AaSyntaxError, match="unexpected character '\\$'") as err:
+        parse_aa(src, "f.aa")
+    assert str(err.value).startswith("f.aa:5:3: ")
+
+
+def test_eof_after_a_comment_is_at_the_end_of_the_line():
+    with pytest.raises(AaSyntaxError) as err:
+        parse_aa("# only a comment", "f.aa")
+    assert str(err.value) == "f.aa:1:17: expected 'Advice', found 'EOF'"
+
+
 def test_unbound_variable():
     src = "Advice:\nschema x():\n  ghost.p -> (nop)\n"
     with pytest.raises(UnboundVariable):

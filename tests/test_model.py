@@ -471,6 +471,16 @@ def test_json_round_trip_random(seed):
     assert assembly_from_json(assembly_to_json(a)) == a
 
 
+@pytest.mark.parametrize(
+    "literal,message",
+    [("NaN", "NaN is not a JSON number"), ("Infinity", "Infinity is not a JSON number"), ("1e400", "number 1e400 is out of range")],
+)
+def test_json_numbers_that_do_not_write_back_are_rejected(literal, message):
+    text = '{"components": [{"id": "a", "metadata": {"x": %s}}]}' % literal
+    with pytest.raises(ValueError, match=message):
+        assembly_from_json(text)
+
+
 def test_export_empty_json():
     doc = assembly_to_json(Assembly.empty())
     assert '"components": []' in doc and '"bindings": []' in doc
