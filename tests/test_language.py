@@ -28,6 +28,7 @@ from aaweave.language import (
     parse_aa,
     parse_operator_expr,
     parse_pattern,
+    parse_pattern_with_filters,
     print_aa,
     print_operator_expr,
 )
@@ -171,6 +172,72 @@ def test_pattern_errors():
         parse_pattern("/a[:dig/")
     with pytest.raises(AaSyntaxError):
         parse_pattern("no slashes")
+
+
+_X, _P, _T1 = literal("x"), literal("p"), (MetadataFilter("t", "eq", 1),)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("/x.p/", (Pattern((_X,), (_P,)), ())),
+        ("/x./", "pattern '/x./' has an empty port part"),
+        ("/x.^p/", (Pattern((_X,), (_P,), True), ())),
+        ("/x.^/", "pattern '/x.^/' has an empty port part"),
+        ("/x.^*/", (Pattern((_X,), (STAR,), True), ())),
+        ("/x..*/", (Pattern((_X,), (STAR,)), ())),
+        ("/x(@t=1)..*/", (Pattern((_X,), (STAR,)), _T1)),
+        ("/x.* (@t=1)/", (Pattern((_X, STAR)), _T1)),
+        ("/(@t=1).*/", (Pattern((STAR,)), _T1)),
+        ("/x(@t=1).p/", (Pattern((_X,), (_P,)), _T1)),
+        ("/x(@k='a(b)')/", (Pattern((_X,)), (MetadataFilter("k", "eq", "a(b)"),))),
+        ("/x(@k=1)(j=2)/", (Pattern((_X,)), (MetadataFilter("k", "eq", "1)(j=2"),))),
+        ("/x(@k=1/", "unbalanced filter parentheses in pattern 'x(@k=1'"),
+        ("/x)(@k=1/", "unbalanced filter parentheses in pattern 'x)(@k=1'"),
+        ("/x(@k=1)p/", "expected '.' before port part in pattern 'x(@k=1)p'"),
+        ("/x(@k=1) .p/", "expected '.' before port part in pattern 'x(@k=1) .p'"),
+        ("/.p/", "pattern '/.p/' has an empty component part"),
+        ("/(@k='a(b)')/", "pattern \"/(@k='a(b)')/\" has an empty component part"),
+        ("/x.p.q/", "unexpected character '.' in pattern 'p.q'"),
+        ("/a.b(@t=1)/", "unexpected character '.' in pattern 'a.b'"),
+        ("/x()/", "empty metadata filter"),
+        ("/ /", "empty pattern"),
+    ],
+)
+def test_pattern_parts(text, expected):
+    """Filters run from the first '(' to the last ')'; without a '(' the
+    component part ends at the first '.'; a trailing '.*' widens the
+    component part."""
+    if isinstance(expected, str):
+        with pytest.raises(AaSyntaxError) as err:
+            parse_pattern_with_filters(text)
+        assert type(err.value) is AaSyntaxError and err.value.message == expected
+    else:
+        assert parse_pattern_with_filters(text) == expected
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("a := /x.p/", [("IDENT", "a", 1, 1), (":=", ":=", 1, 3), ("PATTERN", "/x.p/", 1, 6), ("EOF", "", 1, 11)]),
+        (
+            "a :=  # c\n /x(@k='a(b)')/",
+            [("IDENT", "a", 1, 1), (":=", ":=", 1, 3), ("PATTERN", "/x(@k='a(b)')/", 2, 2), ("EOF", "", 2, 16)],
+        ),
+        ("/x/", (1, 1, "unexpected character '/'")),
+        ("a /x/", (1, 3, "unexpected character '/'")),
+        ("a := /x/ /y/", (1, 10, "unexpected character '/'")),
+        ("a := /x", (1, 6, "unterminated pattern")),
+        ("a :=\n  /x\n/", (2, 3, "unterminated pattern")),
+    ],
+)
+def test_tokenizer_reads_a_pattern_only_after_assignment(src, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(AaSyntaxError) as err:
+            _tokenize(src, None)
+        assert type(err.value) is AaSyntaxError and (err.value.line, err.value.col, err.value.message) == expected
+    else:
+        assert [(t.kind, t.value, t.line, t.col) for t in _tokenize(src, None)] == expected
 
 
 def test_filters_parse_and_evaluate():
