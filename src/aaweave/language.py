@@ -147,15 +147,18 @@ class PointcutRule:
         return True
 
 
-# Whitespace, then at most one atom: a digit class, a star or a literal.
-_ATOM = re.compile(r"\s*(?:(\[\[:digit:\]\]|\[:digit:\])|(\.?\*)|(\w+))?")
+# Whitespace, then at most one atom: a digit class, a star or a literal,
+# which may hold whitespace between its runs of word characters.
+_ATOM = re.compile(r"\s*(?:(\[\[:digit:\]\]|\[:digit:\])|(\.?\*)|(\w+(?:\s+\w+)*))?")
 
 
 def _scan_atoms(text: str, line: int, col: int, path) -> tuple:
     """The atoms of one pattern part, read one ``_ATOM`` match at a time.
     Its ``\\s`` and ``\\w`` are the ``str.isspace`` and ``str.isalnum``-or-``_``
     classes: whitespace between atoms is skipped, and a literal is a run of
-    word characters that may hold non-ASCII letters and digits."""
+    word characters that may hold non-ASCII letters and digits.  Literals
+    with only whitespace between them are one literal, as ``print_pattern``
+    writes them."""
     atoms: list[tuple] = []
     i = 0
     while True:
@@ -166,7 +169,7 @@ def _scan_atoms(text: str, line: int, col: int, path) -> tuple:
         elif m.lastindex == 2:
             atoms.append(STAR)
         elif m.lastindex == 3:
-            atoms.append(literal(m.group(3)))
+            atoms.append(literal("".join(m.group(3).split())))
         elif i == len(text):
             return tuple(atoms)
         elif text[i] == "[":
@@ -177,31 +180,11 @@ def _scan_atoms(text: str, line: int, col: int, path) -> tuple:
             raise AaSyntaxError(f"unexpected character {text[i]!r} in pattern {text!r}", line, col, path)
 
 
-def _split_pattern(raw: str, line: int, col: int, path) -> tuple[str, str | None, str | None]:
-    """Split raw pattern text into (component, filters, port) segments."""
-    filters = None
-    if "(" in raw:
-        open_i = raw.index("(")
-        close_i = raw.rfind(")")
-        if close_i < open_i:
-            raise AaSyntaxError(f"unbalanced filter parentheses in pattern {raw!r}", line, col, path)
-        filters = raw[open_i + 1 : close_i]
-        rest = raw[close_i + 1 :]
-        comp = raw[:open_i]
-    else:
-        comp, rest = raw, ""
-        dot = raw.find(".")
-        if dot >= 0:
-            comp, rest = raw[:dot], raw[dot:]
-    if rest == "":
-        return comp, filters, None
-    if not rest.startswith("."):
-        raise AaSyntaxError(f"expected '.' before port part in pattern {raw!r}", line, col, path)
-    port = rest[1:]
-    if port == "*":
-        # A lone trailing `.*` is a component wildcard, not a port constraint.
-        return comp + "*", filters, None
-    return comp, filters, port
+# A pattern's text in parts.  With a '(': the component part before the
+# first '(', the filters up to the last ')' (so a filter value may hold
+# parentheses) and the rest.  Without one: the component part up to the
+# first '.' and the rest.  A '(' with no ')' after it matches neither.
+_PARTS = re.compile(r"([^(]*)\((.*)\)(.*)|([^(.]*)([^(]*)", re.DOTALL)
 
 
 _FILTER_RE = re.compile(r"\s*@?\s*([A-Za-z_][A-Za-z0-9_]*)\s*(=|<|>|!=?)\s*([^&]*?)\s*$")
@@ -254,7 +237,16 @@ def parse_pattern_with_filters(text: str, path: str | None = None, line: int = 1
     raw = raw[1:-1].strip()
     if not raw:
         raise AaSyntaxError("empty pattern", line, col, path)
-    comp_text, filter_text, port_text = _split_pattern(raw, line, col, path)
+    parts = _PARTS.fullmatch(raw)
+    if parts is None:
+        raise AaSyntaxError(f"unbalanced filter parentheses in pattern {raw!r}", line, col, path)
+    comp_text, filter_text, rest = parts.group(1, 2, 3) if parts[2] is not None else (parts[4], None, parts[5])
+    if rest and rest[0] != ".":
+        raise AaSyntaxError(f"expected '.' before port part in pattern {raw!r}", line, col, path)
+    port_text = rest[1:] if rest else None
+    if port_text == "*":
+        # A lone trailing `.*` is a component wildcard, not a port constraint.
+        comp_text, port_text = comp_text + "*", None
     comp_atoms = _scan_atoms(comp_text, line, col, path)
     if not comp_atoms:
         raise AaSyntaxError(f"pattern {text!r} has an empty component part", line, col, path)
@@ -351,10 +343,11 @@ class _Token:
 _NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 # Blanks and a comment, then at most one token, whose kind is the name of
 # the group that took it.  A match that takes none stops at the character
-# at fault, or at the '/' that opens a pattern.
+# at fault.  A pattern closes on its own line.
 _TOKEN = re.compile(
     rf"[ \t\r]*(?:#[^\n]*)?(?:(?P<NEWLINE>\n)|(?P<NUMBER>{_NUMBER.pattern})|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    rf"|(?P<STRING>'[^']*'|\"[^\"]*\")|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})|(?P<EOF>\Z))?"
+    rf"|(?P<STRING>'[^']*'|\"[^\"]*\")|(?P<PATTERN>/[^/\n]*/)|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})"
+    rf"|(?P<EOF>\Z))?"
 )
 
 
@@ -369,7 +362,8 @@ def _number_value(text: str, line: int, col: int, path) -> int | float:
 def _tokenize(text: str, path: str | None) -> list[_Token]:
     """The tokens of ``text``, ending in EOF.  A string runs to the next
     quote of its own kind and may span lines; the positions of what follows
-    count its newlines.  A column counts characters from 1."""
+    count its newlines.  A pattern is a token only right after ``:=``.  A
+    column counts characters from 1."""
     tokens: list[_Token] = []
     line, line_start, i = 1, 0, 0
     while True:
@@ -380,20 +374,14 @@ def _tokenize(text: str, path: str | None) -> list[_Token]:
             continue
         start = m.start(kind) if kind else i
         col = start - line_start + 1
-        if kind is None:
-            ch = text[i]
+        if kind is None or kind == "PATTERN" and (not tokens or tokens[-1].kind != ":="):
+            ch = text[start]
             if ch == "!":
                 raise NegationRejected("negation syntax is not part of the language", line, col, path)
-            if ch != "/" or not tokens or tokens[-1].kind != ":=":
-                problem = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
-                raise AaSyntaxError(problem, line, col, path)
-            end = text.find("/", i + 1)
-            nl = text.find("\n", i + 1)
-            if end < 0 or (0 <= nl < end):
+            if ch == "/" and tokens and tokens[-1].kind == ":=":
                 raise AaSyntaxError("unterminated pattern", line, col, path)
-            tokens.append(_Token("PATTERN", text[i : end + 1], line, col))
-            i = end + 1
-            continue
+            problem = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
+            raise AaSyntaxError(problem, line, col, path)
         word = m.group(kind)
         if kind == "STRING":
             tokens.append(_Token(kind, word[1:-1], line, col))
@@ -711,7 +699,10 @@ def print_pattern(pattern: Pattern, filters: tuple[MetadataFilter, ...] = ()) ->
     if filters:
         text += "(" + "&".join(_filter_text(f) for f in filters) + ")"
     if pattern.port_atoms is not None:
-        text += "." + ("^" if pattern.port_required else "") + atoms_text(pattern.port_atoms)
+        port = ("^" if pattern.port_required else "") + atoms_text(pattern.port_atoms)
+        # A port part `*` would read back as the trailing `.*` that widens
+        # the component part; `.*` is the same star.
+        text += "." + (".*" if port == "*" else port)
     return f"/{text}/"
 
 

@@ -31,6 +31,7 @@ from aaweave.language import (
     parse_pattern_with_filters,
     print_aa,
     print_operator_expr,
+    print_pattern,
 )
 from aaweave.model import PROVIDED, REQUIRED, PortSpec, canonical_ports
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, iter_refs
@@ -187,7 +188,7 @@ _X, _P, _T1 = literal("x"), literal("p"), (MetadataFilter("t", "eq", 1),)
         ("/x.^*/", (Pattern((_X,), (STAR,), True), ())),
         ("/x..*/", (Pattern((_X,), (STAR,)), ())),
         ("/x(@t=1)..*/", (Pattern((_X,), (STAR,)), _T1)),
-        ("/x.* (@t=1)/", (Pattern((_X, STAR)), _T1)),
+        ("/x.*(@t=1)/", (Pattern((_X, STAR)), _T1)),
         ("/(@t=1).*/", (Pattern((STAR,)), _T1)),
         ("/x(@t=1).p/", (Pattern((_X,), (_P,)), _T1)),
         ("/x(@k='a(b)')/", (Pattern((_X,)), (MetadataFilter("k", "eq", "a(b)"),))),
@@ -238,6 +239,14 @@ def test_tokenizer_reads_a_pattern_only_after_assignment(src, expected):
         assert type(err.value) is AaSyntaxError and (err.value.line, err.value.col, err.value.message) == expected
     else:
         assert [(t.kind, t.value, t.line, t.col) for t in _tokenize(src, None)] == expected
+
+
+def test_blanks_between_literals_and_a_lone_star_port_read_back():
+    assert parse_pattern("/light 1.Set\tState/") == Pattern((literal("light1"),), (literal("SetState"),))
+    aa = parse_aa("Pointcut:\n  v := /x..*/\nAdvice:\nschema s(v):\n  v -> (nop)\n")
+    assert aa.pointcut[0].pattern == Pattern((literal("x"),), (STAR,))
+    assert print_pattern(aa.pointcut[0].pattern) == "/x..*/"
+    assert parse_aa(print_aa(aa)) == aa
 
 
 def test_filters_parse_and_evaluate():
@@ -529,8 +538,11 @@ def _op_trees(port_exprs=None):
     )
 
 
-_ATOM = r"([A-Za-z0-9_]+|\*|\[:digit:\])"
-_PATTERNS = st.from_regex(rf"{_ATOM}{{1,3}}(\.\^?{_ATOM}{{1,3}})?", fullmatch=True).map(lambda t: parse_pattern(f"/{t}/"))
+# Atoms with blanks between them; a port part may be a lone star, `..*`.
+_ATOM = r"( ?([A-Za-z0-9_]+|\*|\[:digit:\]))"
+_PATTERNS = st.from_regex(rf"{_ATOM}{{1,3}}(\.\^?{_ATOM}{{1,3}}|\.\.\*)?", fullmatch=True).map(
+    lambda t: parse_pattern(f"/{t}/")
+)
 # Mostly printable filters and type names, so most aspects round-trip.
 _ASPECT_FILTERS = st.one_of(
     st.builds(MetadataFilter, _IDENT, st.sampled_from(("eq", "lt", "gt")), st.integers() | st.floats()),
