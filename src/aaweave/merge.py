@@ -255,13 +255,15 @@ _OPS = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _op_shape(kind: type, arity: int) -> tuple[str, tuple[str, ...], PortSet]:
     """An op's type name, out port names and ``PortSet``.
 
     Every op of one kind and arity shares these objects, so its port names
     are made once and its components keep the one shared ``PortSet``, index
-    and all.
+    and all.  A ``Par``'s arity grows with the input, so the cache has a
+    bound; an op shape it drops is made again, and ``canonical_ports``
+    still hands back the shared ``PortSet``.
     """
     type_name = _OPS[kind][0]
     outs = ("cond", "out_then", "out_else") if kind is If else tuple(f"out_{k}" for k in range(1, arity + 1))

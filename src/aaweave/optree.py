@@ -13,6 +13,11 @@ Trees have one normal form: sequences flat, parallel nodes flat, sorted by
 :func:`sort_key` and deduplicated, no neutral call among parallel
 siblings, no single-child wrappers.  :func:`map_leaves` builds it, so a
 grounded tree is normal; the parser keeps source order instead.
+
+:func:`sort_key` computes each key in one walk of the tree and keeps
+nothing: a cache keyed on trees hashes and compares whole trees on every
+lookup, and each weave builds new trees, so it would cost more than the
+keys it saves and pin every tree it saw.
 """
 from __future__ import annotations
 
@@ -64,26 +69,34 @@ OperatorTree = Union[Leaf, Nop, Call, Delegate, If, Seq, Par]
 NOP = Nop()
 CALL = Call()
 
-# Canonical variant order: Leaf < Nop < Call < Delegate < If < Seq < Par.
-_RANK = {Leaf: 0, Nop: 1, Call: 2, Delegate: 3, If: 4, Seq: 5, Par: 6}
 
+def _key(tree: OperatorTree) -> tuple:
+    """Total structural order over trees; injective on well-formed trees.
 
-@lru_cache(maxsize=1 << 20)
-def sort_key(tree: OperatorTree) -> tuple:
-    """Total structural order over trees; injective on well-formed trees."""
-    rank = _RANK[type(tree)]
-    match tree:
-        case Leaf(target=t):
-            return (rank, t.key())
-        case Nop() | Call():
-            return (rank,)
-        case Delegate(child=c):
-            return (rank, sort_key(c))
-        case If(cond=c, then=a, orelse=b):
-            return (rank, c.key(), sort_key(a), sort_key(b))
-        case Seq(children=ch) | Par(children=ch):
-            return (rank, tuple(sort_key(c) for c in ch))
+    A key is the variant's rank, Leaf < Nop < Call < Delegate < If < Seq <
+    Par, then the node's reference keys and its subtrees' keys.
+    """
+    # Dispatch on the exact type, most frequent first, as map_leaves does.
+    kind = type(tree)
+    if kind is Leaf:
+        return (0, tree.target.key())
+    if kind is If:
+        return (4, tree.cond.key(), _key(tree.then), _key(tree.orelse))
+    if kind is Call:
+        return (2,)
+    if kind is Nop:
+        return (1,)
+    if kind is Par:
+        return (6, tuple(map(_key, tree.children)))
+    if kind is Seq:
+        return (5, tuple(map(_key, tree.children)))
+    if kind is Delegate:
+        return (3, _key(tree.child))
     raise TypeError(f"not an operator tree: {tree!r}")
+
+
+# Stores nothing, only counts calls for the traced optree.sort_key.* metrics until ROADMAP item 7 drops them.
+sort_key = lru_cache(maxsize=0)(_key)
 
 
 def seq_of(children) -> OperatorTree:

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
-from aaweave import sim, weaver
+from aaweave import optree, sim, weaver
 from aaweave.merge import merge_group
 from aaweave.sim import WorkloadSpec, generate_workload
 
@@ -77,3 +77,14 @@ def test_benchmark_tracer_binds_every_patch_point():
     assert tracer.counts["merge.lower.instructions"] > 0
     # The factory hand-off: one advice instance per combination.
     assert tracer.counts["matching.instantiate_advice.calls"] == tracer.counts["matching.combinations.count"] > 0
+
+
+def test_sort_key_counts_the_keys_a_weave_computes():
+    # A traced run reads ``sort_key.cache_info()`` before and after its
+    # window; the key function keeps no trees, so it reports calls only.
+    base, cascades = generate_workload(WorkloadSpec(seed=5, joinpoint_count=12, aa_count=4, conflict_probability=0.5))
+    before = optree.sort_key.cache_info()
+    weaver.weave_cascade(base, cascades)
+    after = optree.sort_key.cache_info()
+    assert after.hits == 0 and after.currsize == 0
+    assert after.misses > before.misses
