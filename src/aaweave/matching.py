@@ -23,10 +23,8 @@ matchable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 from .language import AspectOfAssembly, Instantiate, Link, PointcutRule, PortExpr, Rewrite
-from .model import PROVIDED, REQUIRED, Component, PortRef, Woven
+from .model import PROVIDED, REQUIRED, Component, PortRef, Woven, value
 from .optree import map_leaves
 
 GLOBAL_NAMESPACE = ""
@@ -36,7 +34,7 @@ GLOBAL_NAMESPACE = ""
 Combination = dict[str, PortRef]
 
 
-@dataclass(frozen=True)
+@value
 class AdviceInstance:
     aa_name: str
     namespace: str
@@ -228,7 +226,7 @@ def instantiate_advice(
             elif kind is Rewrite:
                 grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
         prov = Woven(aa.name, cycle, namespace)
-        components = tuple(
+        components = tuple([
             Component(
                 id=local_ids[rule.local_name],
                 type_name=rule.type_name,
@@ -238,7 +236,7 @@ def instantiate_advice(
                 provenance=prov,
             )
             for rule in inits
-        )
+        ])
         return AdviceInstance(aa.name, namespace, components, tuple(grounded))
 
     return memo.recall(tuple(parts), rules, build)

@@ -185,7 +185,10 @@ def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[l
     Their order does not matter: only anchors and originals are sorted.
     """
     plan = MergedPlan()
-    per_anchor: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
+    # An anchor's entry is ``[anchor, trees and contributors, originals]``
+    # under its ``(component_id, port_name, direction)``, which strings
+    # hash without a call and which sorts the anchors.
+    per_anchor: dict[tuple[str, str, str], list] = {}
     per_target: dict[PortRef, list[tuple[OperatorTree, tuple[str, str]]]] = {}
     target, landed = None, None
     for inst in instances:
@@ -193,7 +196,8 @@ def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[l
         plan.component_adds.extend(inst.components)
         for rule in inst.grounded_rules:
             if type(rule) is Link:
-                per_anchor.setdefault(rule.source, []).append((rule.tree, who))
+                s = rule.source
+                per_anchor.setdefault((s.component_id, s.port_name, s.direction), [s, [], []])[1].append((rule.tree, who))
                 continue
             # Rules that rewrite a pointcut variable's own port share the
             # joinpoint's PortRef object, so a run of them hashes it once.
@@ -207,24 +211,26 @@ def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[l
         if b.target.component_id in target_ids:
             arriving = per_target.get(b.target)
             if arriving is not None:
-                per_anchor.setdefault(b.source, []).extend(arriving)
+                s = b.source
+                per_anchor.setdefault((s.component_id, s.port_name, s.direction), [s, [], []])[1].extend(arriving)
 
-    outgoing: dict[PortRef, list[PortRef]] = {}
-    anchor_ids = {a.component_id for a in per_anchor}
+    anchor_ids = {cid for cid, _, _ in per_anchor}
     for b in base.by_endpoints.values():
-        if b.source.component_id in anchor_ids and b.source in per_anchor:
-            outgoing.setdefault(b.source, []).append(b.target)
+        s = b.source
+        if s.component_id in anchor_ids:
+            at = per_anchor.get((s.component_id, s.port_name, s.direction))
+            if at is not None:
+                at[2].append(b.target)
 
     groups: list[RewriteGroup] = []
     stamps, plain = memo.stamps, memo.plain_bindings
-    for anchor in sorted(per_anchor, key=PortRef.key):
-        entries = per_anchor[anchor]
+    for key in sorted(per_anchor):
+        anchor, entries, originals = per_anchor[key]
         contributors = (entries[0][1],) if len(entries) == 1 else tuple(sorted({who for _, who in entries}))
         prov = stamps.get((contributors, cycle))
         if prov is None:
             prov = stamps[contributors, cycle] = _joint_provenance(contributors, cycle)
-        originals = outgoing.get(anchor)
-        if originals is None:
+        if not originals:
             tree = entries[0][0]
             if len(entries) == 1 and type(tree) is Leaf:
                 # The entry pins the leaf and its binding holds the anchor
@@ -314,11 +320,19 @@ def _build(node: OperatorTree, group: RewriteGroup, ids, adds: list, binds: list
     type_name, outs, ports = _op_shape(kind, len(children))
     cid, prov = next(ids), group.provenance
     adds.append(AddComponent(Component(cid, type_name, metadata={"type": type_name}, ports=ports, provenance=prov)))
+    # A leaf child binds to its target without a call of its own.  The
+    # comprehension stays: its frame is part of what one op level costs
+    # the stack, which sets how deep a tree may nest before it fails.
     targets = [(node.cond,)] if kind is If else []
-    targets.extend([_build(child, group, ids, adds, binds) for child in children])
+    targets.extend([
+        (child.target,) if type(child) is Leaf else _build(child, group, ids, adds, binds) for child in children
+    ])
     for port, ends in zip(outs, targets):
         source = PortRef(cid, port, REQUIRED)
-        binds.extend([AddBinding(Binding(source, end, prov)) for end in ends])
+        if len(ends) == 1:
+            binds.append(AddBinding(Binding(source, ends[0], prov)))
+        else:
+            binds.extend([AddBinding(Binding(source, end, prov)) for end in ends])
     return (PortRef(cid, "in", PROVIDED),)
 
 
@@ -381,6 +395,9 @@ def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
 
 
 def _joint_provenance(contributors, cycle: int) -> Woven:
+    if len(contributors) == 1:
+        ((aa, ns),) = contributors
+        return Woven(aa, cycle, ns)
     names = sorted({aa for aa, _ in contributors})
     namespaces = {ns for _, ns in contributors}
     ns = namespaces.pop() if len(namespaces) == 1 else ""

@@ -266,7 +266,7 @@ def _check_endpoint(comps: dict[str, Component], ref: PortRef, expected: str) ->
 # Elementary instructions
 
 
-@dataclass(frozen=True)
+@value
 class AddComponent:
     component: Component
 

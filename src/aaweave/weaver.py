@@ -169,6 +169,9 @@ def _weave_cycle(
     instances = []
     index_by_ns: dict[str, JoinpointIndex] = {}
     instance_hits = memo.instances.hits
+    # Only a woven component is another aspect's product, so a cycle whose
+    # input holds none, as every first cycle over a base does, crosses none.
+    crossing = any(c.provenance is not None for c in base.components.values())
 
     for aa, namespace in pairs:
         mark = time.perf_counter_ns()
@@ -190,14 +193,15 @@ def _weave_cycle(
             )
         _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
-        # Some combination exists, so every candidate is bound by one.
-        crossed = {
-            (aa.name, p.aa_name)
-            for ports in candidates.values()
-            for port in ports
-            if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
-        }
-        report.cross_aspect_matches.extend(sorted(crossed))
+        if crossing:
+            # Some combination exists, so every candidate is bound by one.
+            crossed = {
+                (aa.name, p.aa_name)
+                for ports in candidates.values()
+                for port in ports
+                if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
+            }
+            report.cross_aspect_matches.extend(sorted(crossed))
     report.instances_reused = memo.instances.hits - instance_hits
 
     # Any weave-time error aborts the cycle atomically: its input assembly

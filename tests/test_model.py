@@ -214,7 +214,8 @@ def test_value_types_behave_as_frozen_slots_dataclasses():
             if isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
                 if cls.__dataclass_params__.frozen and "__slots__" in vars(cls):
                     found.append(cls)
-    assert {"PortRef", "Binding", "AddBinding", "If", "Leaf", "PortExpr", "Link"} <= {c.__name__ for c in found}
+    wanted = {"PortRef", "Binding", "AddBinding", "AddComponent", "AdviceInstance", "If", "Leaf", "PortExpr", "Link"}
+    assert wanted <= {c.__name__ for c in found}
     for cls in found:
         # Built by ``value``: its __init__ stores through the slots.
         assert cls.__init__.__code__.co_filename == f"<value {cls.__qualname__}>", cls

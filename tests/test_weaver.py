@@ -536,6 +536,53 @@ def test_cross_aspect_matches_are_surfaced(fixtures_dir, hospital_base, scenario
     ]
 
 
+def _lamp_base():
+    return Assembly.build(
+        [
+            *(Component(f"s{k}", "Sw", metadata={"type": "Sw"}, ports=(PortSpec("out", REQUIRED),)) for k in (1, 2)),
+            Component("l", "Lamp", metadata={"type": "Lamp"}, ports=(PortSpec("in", PROVIDED),)),
+        ],
+        [],
+    )
+
+
+def _lamp_maker(name, switch):
+    return parse_aa(f"Pointcut:\n  s := /{switch}.^out/\nAdvice:\nschema {name}(s):\n  lamp : 'Lamp';\n  s -> (lamp.in)\n")
+
+
+_RELAY_TO_LAMPS = parse_aa(
+    "Pointcut:\n  v := /*(@type=Lamp).in/\nAdvice:\nschema c(v):\n  relay : 'Relay';\n  relay.^out -> (v)\n"
+)
+_RELAY_TO_L = parse_aa("Pointcut:\n  v := /l.in/\nAdvice:\nschema other(v):\n  relay : 'Relay';\n  relay.^out -> (v)\n")
+
+
+def test_a_cycle_whose_input_holds_nothing_woven_reports_no_cross_match():
+    base = _lamp_base()
+    dry = parse_aa("Pointcut:\n  v := /nowhere.in/\nAdvice:\nschema dry(v):\n  relay : 'Relay';\n  relay.^out -> (v)\n")
+    _, reports = weave_cascade(base, [Cascade("c", cycles=((_lamp_maker("mk1", "s1"), dry), (_RELAY_TO_LAMPS,)))])
+    assert [r.applied for r in reports] == [[("mk1", 0, 1)], [("c", 1, 2)]]
+    assert [r.cross_aspect_matches for r in reports] == [[], [("c", "mk1")]]
+    # Without ``mk1``, ``dry`` finds no joinpoint and cycle 1's input is
+    # the base alone.
+    _, reports = weave_cascade(base, [Cascade("c", cycles=((dry,), (_RELAY_TO_LAMPS,)))])
+    assert [r.applied for r in reports] == [[], [("c", 1, 1)]]
+    assert [r.cross_aspect_matches for r in reports] == [[], []]
+
+
+def test_a_later_cycle_lists_exactly_the_producers_of_its_woven_candidates():
+    base = _lamp_base()
+    makers = (_lamp_maker("mk1", "s1"), _lamp_maker("mk2", "s2"), _RELAY_TO_L)
+    cascade = Cascade("c", cycles=(makers, (_RELAY_TO_LAMPS,)))
+    woven, reports = weave_cascade(base, [cascade])
+    # ``c`` binds the base lamp and both woven ones, never ``other``'s relay.
+    assert reports[1].applied == [("c", 1, 3)]
+    assert [r.cross_aspect_matches for r in reports] == [[], [("c", "mk1"), ("c", "mk2")]]
+    # Woven components the input already holds count from the first cycle
+    # that may see them, and ``c``'s own products never count.
+    _, reports = weave_cascade(woven, [Cascade("again", cycles=((), (_RELAY_TO_LAMPS,)))])
+    assert [r.cross_aspect_matches for r in reports] == [[], [("c", "mk1"), ("c", "mk2")]]
+
+
 def test_weave_result_keeps_assembly_invariants(hospital_base, scenario_cascade):
     woven, _ = weave_cascade(hospital_base, [scenario_cascade])
     rebuilt = Assembly.build(woven.components.values(), woven.bindings)
