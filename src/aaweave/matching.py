@@ -198,8 +198,11 @@ def instantiate_advice(
     variables and the fields of their ports besides.
     """
     rules = aa.rules
-    inits = [rule for rule in rules if type(rule) is Instantiate]
-    local_ids = {rule.local_name: fresh.fresh(rule.local_name) for rule in inits}
+    inits, local_ids = [], {}
+    for rule in rules:
+        if type(rule) is Instantiate:
+            inits.append(rule)
+            local_ids[rule.local_name] = fresh.fresh(rule.local_name)
     # Strings cache their hash and ``PortRef``s do not, so the ports enter
     # the key field by field.  The rules fix the number of ids, so the
     # key's length fixes where each part ends.

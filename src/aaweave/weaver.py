@@ -3,7 +3,12 @@
 A weave never mutates its input assembly.  Every cycle runs match ->
 combine -> instantiate -> merge -> lower on its input and applies the
 resulting instructions; cascades fold cycles in rank order, so each cycle
-sees everything earlier cycles produced.  Withdrawal is recomputation: the
+sees everything earlier cycles produced.  A cycle runs each front phase
+over all of its aspects before the next one starts: it matches every
+aspect, then combines every aspect's candidates, then instantiates every
+aspect's combinations; the factory takes its fresh ids aspect by aspect,
+in the cycle's order.  Matching and combining take none, so the order of
+phases does not move an id.  Withdrawal is recomputation: the
 target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
@@ -34,8 +39,10 @@ from .merge import CallWithoutOriginal, DelegateClash, NestedTooDeeply, detect_c
 from .model import Assembly, Instruction, ModelError, apply_instructions, diff
 
 # Timed phases of one cycle, in pipeline order; every report carries
-# exactly these ``durations_us`` keys.  ``merge`` spans conflict detection
-# plus the fold, ``lower`` spans lowering plus applying the instructions.
+# exactly these ``durations_us`` keys.  Each phase is charged once per
+# cycle, over all of the cycle's aspects.  ``factory`` also holds the skip
+# and cross-match bookkeeping, ``merge`` spans conflict detection plus the
+# fold, ``lower`` spans lowering plus applying the instructions.
 PHASES = ("match", "combine", "factory", "merge", "lower")
 
 
@@ -165,24 +172,25 @@ def _weave_cycle(
 ) -> tuple[Assembly, WeaveReport]:
     report = WeaveReport(cycle=cycle_index, durations_us=dict.fromkeys(PHASES, 0.0))
     durations = report.durations_us
+    mark = time.perf_counter_ns()
     weaving_names = {aa.name for aa, _ in pairs}
-    instances = []
     index_by_ns: dict[str, JoinpointIndex] = {}
+    matched = []
+    for aa, namespace in pairs:
+        index = index_by_ns.get(namespace)
+        if index is None:
+            index = index_by_ns[namespace] = collect_joinpoints(base, cycle_index, namespace, weaving_names)
+        matched.append(match_pointcut(index, aa))
+    mark = _lap(durations, "match", mark)
+    combined = [combinations(candidates) for candidates in matched]
+    mark = _lap(durations, "combine", mark)
+
+    instances = []
     instance_hits = memo.instances.hits
     # Only a woven component is another aspect's product, so a cycle whose
     # input holds none, as every first cycle over a base does, crosses none.
     crossing = any(c.provenance is not None for c in base.components.values())
-
-    for aa, namespace in pairs:
-        mark = time.perf_counter_ns()
-        index = index_by_ns.get(namespace)
-        if index is None:
-            index = collect_joinpoints(base, cycle_index, namespace, weaving_names)
-            index_by_ns[namespace] = index
-        candidates = match_pointcut(index, aa)
-        mark = _lap(durations, "match", mark)
-        combos = combinations(candidates)
-        mark = _lap(durations, "combine", mark)
+    for (aa, namespace), candidates, combos in zip(pairs, matched, combined):
         if not combos:
             dry = sorted(v for v, js in candidates.items() if not js)
             report.skipped.append((aa.name, f"no joinpoint for {', '.join(dry)}"))
@@ -191,7 +199,6 @@ def _weave_cycle(
             instances.append(
                 instantiate_advice(aa, combo, fresh, cycle=cycle_index, namespace=namespace, memo=memo.instances)
             )
-        _lap(durations, "factory", mark)
         report.applied.append((aa.name, cycle_index, len(combos)))
         if crossing:
             # Some combination exists, so every candidate is bound by one.
@@ -203,10 +210,10 @@ def _weave_cycle(
             }
             report.cross_aspect_matches.extend(sorted(crossed))
     report.instances_reused = memo.instances.hits - instance_hits
+    mark, phase = _lap(durations, "factory", mark), "merge"
 
     # Any weave-time error aborts the cycle atomically: its input assembly
     # is returned unchanged and the message lands in ``report.failure``.
-    mark, phase = time.perf_counter_ns(), "merge"
     fold_hits, lowering_hits = memo.folds.hits, memo.lowerings.hits
     try:
         groups, plan = detect_conflicts(base, instances, memo, cycle=cycle_index)

@@ -310,6 +310,21 @@ def test_zero_param_schema_gives_one_instance(fixtures_dir):
     assert [c.id for c in inst.components] == ["Decision1", "Timer1", "Average1"]
 
 
+def test_locals_take_their_fresh_ids_in_declaration_order():
+    class Recording(FreshNames):
+        def fresh(self, stem):
+            asked.append(stem)
+            return super().fresh(stem)
+
+    asked, memo = [], MemoTable()
+    aa = parse_aa("Advice:\nschema s():\n  zeta : 'T';\n  alpha : 'T';\n  zeta.^out -> (alpha.in)\n")
+    inst = instantiate_advice(aa, {}, Recording(), namespace="", memo=memo)
+    assert asked == ["zeta", "alpha"]
+    assert [c.id for c in inst.components] == ["zeta1", "alpha1"]
+    (key,) = memo
+    assert key[-2:] == ("zeta1", "alpha1")
+
+
 def test_two_combinations_get_disjoint_fresh_names(fixtures_dir, hospital_base):
     aa = parse_aa((fixtures_dir / "aa" / "brightness_light.aa").read_text())
     jps = collect_joinpoints(hospital_base, 0, "")

@@ -1,4 +1,5 @@
 import itertools
+import time
 from unittest import mock
 
 import pytest
@@ -302,6 +303,30 @@ def test_cascade_failure_keeps_earlier_cycles(fixtures_dir, hospital_base):
     assert reports[1].failure is not None
     assert len(reports) == 2
     assert "Decision1" in woven.components  # cycle 0 output survives
+
+
+def test_durations_charge_each_phase_and_fit_in_the_weave(fixtures_dir, hospital_base, scenario_cascade):
+    # Every report holds exactly the phases, none below zero, and all of a
+    # weave's charges fit in the wall time around it: for ordinary cycles,
+    # a cycle whose every aspect is skipped, and a cycle that fails.
+    rfid = parse_aa((fixtures_dir / "aa" / "perception_rfid.aa").read_text())
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    cases = {
+        "ordinary": ([scenario_cascade], [False, False, False]),
+        "all skipped": ([Cascade("dry", cycles=((rfid,),))], [False]),
+        "failing": ([Cascade("clash", cycles=((dec,), clashing_aas()))], [False, True]),
+    }
+    for case, (cascades, failures) in cases.items():
+        t0 = time.perf_counter_ns()
+        _, reports = weave_cascade(hospital_base, cascades)
+        wall_us = (time.perf_counter_ns() - t0) / 1000.0
+        assert [r.failure is not None for r in reports] == failures, case
+        if case == "all skipped":
+            assert reports[0].skipped and not reports[0].applied
+        for report in reports:
+            assert tuple(report.durations_us) == PHASES, case
+            assert all(us >= 0 for us in report.durations_us.values()), case
+        assert sum(us for r in reports for us in r.durations_us.values()) <= wall_us, case
 
 
 def test_a_memo_table_hit_returns_the_stored_value_and_counts_it():
