@@ -193,9 +193,11 @@ def instantiate_advice(
     component with the ports the parser inferred; every ``Link`` and
     ``Rewrite`` becomes the same rule over ``PortRef``s, in rule order.
 
-    ``memo`` is the weave's instances, which pin ``aa.rules``; the key
-    holds the aspect's name, namespace and cycle, the combination's
-    variables and the fields of their ports besides.
+    ``memo`` is a replay session's instances, which pin ``aa.rules``; the
+    key holds the aspect's name, namespace and cycle, the combination's
+    variables and the fields of their ports besides.  A one-shot weave
+    passes ``None``: no other grounding of it takes the same fresh ids,
+    so it grounds without a key.
     """
     rules = aa.rules
     inits, local_ids = [], {}
@@ -203,6 +205,8 @@ def instantiate_advice(
         if type(rule) is Instantiate:
             inits.append(rule)
             local_ids[rule.local_name] = fresh.fresh(rule.local_name)
+    if memo is None:
+        return _ground(aa, combination, cycle, namespace, inits, local_ids)
     # Strings cache their hash and ``PortRef``s do not, so the ports enter
     # the key field by field.  The rules fix the number of ids, so the
     # key's length fixes where each part ends.
@@ -210,36 +214,39 @@ def instantiate_advice(
     for port in combination.values():
         parts += (port.component_id, port.port_name, port.direction)
     parts += local_ids.values()
+    return memo.recall(tuple(parts), rules, lambda: _ground(aa, combination, cycle, namespace, inits, local_ids))
 
-    def build() -> AdviceInstance:
-        def ground(expr: PortExpr) -> PortRef:
-            cid = local_ids.get(expr.base)
-            if cid is None:
-                port = combination[expr.base]
-                if expr.port is None:
-                    return port
-                cid = port.component_id
-            return PortRef(cid, expr.port, REQUIRED if expr.required else PROVIDED)
 
-        grounded = []
-        for rule in rules:
-            kind = type(rule)
-            if kind is Link:
-                grounded.append(Link(ground(rule.source), map_leaves(rule.tree, ground)))
-            elif kind is Rewrite:
-                grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
-        prov = Woven(aa.name, cycle, namespace)
-        components = tuple([
-            Component(
-                id=local_ids[rule.local_name],
-                type_name=rule.type_name,
-                properties=dict(rule.init_props),
-                metadata={"type": rule.type_name},
-                ports=rule.ports,
-                provenance=prov,
-            )
-            for rule in inits
-        ])
-        return AdviceInstance(aa.name, namespace, components, tuple(grounded))
+def _ground(aa, combination, cycle, namespace, inits, local_ids) -> AdviceInstance:
+    """The instance of ``aa`` over ``combination`` whose ``Instantiate``
+    rules ``inits`` take the ids ``local_ids`` names."""
 
-    return memo.recall(tuple(parts), rules, build)
+    def ground(expr: PortExpr) -> PortRef:
+        cid = local_ids.get(expr.base)
+        if cid is None:
+            port = combination[expr.base]
+            if expr.port is None:
+                return port
+            cid = port.component_id
+        return PortRef(cid, expr.port, REQUIRED if expr.required else PROVIDED)
+
+    grounded = []
+    for rule in aa.rules:
+        kind = type(rule)
+        if kind is Link:
+            grounded.append(Link(ground(rule.source), map_leaves(rule.tree, ground)))
+        elif kind is Rewrite:
+            grounded.append(Rewrite(ground(rule.target), map_leaves(rule.tree, ground)))
+    prov = Woven(aa.name, cycle, namespace)
+    components = tuple([
+        Component(
+            id=local_ids[rule.local_name],
+            type_name=rule.type_name,
+            properties=dict(rule.init_props),
+            metadata={"type": rule.type_name},
+            ports=rule.ports,
+            provenance=prov,
+        )
+        for rule in inits
+    ])
+    return AdviceInstance(aa.name, namespace, components, tuple(grounded))

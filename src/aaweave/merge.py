@@ -178,6 +178,9 @@ def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[l
     ``memo`` is the weave's :class:`~aaweave.weaver.Memo`: its ``stamps``
     hand out that provenance and its ``plain_bindings`` the plain links,
     so a re-weave of a replay session emits the very objects it deployed.
+    A one-shot weave's memo has no ``plain_bindings``, as no other anchor
+    of the weave holds the same leaf; it builds each plain link without a
+    key.
 
     Only two kinds of base binding are looked at: those arriving at a
     rewritten port and those leaving an anchor.  A binding whose
@@ -233,6 +236,9 @@ def detect_conflicts(base: Assembly, instances, memo, cycle: int = 0) -> tuple[l
         if not originals:
             tree = entries[0][0]
             if len(entries) == 1 and type(tree) is Leaf:
+                if plain is None:
+                    plan.plain_bindings.append(Binding(anchor, tree.target, prov))
+                    continue
                 # The entry pins the leaf and its binding holds the anchor
                 # and the stamp, so no id in a live key is reused.
                 plan.plain_bindings.append(
@@ -371,9 +377,11 @@ def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
     whose tree lowers to exactly its originals emits nothing.
 
     ``folded`` holds ``(group, tree, stems)`` triples, ``stems`` being
-    ``op_stems(tree)``.  ``memo`` is the weave's lowerings, which pin the
-    tree and store each group's instructions as :func:`_lower_group` made
-    them, so a hit emits them as they are.  A tree too deep for the stack
+    ``op_stems(tree)``.  ``memo`` is a replay session's lowerings, which
+    pin the tree and store each group's instructions as
+    :func:`_lower_group` made them, so a hit emits them as they are.  A
+    one-shot weave passes ``None``: no other group of it takes the same
+    fresh ids, so it lowers without a key.  A tree too deep for the stack
     raises :class:`NestedTooDeeply`.
     """
     adds: list[AddComponent] = list(map(AddComponent, plan.component_adds))
@@ -381,11 +389,14 @@ def lower(plan: MergedPlan, folded, fresh, memo) -> list[Instruction]:
     binds: list[AddBinding] = list(map(AddBinding, plan.plain_bindings))
     for group, tree, stems in folded:
         ids = tuple([fresh.fresh(stem) for stem in stems])
-        key = (id(tree), group.anchor, group.originals, group.provenance, ids)
         try:
-            group_adds, group_removes, group_binds = memo.recall(
-                key, tree, lambda: _lower_group(group, tree, iter(ids))
-            )
+            if memo is None:
+                group_adds, group_removes, group_binds = _lower_group(group, tree, iter(ids))
+            else:
+                key = (id(tree), group.anchor, group.originals, group.provenance, ids)
+                group_adds, group_removes, group_binds = memo.recall(
+                    key, tree, lambda: _lower_group(group, tree, iter(ids))
+                )
         except RecursionError:
             raise NestedTooDeeply(group.anchor) from None
         adds.extend(group_adds)

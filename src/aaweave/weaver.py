@@ -13,8 +13,12 @@ target configuration is always rewoven from the aspect-free base and the
 difference against the currently deployed assembly is emitted as
 instructions.
 
-Every weave grounds, folds and lowers through a :class:`Memo`, which a
-replay shares among the weaves of its session.
+A replay shares one :class:`Memo` among the weaves of its session, which
+grounds, folds and lowers each distinct input once.  A one-shot weave,
+one called without a session memo, keeps only the two tables it can hit
+(folds and provenance stamps): its groundings, lowerings and plain
+bindings each take fresh ids or fresh objects no other step of the weave
+takes, so it builds them without a key.
 
 Several cascades weave as their union, whose ranks list the aspects in a
 canonical order; together with the symmetric merge operator this makes
@@ -57,7 +61,8 @@ class MemoTable(dict):
     key, so a hit names exactly what a miss would.  The rest of the key is
     all the step reads, flat, with ``id()``s standing for the objects the
     entry pins, so no id in a live key is reused.  A hit returns the very
-    value stored, so all it emits passes ``diff`` by identity.
+    value stored, so all it emits passes ``diff`` by identity.  A step
+    whose table is ``None`` builds no key and calls its build directly.
     """
 
     hits = 0
@@ -76,7 +81,7 @@ class MemoTable(dict):
 
 @dataclass
 class Memo:
-    """The memo of one weave, or of every weave of a replay session.
+    """The memo of every weave of a replay session, or of one weave.
 
     ``folds`` keys a group on its originals and the ids of its rule trees
     as a multiset (``CALL`` can land twice), pinning all its trees, and
@@ -88,13 +93,20 @@ class Memo:
     (anchor, leaf, stamp), keyed on the ``id()``s of all three and pinning
     the leaf, so that a weave with no hits pays no hash of a port.  Both
     make each re-weave hand on the objects the last one deployed.
+
+    Only a session holds ``instances``, ``lowerings`` and
+    ``plain_bindings``.  Within one weave each of their keys holds fresh
+    ids or objects no other instance, group or anchor takes, so none can
+    hit; a one-shot weave's memo has ``None`` for them and keeps ``folds``
+    (anchors with the same originals and rule trees share a fold) and
+    ``stamps``.
     """
 
-    instances: MemoTable = field(default_factory=MemoTable)
+    instances: MemoTable | None = field(default_factory=MemoTable)
     folds: MemoTable = field(default_factory=MemoTable)
-    lowerings: MemoTable = field(default_factory=MemoTable)
+    lowerings: MemoTable | None = field(default_factory=MemoTable)
     stamps: dict = field(default_factory=dict)
-    plain_bindings: MemoTable = field(default_factory=MemoTable)
+    plain_bindings: MemoTable | None = field(default_factory=MemoTable)
 
 
 @dataclass(frozen=True)
@@ -124,8 +136,9 @@ class WeaveReport:
     conflict_groups: int = 0
     conflict_fraction: float = 0.0
     merge_ops: int = 0
-    # Hits in the memo's instances, folds and lowerings (``MemoTable.hits``);
-    # ``merge_ops`` still counts the reused groups' fold steps.
+    # Hits in the memo's instances, folds and lowerings (``MemoTable.hits``),
+    # 0 for a table the memo does not hold; ``merge_ops`` still counts the
+    # reused groups' fold steps.
     instances_reused: int = 0
     folds_reused: int = 0
     lowerings_reused: int = 0
@@ -163,6 +176,10 @@ def _lap(durations: dict[str, float], phase: str, since: int) -> int:
     return now
 
 
+def _hits(table: MemoTable | None) -> int:
+    return 0 if table is None else table.hits
+
+
 def _weave_cycle(
     base: Assembly,
     pairs: list[tuple[AspectOfAssembly, str]],
@@ -186,7 +203,7 @@ def _weave_cycle(
     mark = _lap(durations, "combine", mark)
 
     instances = []
-    instance_hits = memo.instances.hits
+    instance_hits = _hits(memo.instances)
     # Only a woven component is another aspect's product, so a cycle whose
     # input holds none, as every first cycle over a base does, crosses none.
     crossing = any(c.provenance is not None for c in base.components.values())
@@ -209,12 +226,12 @@ def _weave_cycle(
                 if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
             }
             report.cross_aspect_matches.extend(sorted(crossed))
-    report.instances_reused = memo.instances.hits - instance_hits
+    report.instances_reused = _hits(memo.instances) - instance_hits
     mark, phase = _lap(durations, "factory", mark), "merge"
 
     # Any weave-time error aborts the cycle atomically: its input assembly
     # is returned unchanged and the message lands in ``report.failure``.
-    fold_hits, lowering_hits = memo.folds.hits, memo.lowerings.hits
+    fold_hits, lowering_hits = memo.folds.hits, _hits(memo.lowerings)
     try:
         groups, plan = detect_conflicts(base, instances, memo, cycle=cycle_index)
         folded = []
@@ -229,7 +246,7 @@ def _weave_cycle(
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = _lap(durations, phase, mark), "lower"
         instructions = lower(plan, folded, fresh, memo.lowerings)
-        report.lowerings_reused = memo.lowerings.hits - lowering_hits
+        report.lowerings_reused = _hits(memo.lowerings) - lowering_hits
         result = apply_instructions(base, instructions)
     except (DelegateClash, CallWithoutOriginal, NestedTooDeeply) as exc:
         failing = next(g for g in groups if g.anchor == exc.anchor)
@@ -255,9 +272,11 @@ def weave_cascade(base: Assembly, cascades, memo: Memo | None = None) -> tuple[A
 
     A failing cycle aborts the fold: the output of the cycles before it is
     returned together with the failure report.  ``memo`` is a replay
-    session's; a call without one weaves through an empty :class:`Memo`.
+    session's; a call without one weaves through a :class:`Memo` of its
+    own that holds only ``folds`` and ``stamps``.
     """
-    memo = memo or Memo()
+    if memo is None:
+        memo = Memo(instances=None, lowerings=None, plain_bindings=None)
     reports: list[WeaveReport] = []
     fresh = FreshNames(taken=base.components)
     current = base

@@ -6,7 +6,10 @@ as it was, but calls the weaver's functions through the module so that
 the spies below see both cycles.  The phase-by-phase cycle must take the
 same fresh ids in the same order, hand detection the same instances in
 the same order, and give the same woven output and reports, all but
-their wall clock.
+their wall clock.  A reference cycle reads reuse counts only from the
+memo tables it is given, as a one-shot weave holds no groundings,
+lowerings or plain bindings; every comparison runs both one-shot and on
+a session memo.
 """
 import time
 from dataclasses import replace
@@ -20,7 +23,11 @@ from aaweave.language import parse_aa
 from aaweave.matching import FreshNames
 from aaweave.model import Assembly
 from aaweave.sim import WorkloadSpec, generate_workload, parse_script, run_scenario
-from aaweave.weaver import PHASES, Cascade, WeaveReport
+from aaweave.weaver import PHASES, Cascade, Memo, WeaveReport
+
+
+def hits(table):
+    return 0 if table is None else table.hits
 
 
 def reference_weave_cycle(base, pairs, cycle_index, fresh, memo):
@@ -29,7 +36,7 @@ def reference_weave_cycle(base, pairs, cycle_index, fresh, memo):
     weaving_names = {aa.name for aa, _ in pairs}
     instances = []
     index_by_ns = {}
-    instance_hits = memo.instances.hits
+    instance_hits = hits(memo.instances)
     crossing = any(c.provenance is not None for c in base.components.values())
 
     for aa, namespace in pairs:
@@ -60,10 +67,10 @@ def reference_weave_cycle(base, pairs, cycle_index, fresh, memo):
                 if (p := base.components[port.component_id].provenance) is not None and p.aa_name != aa.name
             }
             report.cross_aspect_matches.extend(sorted(crossed))
-    report.instances_reused = memo.instances.hits - instance_hits
+    report.instances_reused = hits(memo.instances) - instance_hits
 
     mark, phase = time.perf_counter_ns(), "merge"
-    fold_hits, lowering_hits = memo.folds.hits, memo.lowerings.hits
+    fold_hits, lowering_hits = memo.folds.hits, hits(memo.lowerings)
     try:
         groups, plan = weaver.detect_conflicts(base, instances, memo, cycle=cycle_index)
         folded = []
@@ -80,7 +87,7 @@ def reference_weave_cycle(base, pairs, cycle_index, fresh, memo):
         report.merge_ops = sum(len(group.trees) - 1 for group in groups)
         mark, phase = weaver._lap(durations, phase, mark), "lower"
         instructions = weaver.lower(plan, folded, fresh, memo.lowerings)
-        report.lowerings_reused = memo.lowerings.hits - lowering_hits
+        report.lowerings_reused = hits(memo.lowerings) - lowering_hits
         result = weaver.apply_instructions(base, instructions)
     except (weaver.DelegateClash, weaver.CallWithoutOriginal, weaver.NestedTooDeeply) as exc:
         failing = next(g for g in groups if g.anchor == exc.anchor)
@@ -136,7 +143,11 @@ def run_both(weave):
 
 
 def weave_both(base, cascades):
-    return run_both(lambda: weaver.weave_cascade(base, cascades))
+    """``run_both`` of a one-shot weave and of a weave on a session memo
+    of its own, which must report the same; returns the reports."""
+    one_shot = run_both(lambda: weaver.weave_cascade(base, cascades))
+    assert run_both(lambda: weaver.weave_cascade(base, cascades, Memo())) == one_shot
+    return one_shot
 
 
 # A last-cycle aspect, in each namespace, that binds every generated

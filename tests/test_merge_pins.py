@@ -173,6 +173,14 @@ def detect_against_reference(base, cascades):
     return seen
 
 
+# A last-cycle aspect that binds every generated relay, so detection runs
+# over woven components and bindings too: no generated aspect matches one.
+WATCH_RELAYS = parse_aa(
+    "Pointcut:\n  r := /*(@type=gen.Relay).^out_1/\nAdvice:\nschema watch_relays(r):\n"
+    "  tap : 'gen.Tap';\n  r -> (tap.in ; call)\n"
+)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -183,11 +191,17 @@ def detect_against_reference(base, cascades):
 def test_detect_equals_the_reference_in_order(seed, cycles, p, namespaces):
     spec = WorkloadSpec(seed=seed, joinpoint_count=12, aa_count=6, conflict_probability=p, cycles=cycles)
     base, (cascade,) = generate_workload(spec)
-    seen = detect_against_reference(base, [split_namespaces(cascade, namespaces)])
-    assert len(seen) == cycles
+    cascade = split_namespaces(cascade, namespaces)
+    cascade = replace(cascade, cycles=(*cascade.cycles, (WATCH_RELAYS, WATCH_RELAYS.with_namespace("b"))))
+    seen = detect_against_reference(base, [cascade])
+    assert len(seen) == cycles + 1
     assert any(plan.plain_bindings for _, plan in seen)
     if p:
-        assert any(groups for groups, _ in seen)
+        assert any(groups for groups, _ in seen[:-1])
+    # Every spec here has link-only aspects, so relays to watch: the last
+    # cycle's groups are the relays' woven bindings, each with its call.
+    last, _ = seen[-1]
+    assert last and all(g.anchor.component_id.startswith("relay") and g.originals for g in last)
 
 
 def test_detect_equals_the_reference_on_anchors_shared_across_namespaces(fixtures_dir, hospital_base):

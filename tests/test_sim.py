@@ -450,22 +450,44 @@ def churn_scripts(draw, base, names):
     return script
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    spec=st.builds(
-        WorkloadSpec,
-        seed=st.integers(0, 2**16),
-        joinpoint_count=st.integers(2, 10),
-        aa_count=st.integers(1, 4),
-        conflict_probability=st.sampled_from((0.33, 0.5, 1.0)),
-        cycles=st.integers(1, 3),
-    ),
-    data=st.data(),
+# A last-cycle aspect that binds every generated relay, so the replay
+# weaves across cycles: no generated aspect matches a woven component.
+WATCH_RELAYS = parse_aa(
+    "Pointcut:\n  r := /*(@type=gen.Relay).^out_1/\nAdvice:\nschema watch_relays(r):\n"
+    "  tap : 'gen.Tap';\n  r -> (tap.in ; call)\n"
 )
-def test_a_replay_with_the_session_memo_equals_reweaving_without_it(spec, data):
-    base, cascades = generate_workload(spec)
-    script = data.draw(churn_scripts(base, sorted(cascades[0].aa_names())), label="script")
-    replay_checked(base, cascades, script)
+
+
+def test_a_replay_with_the_session_memo_equals_reweaving_without_it():
+    # Re-weaves without a session memo are one-shot weaves, so this also
+    # compares the two paths on weaves that cross cycles.
+    crossed = []
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        spec=st.builds(
+            WorkloadSpec,
+            seed=st.integers(0, 2**16),
+            joinpoint_count=st.integers(2, 10),
+            aa_count=st.integers(1, 4),
+            conflict_probability=st.sampled_from((0.33, 0.5, 1.0)),
+            cycles=st.integers(1, 3),
+        ),
+        data=st.data(),
+    )
+    def replay(spec, data):
+        base, (cascade,) = generate_workload(spec)
+        cascades = [replace(cascade, cycles=(*cascade.cycles, (WATCH_RELAYS,)))]
+        script = data.draw(churn_scripts(base, sorted(cascades[0].aa_names())), label="script")
+        _, session, _ = replay_checked(base, cascades, script)
+        # The watcher crosses exactly when an earlier cycle wove a relay.
+        *earlier, last = session[0]
+        relays = any(aa.startswith("gen_ln_") for r in earlier for aa, _, _ in r.applied)
+        assert bool(last.cross_aspect_matches) == relays
+        crossed.append(any(r.cross_aspect_matches for reports in session for r in reports))
+
+    replay()
+    assert any(crossed) and not all(crossed)
 
 
 def test_aspects_pinned_to_their_namespace_reuse_instances(hospital_base, scenario_cascade, energy_cascade):

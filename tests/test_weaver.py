@@ -6,6 +6,7 @@ import pytest
 
 import aaweave.merge as merge_module
 from aaweave import matching, weaver
+from aaweave.cli import load_cascade_manifest
 from aaweave.language import parse_aa
 from aaweave.merge import detect_conflicts, merge_group
 from aaweave.model import (
@@ -352,19 +353,25 @@ def test_a_memo_table_stores_nothing_when_build_raises():
 
 def test_every_one_shot_weave_starts_from_an_empty_memo():
     # Only a replay session shares groundings, folds and lowerings between
-    # weaves: a one-shot weave, such as each weave of criterion 9's sweep,
-    # gets a memo of its own, so it grounds every advice instance, and
-    # folds and lowers every group it detects.
+    # weaves.  A one-shot weave, such as each weave of criterion 9's sweep,
+    # gets fresh folds and stamps of its own and no grounding, lowering or
+    # plain-binding table, so it keys none of them; it still grounds every
+    # advice instance, and folds and lowers every group it detects.
     base, cascades = generate_workload(WorkloadSpec(seed=3, joinpoint_count=12, conflict_probability=0.5, cycles=2))
-    memos, instances, groundings, detected, folded, lowered = [], [], [], [], [], []
+    memos, recalled, instances, groundings, detected, plain, folded, lowered = [], [], [], [], [], [], [], []
 
     def cycle(base, pairs, cycle_index, fresh, memo, weave_cycle=weaver._weave_cycle):
         # A weave's cycles share one memo, empty when its first cycle begins.
         if cycle_index == 0:
-            assert not (memo.instances or memo.folds or memo.lowerings or memo.stamps or memo.plain_bindings)
+            assert not (memo.folds or memo.stamps)
             memos.append(memo)
         assert memo is memos[-1]
+        assert memo.instances is memo.lowerings is memo.plain_bindings is None
         return weave_cycle(base, pairs, cycle_index, fresh, memo)
+
+    def recall(table, key, pin, build, recall=MemoTable.recall):
+        recalled.append(table)
+        return recall(table, key, pin, build)
 
     def ground(*args, **kwargs):
         inst = matching.instantiate_advice(*args, **kwargs)
@@ -378,6 +385,7 @@ def test_every_one_shot_weave_starts_from_an_empty_memo():
     def detect(*args, **kwargs):
         groups, plan = detect_conflicts(*args, **kwargs)
         detected.extend(groups)
+        plain.extend(plan.plain_bindings)
         return groups, plan
 
     def fold(group):
@@ -390,21 +398,23 @@ def test_every_one_shot_weave_starts_from_an_empty_memo():
 
     # Counting the pairwise steps also catches a cache inside ``merge_group``.
     steps = mock.patch.object(merge_module, "_merge", side_effect=merge_module._merge)
-    with mock.patch.object(weaver, "_weave_cycle", cycle), mock.patch.object(weaver, "instantiate_advice", ground), \
-            mock.patch.object(matching, "map_leaves", grounding), mock.patch.object(weaver, "detect_conflicts", detect), \
-            mock.patch.object(weaver, "merge_group", fold), mock.patch.object(merge_module, "_lower_group", lower_group), \
-            steps as pairwise:
+    with mock.patch.object(weaver, "_weave_cycle", cycle), mock.patch.object(MemoTable, "recall", recall), \
+            mock.patch.object(weaver, "instantiate_advice", ground), mock.patch.object(matching, "map_leaves", grounding), \
+            mock.patch.object(weaver, "detect_conflicts", detect), mock.patch.object(weaver, "merge_group", fold), \
+            mock.patch.object(merge_module, "_lower_group", lower_group), steps as pairwise:
         for _ in range(2):
-            for seen in (instances, groundings, detected, folded, lowered):
+            for seen in (recalled, instances, groundings, detected, plain, folded, lowered):
                 seen.clear()
             pairwise.reset_mock()
             _, reports = weave_cascade(base, cascades)
             # Every Link and Rewrite of every instance went through map_leaves.
             assert len(groundings) == sum(len(inst.grounded_rules) for inst in instances) > 0
-            assert len(detected) > 1 and folded == detected and lowered == detected
+            assert len(detected) > 1 and folded == detected and lowered == detected and plain
             assert pairwise.call_count >= sum(r.merge_ops for r in reports) > 0
             assert not any(r.instances_reused or r.folds_reused or r.lowerings_reused for r in reports)
-    assert len(memos) == 2 and memos[0] is not memos[1]
+            # The only table keyed is the weave's folds, once per group.
+            assert len(recalled) == len(detected) and all(table is memos[-1].folds for table in recalled)
+    assert len(memos) == 2 and memos[0].folds is not memos[1].folds and memos[0].stamps is not memos[1].stamps
 
 
 def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
@@ -435,6 +445,44 @@ def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
     assert emitted[0] == emitted[1] and shared == alone
     steps = [sum(len(g.trees) - 1 for g in groups) for groups in detected]
     assert [r.merge_ops for r in shared_reports + alone_reports] == steps
+
+
+def one_shot_and_session(base, cascades):
+    """``weave_cascade`` one-shot and on a session memo of its own: per
+    path, the woven output, each cycle's lowered instructions and the
+    reports less their wall clock and reuse counts."""
+    runs = []
+    for memo in (None, Memo()):
+        lowered = []
+
+        def spy(*args, lower=weaver.lower):
+            lowered.append(lower(*args))
+            return lowered[-1]
+
+        with mock.patch.object(weaver, "lower", spy):
+            woven, reports = weave_cascade(base, cascades, memo)
+        dicts = [r.to_json_dict() for r in reports]
+        for d in dicts:
+            del d["durations_us"], d["instances_reused"], d["folds_reused"], d["lowerings_reused"]
+        runs.append((woven, lowered, dicts))
+    return runs
+
+
+def test_a_one_shot_weave_equals_a_weave_on_a_session_memo(fixtures_dir, hospital_base):
+    # The two paths differ only in which memo tables they hold, so they
+    # weave, lower and report alike: on every fixture manifest, on all of
+    # them at once, on the field-trial workload and on generated cascades.
+    manifests = [load_cascade_manifest(str(path)) for path in sorted(fixtures_dir.glob("*.cascade.json"))]
+    cases = [(hospital_base, [cascade]) for cascade in manifests]
+    cases += [(hospital_base, manifests), (Assembly.empty(), manifests), continuum_workload()]
+    cases += [
+        generate_workload(WorkloadSpec(seed=seed, joinpoint_count=10, aa_count=5, conflict_probability=p, cycles=cycles))
+        for seed, p, cycles in ((1, 0.33, 2), (2, 0.5, 3), (3, 1.0, 2))
+    ]
+    for base, cascades in cases:
+        one_shot, session = one_shot_and_session(base, cascades)
+        assert one_shot == session
+        assert one_shot[1] and any(one_shot[1])
 
 
 def fan_out_parts():
