@@ -175,18 +175,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise InputError(f"--reps must be at least 1, not {args.reps}")
-    start, stop, step = args.sweep
-    rows = sim.run_bench(
-        joinpoints=range(start, stop + 1, step),
-        p_values=tuple(args.p),
-        repetitions=args.reps,
-        aa_count=args.aa_count,
-        rules_per_aa=args.rules_per_aa,
-        seed=args.seed,
-    )
-    _write(args.csv, sim.bench_rows_to_csv(rows))
+    # The bench parser leaves out what is not given, so run_bench's own defaults apply.
+    names = ("joinpoints", "p_values", "repetitions", "aa_count", "rules_per_aa", "seed")
+    options = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    if "repetitions" in options and options["repetitions"] < 1:
+        raise InputError(f"--reps must be at least 1, not {args.repetitions}")
+    _write(args.csv, sim.bench_rows_to_csv(sim.run_bench(**options)))
     return EXIT_OK
 
 
@@ -271,7 +265,7 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _sweep(text: str) -> tuple[int, int, int]:
+def _sweep(text: str) -> range:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:step")
@@ -280,7 +274,7 @@ def _sweep(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"sweep step must be > 0, not {step}")
     if stop < start:
         raise argparse.ArgumentTypeError(f"sweep stop {stop} is below its start {start}")
-    return start, stop, step
+    return range(start, stop + 1, step)
 
 
 def build_parser() -> _ArgumentParser:
@@ -306,14 +300,14 @@ def build_parser() -> _ArgumentParser:
     simulate.add_argument("--weave-duration", type=int, default=0, help="logical weave busy window (ms)")
     simulate.set_defaults(fn=cmd_simulate)
 
-    bench = sub.add_parser("bench", help="run the workload sweep")
-    bench.add_argument("--sweep", type=_sweep, default=(0, 120, 20), help="joinpoints start:stop:step")
-    bench.add_argument("--p", action="append", type=float, default=None, help="conflict probability (repeatable)")
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--aa-count", type=int, default=12)
-    bench.add_argument("--rules-per-aa", type=int, default=2)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv", help="write CSV here (default stdout)")
+    bench = sub.add_parser("bench", help="run the workload sweep", argument_default=argparse.SUPPRESS)
+    bench.add_argument("--sweep", dest="joinpoints", type=_sweep, help="joinpoints start:stop:step")
+    bench.add_argument("--p", dest="p_values", action="append", type=float, help="conflict probability (repeatable)")
+    bench.add_argument("--reps", dest="repetitions", type=int)
+    bench.add_argument("--aa-count", type=int)
+    bench.add_argument("--rules-per-aa", type=int)
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--csv", default=None, help="write CSV here (default stdout)")
     bench.set_defaults(fn=cmd_bench)
 
     analyze = sub.add_parser("analyze", help="configuration counts and cost bounds")
@@ -335,8 +329,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "bench" and args.p is None:
-            args.p = [0.0, 0.33, 0.5]
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,11 +1,14 @@
+import inspect
 import json
 import shutil
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aaweave import sim
 from aaweave.cli import main
 from aaweave.language import parse_aa
 from aaweave.model import REQUIRED, PortRef, assembly_from_json
@@ -247,6 +250,27 @@ def test_bench_csv(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("joinpoints,p_i,rep,match_us")
     assert len(lines) == 4
+
+
+def test_bench_asks_run_bench_for_its_own_defaults_and_the_options_given(capsys):
+    signature = inspect.signature(sim.run_bench)
+    asked = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        asked.append(bound.arguments)
+        return []
+
+    flags = ["--sweep", "0:10:5", "--p", "0.5", "--p", "0", "--reps", "2", "--aa-count", "3", "--rules-per-aa", "1"]
+    with mock.patch.object(sim, "run_bench", recording):
+        assert run(capsys, "bench")[0] == 0
+        assert run(capsys, "bench", *flags, "--seed", "7")[0] == 0
+    defaults, options = asked
+    assert defaults == {name: p.default for name, p in signature.parameters.items()}
+    assert options == {
+        "joinpoints": range(0, 11, 5), "p_values": [0.5, 0.0], "repetitions": 2, "aa_count": 3, "rules_per_aa": 1, "seed": 7
+    }
 
 
 def test_simulate_bad_script_is_invalid(tmp_path, fixtures_dir, capsys):

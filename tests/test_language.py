@@ -2,7 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+import reference_weave
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aaweave.language import (
@@ -35,6 +36,7 @@ from aaweave.language import (
 )
 from aaweave.model import PROVIDED, REQUIRED, PortSpec, canonical_ports
 from aaweave.optree import CALL, NOP, Delegate, If, Leaf, Par, Seq, iter_refs
+from aaweave.weaver import Cascade
 
 
 def load(fixtures_dir, name):
@@ -579,24 +581,24 @@ def _map_refs(tree, fn):
 
 
 @st.composite
-def _aspects(draw):
+def _aspects(draw, patterns=_PATTERNS, filters=st.lists(_ASPECT_FILTERS, max_size=2), trees=_SLOT_TREES):
     """Whole aspects whose references all resolve, with each local's ports
     as the parser infers them (see ``Instantiate``)."""
     names = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
     cut = draw(st.integers(0, len(names)))
     variables, locals_ = names[:cut], names[cut:]
     pointcut = tuple(
-        PointcutRule(v, draw(_PATTERNS), tuple(draw(st.lists(_ASPECT_FILTERS, max_size=2)))) for v in variables
+        PointcutRule(v, draw(patterns), tuple(draw(filters))) for v in variables
     )
-    patterns = {r.variable: r.pattern for r in pointcut}
+    by_variable = {r.variable: r.pattern for r in pointcut}
     # Only a pointcut variable may stand bare; on the left it also needs a
     # port part, which decides whether the rule links or rewrites.
-    sided = {v for v, pattern in patterns.items() if pattern.port_atoms is not None}
+    sided = {v for v, pattern in by_variable.items() if pattern.port_atoms is not None}
     rules = []
     for _ in range(draw(st.integers(1, 3))):
         lhs = _resolve(draw(_SLOT_EXPRS), names, sided)
-        tree = _map_refs(draw(_SLOT_TREES), lambda e: _resolve(e, names, patterns))
-        required = lhs.required if lhs.port is not None else patterns[lhs.base].port_required
+        tree = _map_refs(draw(trees), lambda e: _resolve(e, names, by_variable))
+        required = lhs.required if lhs.port is not None else by_variable[lhs.base].port_required
         rules.append((Link if required else Rewrite)(lhs, tree))
     ports = {name: set() for name in locals_}
     for rule in rules:
@@ -639,6 +641,38 @@ def test_whole_aspects_print_parse_round_trip(aa):
             print_aa(aa)
         return
     assert parse_aa(print_aa(aa)) == aa
+
+
+# Patterns that pick out a few ports of what the hospital fixture's
+# aspects weave over its base, mostly of woven components, which declare
+# any port bound to them, and trees over provided ports only, so that
+# many drawn aspects weave without a fault.
+_HOSPITAL_PATTERNS = st.sampled_from(
+    (
+        "/switch.^value_Evented_NewValue/", "/Decision1.Manage/", "/Decision1.^*/", "/*.in/",
+        "/par[:digit:].^out_1/", "/if1.^out*/", "/threshold1.IsReached/", "/Average1/",
+    )
+).map(parse_pattern)
+_PROVIDED_TREES = _op_trees(st.one_of(st.builds(PortExpr, _SLOT), st.builds(PortExpr, _SLOT, st.sampled_from(("p", "q")))))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    aspects=st.lists(
+        _aspects(_HOSPITAL_PATTERNS, st.just(()), trees=_PROVIDED_TREES),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda aa: aa.name,
+    )
+)
+def test_drawn_aspects_weave_as_the_spec(weaves_as_the_spec, hospital_base, mono_cascade, aspects):
+    # A second cycle over what the hospital fixture's aspects wove, with
+    # few enough combinations per aspect to weave fast.
+    (first_cycle,) = mono_cascade.cycles
+    first, _ = reference_weave.weave(hospital_base, [[(aa, "") for aa in first_cycle]])
+    seen = reference_weave.joinpoints(first, 1, "", {aa.name for aa in aspects})
+    assume(all(math.prod(len(reference_weave.scan(first, seen, r)) for r in aa.pointcut) <= 16 for aa in aspects))
+    weaves_as_the_spec(hospital_base, [Cascade("drawn", cycles=(first_cycle, tuple(aspects)))])
 
 
 @settings(max_examples=300, deadline=None)

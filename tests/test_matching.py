@@ -1,5 +1,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_weave import joinpoints, scan
 
 from aaweave.language import (
     DIGIT,
@@ -19,7 +20,7 @@ from aaweave.matching import (
     instantiate_advice,
     match_pointcut,
 )
-from aaweave.model import PROVIDED, REQUIRED, Assembly, Component, PortRef, PortSpec, Woven
+from aaweave.model import PROVIDED, REQUIRED, Assembly, Component, PortSpec, Woven
 from aaweave.weaver import MemoTable
 
 
@@ -112,34 +113,6 @@ def test_empty_assembly_matches_nothing():
     assert got == {"light": []}
 
 
-def scan(assembly, joinpoints, rule):
-    """Reference matcher: every joinpoint meets the component pattern, then
-    the port pattern and direction, then every filter on its component's
-    metadata in ``assembly``."""
-    return [
-        port
-        for port in joinpoints
-        if rule.pattern.matches_component(port.component_id)
-        and rule.pattern.matches_port(port.port_name, port.direction)
-        and all(f.evaluate(assembly.components[port.component_id].metadata) for f in rule.filters)
-    ]
-
-
-def reference_joinpoints(assembly, cycle, namespace, weaving=frozenset()):
-    """Reference collection: one joinpoint per port of every component the
-    staging rules let the cycle see, in component id order."""
-
-    def visible(p):
-        return p is None or (p.aa_name not in weaving and p.cycle < cycle and p.namespace in ("", namespace))
-
-    return [
-        PortRef(c.id, port.name, port.direction)
-        for c in sorted(assembly.components.values(), key=lambda c: c.id)
-        if visible(c.provenance)
-        for port in c.ports
-    ]
-
-
 DIRECTIONS = (PROVIDED, REQUIRED)
 # Ids that differ only in ASCII case (``Hub``), or only in the case of a
 # non-ASCII letter (``DÉV1``, ``dÉv1``), which the ASCII case-blind
@@ -230,7 +203,7 @@ def _rules(components):
 def test_index_matches_the_reference_scan(components, cycle, namespace, weaving, data):
     assembly = Assembly.build(components, [])
     index = collect_joinpoints(assembly, cycle, namespace, weaving)
-    listed = reference_joinpoints(assembly, cycle, namespace, weaving)
+    listed = joinpoints(assembly, cycle, namespace, weaving)
     assert list(index) == listed
     assert len(index) == len(listed)
     aspects = data.draw(st.lists(st.lists(_rules(components), min_size=1, max_size=3), min_size=1, max_size=4))
@@ -243,7 +216,7 @@ def test_index_matches_the_reference_scan(components, cycle, namespace, weaving,
 
 def test_index_matches_the_reference_scan_on_the_fixtures(fixtures_dir, hospital_base):
     index = collect_joinpoints(hospital_base, 0, "")
-    jps = reference_joinpoints(hospital_base, 0, "")
+    jps = joinpoints(hospital_base, 0, "")
     assert list(index) == jps
     for path in sorted((fixtures_dir / "aa").glob("*.aa")):
         aa = parse_aa(path.read_text(), path=path.name)

@@ -2,12 +2,12 @@ import functools
 import itertools
 import types
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_weave import Group, detect
 
 from aaweave import weaver
 from aaweave.language import Link, Rewrite, parse_aa
@@ -30,7 +30,6 @@ from aaweave.merge import (
     merge_group,
     normalize,
     op_stems,
-    _joint_provenance,
     _merge_cached,
 )
 from aaweave.model import (
@@ -41,7 +40,6 @@ from aaweave.model import (
     Assembly,
     Binding,
     Component,
-    PortRef,
     PortSpec,
     RemoveBinding,
     Woven,
@@ -288,48 +286,17 @@ def test_instantiations_never_conflict(fixtures_dir, hospital_base):
     assert not {g.anchor.component_id for g in groups} & added
 
 
-def detect_over_full_maps(base, instances, cycle=0):
-    """The reference for ``detect_conflicts``: index every base binding by
-    its target and its source, then walk the rules once in order."""
-    incoming, outgoing = {}, {}
-    for bd in base.bindings:
-        incoming.setdefault(bd.target, []).append(bd)
-        outgoing.setdefault(bd.source, []).append(bd.target)
-    per_anchor, plan = {}, MergedPlan()
-    for inst in instances:
-        who = (inst.aa_name, inst.namespace)
-        plan.component_adds.extend(inst.components)
-        for rule in inst.grounded_rules:
-            if isinstance(rule, Link):
-                per_anchor.setdefault(rule.source, []).append((rule.tree, who))
-            else:
-                for bd in incoming.get(rule.target, ()):
-                    per_anchor.setdefault(bd.source, []).append((rule.tree, who))
-    groups = []
-    for anchor in sorted(per_anchor, key=PortRef.key):
-        entries = per_anchor[anchor]
-        originals = tuple(sorted(outgoing.get(anchor, ()), key=PortRef.key))
-        trees = [Leaf(t) for t in originals] + [t for t, _ in entries]
-        contributors = tuple(sorted({who for _, who in entries}))
-        prov = _joint_provenance(contributors, cycle)
-        if len(trees) == 1 and isinstance(trees[0], Leaf) and not originals:
-            plan.plain_bindings.append(Binding(anchor, trees[0].target, prov))
-        else:
-            groups.append(RewriteGroup(anchor, tuple(trees), contributors, originals, prov))
-    plan.component_adds.sort(key=lambda comp: comp.id)
-    return groups, plan
-
-
-def in_canonical_order(detected):
-    """A ``detect_conflicts`` result with each group's rule trees sorted by
-    ``sort_key`` and the component adds by id: no result depends on their
-    order, so only these two lists may come out in another one."""
-    groups, plan = detected
+def in_canonical_order(groups, plain_bindings, components):
+    """A detection's result in the form ``reference_weave.detect`` returns,
+    with each group's rule trees sorted by ``sort_key`` and the components
+    by id: no result depends on their order, so only these two lists may
+    come out in another one."""
     groups = [
-        replace(g, trees=g.trees[: len(g.originals)] + tuple(sorted(g.trees[len(g.originals):], key=sort_key)))
+        Group(g.anchor, g.trees[: len(g.originals)] + tuple(sorted(g.trees[len(g.originals):], key=sort_key)),
+              g.contributors, g.originals, g.provenance)
         for g in groups
     ]
-    return groups, MergedPlan(sorted(plan.component_adds, key=lambda comp: comp.id), plan.plain_bindings)
+    return groups, plain_bindings, sorted(components, key=lambda comp: comp.id)
 
 
 def fan_in_assembly():
@@ -372,7 +339,7 @@ def test_a_rewrite_groups_each_anchor_with_its_own_originals():
         for a in ("a1", "a2")
     ]
     assert plan == MergedPlan()
-    assert (groups, plan) == detect_over_full_maps(base, instances)
+    assert in_canonical_order(groups, [], []) == in_canonical_order(*detect(base, instances))
 
 
 def test_an_anchors_trees_are_its_originals_then_every_rule_tree():
@@ -392,7 +359,8 @@ def test_an_anchors_trees_are_its_originals_then_every_rule_tree():
     assert group.trees[:2] == tuple(map(Leaf, originals))
     # The rule trees come in no order the fold depends on.
     assert Counter(group.trees[2:]) == Counter((a, b, c, light_on))
-    assert in_canonical_order((groups, plan)) == in_canonical_order(detect_over_full_maps(base, instances, cycle=1))
+    got = in_canonical_order(groups, plan.plain_bindings, plan.component_adds)
+    assert got == in_canonical_order(*detect(base, instances, cycle=1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -403,10 +371,10 @@ def test_detect_agrees_with_full_binding_maps(seed, cycles, p):
     seen = []
 
     def spy(assembly, instances, memo, cycle=0):
-        got = detect_conflicts(assembly, instances, memo, cycle=cycle)
-        want = detect_over_full_maps(assembly, instances, cycle=cycle)
-        seen.append(in_canonical_order(got) == in_canonical_order(want))
-        return got
+        groups, plan = detect_conflicts(assembly, instances, memo, cycle=cycle)
+        got = in_canonical_order(groups, plan.plain_bindings, plan.component_adds)
+        seen.append(got == in_canonical_order(*detect(assembly, instances, cycle)))
+        return groups, plan
 
     with mock.patch.object(weaver, "detect_conflicts", spy):
         weaver.weave_cascade(base, cascades)

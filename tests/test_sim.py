@@ -6,6 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_weave
+from reference_weave import WATCH_RELAYS
 
 from aaweave import matching, merge, sim, weaver
 from aaweave.matching import instantiate_advice
@@ -36,7 +38,7 @@ from aaweave.sim import (
     spearman_rho,
 )
 from aaweave.language import parse_aa
-from aaweave.weaver import PHASES, Cascade, union, weave_cascade
+from aaweave.weaver import PHASES, Cascade, select_aspects, union, weave_cascade
 
 
 def hospital_script(fixtures_dir):
@@ -314,11 +316,13 @@ def without_clock(reports):
 
 
 def replay_checked(base, cascades, script):
-    """Replay ``script`` and check it against memo-less re-weaves.
+    """Replay ``script`` and check it against memo-less re-weaves and the
+    spec.
 
     Every weave's instructions, each cycle's lowered instructions, in
     order, and every report (less clocks and reuse counts) and the final
-    assembly must equal those of a chain of re-weaves that share no memo.
+    assembly must equal those of a chain of re-weaves that share no memo,
+    and each batch's target and report facts those of ``reference_weave``.
     Each distinct advice instance must be grounded, each distinct group
     folded and each distinct lowering performed, once; a reused lowering
     emits the very objects it stored.  Returns the session's memo, the
@@ -334,7 +338,7 @@ def replay_checked(base, cascades, script):
     def spy_reweave(current, env, cascades, selection=None, memo=None):
         memos.append(memo)
         target, instrs, reports = weaver.reweave(current, env, cascades, selection, memo)
-        batches.append((env, selection, instrs, reports))
+        batches.append((env, selection, target, instrs, reports))
         return target, instrs, reports
 
     def spy_ground(*args, **kwargs):
@@ -385,14 +389,20 @@ def replay_checked(base, cascades, script):
         performed.clear()
         current, reports = weaver.weave_cascade(base, cascades)
         assert without_clock(reports) == without_clock(trace.initial_reports)
-        for env, selection, instrs, memo_reports in batches:
+        for env, selection, _, instrs, memo_reports in batches:
             current, want, reports = weaver.reweave(current, env, cascades, selection)
             assert instrs == want
             assert without_clock(memo_reports) == without_clock(reports)
             assert not any(r.instances_reused or r.folds_reused or r.lowerings_reused for r in reports)
     assert current == trace.final_assembly
     assert [instrs for _, instrs, _ in session_lowered] == [instrs for _, instrs, _ in lowered]
-    session = [trace.initial_reports, *(reports for _, _, _, reports in batches)]
+    session = [trace.initial_reports, *(reports for *_, reports in batches)]
+    # Each batch's target is the spec's weave of the batch's environment and
+    # selection, unless a cycle fails and what is deployed stands.
+    for env, selection, target, _, memo_reports in batches:
+        woven, facts = reference_weave.weave(env, union(*select_aspects(cascades, selection)).resolved())
+        assert reference_weave.observed(target, memo_reports)[1] == facts
+        assert target == woven or any(f.failure for f in facts)
 
     # Each distinct instance was grounded once; a reused one is the very
     # object of its first grounding.
@@ -450,14 +460,6 @@ def churn_scripts(draw, base, names):
     return script
 
 
-# A last-cycle aspect that binds every generated relay, so the replay
-# weaves across cycles: no generated aspect matches a woven component.
-WATCH_RELAYS = parse_aa(
-    "Pointcut:\n  r := /*(@type=gen.Relay).^out_1/\nAdvice:\nschema watch_relays(r):\n"
-    "  tap : 'gen.Tap';\n  r -> (tap.in ; call)\n"
-)
-
-
 def test_a_replay_with_the_session_memo_equals_reweaving_without_it():
     # Re-weaves without a session memo are one-shot weaves, so this also
     # compares the two paths on weaves that cross cycles.
@@ -488,6 +490,16 @@ def test_a_replay_with_the_session_memo_equals_reweaving_without_it():
 
     replay()
     assert any(crossed) and not all(crossed)
+
+
+def test_every_replayed_batch_weaves_as_the_spec(fixtures_dir, scenario_cascade):
+    # ``replay_checked`` holds every batch of a session to the spec, here on
+    # the hospital replay and, with a relay watcher, on generated replays in
+    # ``test_a_replay_with_the_session_memo_equals_reweaving_without_it``.
+    from aaweave.model import Assembly
+
+    _, session, _ = replay_checked(Assembly.empty(), [scenario_cascade], hospital_script(fixtures_dir))
+    assert len(session) == 3
 
 
 def test_aspects_pinned_to_their_namespace_reuse_instances(hospital_base, scenario_cascade, energy_cascade):

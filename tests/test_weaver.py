@@ -264,6 +264,11 @@ UNDECLARED_PORT_AA = (
     "Pointcut:\n  s := /brightness1.^NewValue/\n  t := /light1.SetState/\nAdvice:\n"
     "schema dangling(s, t):\n  s -> (t.Missing)\n"
 )
+# A delegate over a parallel of a sequence and a nop, which weaves.
+GATE_AA = (
+    "Pointcut:\n  s := /switch.^value_Evented_NewValue/\nAdvice:\nschema gate(s):\n"
+    "  gate : 'g.Gate';\n  s -> (delegate(gate.in ; call || nop))\n"
+)
 # A bystander whose group (at rfid1) sorts after brightness1's and before
 # switch's, so a failure must name the failing group's aspects, not its.
 WATCH_AA = (
@@ -447,31 +452,10 @@ def test_anchors_with_the_same_originals_and_rule_trees_share_one_fold():
     assert [r.merge_ops for r in shared_reports + alone_reports] == steps
 
 
-def one_shot_and_session(base, cascades):
-    """``weave_cascade`` one-shot and on a session memo of its own: per
-    path, the woven output, each cycle's lowered instructions and the
-    reports less their wall clock and reuse counts."""
-    runs = []
-    for memo in (None, Memo()):
-        lowered = []
-
-        def spy(*args, lower=weaver.lower):
-            lowered.append(lower(*args))
-            return lowered[-1]
-
-        with mock.patch.object(weaver, "lower", spy):
-            woven, reports = weave_cascade(base, cascades, memo)
-        dicts = [r.to_json_dict() for r in reports]
-        for d in dicts:
-            del d["durations_us"], d["instances_reused"], d["folds_reused"], d["lowerings_reused"]
-        runs.append((woven, lowered, dicts))
-    return runs
-
-
-def test_a_one_shot_weave_equals_a_weave_on_a_session_memo(fixtures_dir, hospital_base):
-    # The two paths differ only in which memo tables they hold, so they
-    # weave, lower and report alike: on every fixture manifest, on all of
-    # them at once, on the field-trial workload and on generated cascades.
+def test_a_one_shot_weave_equals_a_weave_on_a_session_memo(weaves_as_the_spec, fixtures_dir, hospital_base):
+    # Both paths weave as the spec does: every fixture manifest, alone and
+    # together, the field trial, generated cascades, and a delegate over a
+    # parallel of a sequence and a nop.
     manifests = [load_cascade_manifest(str(path)) for path in sorted(fixtures_dir.glob("*.cascade.json"))]
     cases = [(hospital_base, [cascade]) for cascade in manifests]
     cases += [(hospital_base, manifests), (Assembly.empty(), manifests), continuum_workload()]
@@ -479,10 +463,17 @@ def test_a_one_shot_weave_equals_a_weave_on_a_session_memo(fixtures_dir, hospita
         generate_workload(WorkloadSpec(seed=seed, joinpoint_count=10, aa_count=5, conflict_probability=p, cycles=cycles))
         for seed, p, cycles in ((1, 0.33, 2), (2, 0.5, 3), (3, 1.0, 2))
     ]
-    for base, cascades in cases:
-        one_shot, session = one_shot_and_session(base, cascades)
-        assert one_shot == session
-        assert one_shot[1] and any(one_shot[1])
+    cases.append((hospital_base, [Cascade("gate", cycles=((parse_aa(GATE_AA),),))]))
+    outcomes = [weaves_as_the_spec(base, cascades) for base, cascades in cases]
+    assert all(f.failure is None for facts in outcomes for f in facts)
+    assert any(f.skipped for facts in outcomes for f in facts)
+    assert any(f.cross_aspect_matches for facts in outcomes for f in facts)
+    # A cycle failing at an anchor, in lowering and in applying, after a
+    # good one, beside a bystander whose group sorts between the failing ones.
+    dec = parse_aa((fixtures_dir / "aa" / "decision.aa").read_text())
+    for aas in (clashing_aas(), (parse_aa(STRAY_CALL_AA),), (parse_aa(UNDECLARED_PORT_AA),)):
+        facts = weaves_as_the_spec(hospital_base, [Cascade("c", cycles=((dec,), (*aas, parse_aa(WATCH_AA))))])
+        assert [f.failure is not None for f in facts] == [False, True]
 
 
 def fan_out_parts():
