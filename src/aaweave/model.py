@@ -653,8 +653,80 @@ def from_json_dict(d) -> Assembly:
     )
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C escaper json.dumps writes every string with
+
+
+def _value_json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` nested where each line of the
+    enclosing document starts with ``indent``.  A string or an ``int`` is
+    written directly, as the encoder writes it; anything else goes through
+    ``json.dumps`` and is re-indented, which is exact because ``json.dumps``
+    never writes a raw newline inside a string."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _map_json(d: dict) -> str:
+    """A component's properties or metadata as ``component_to_json`` lists
+    them, keys sorted, at a component field's depth."""
+    if not d:
+        return "{}"
+    pairs = ",\n        ".join(f"{_quote(k)}: {_value_json(v, '        ')}" for k, v in sorted(d.items()))
+    return "{\n        " + pairs + "\n      }"
+
+
+def _provenance_json(p: Woven | None) -> str:
+    """``_provenance_to_json(p)`` at a component or binding field's depth."""
+    if p is None:
+        return '{\n        "kind": "base"\n      }'
+    return (
+        f'{{\n        "kind": "woven",\n        "aa": {_quote(p.aa_name)},\n'
+        f'        "cycle": {_value_json(p.cycle, "        ")},\n        "namespace": {_quote(p.namespace)}\n      }}'
+    )
+
+
+def _json_list(blocks: list[str], indent: str) -> str:
+    """A list of written blocks, closed at ``indent``."""
+    return "[\n" + ",\n".join(blocks) + "\n" + indent + "]" if blocks else "[]"
+
+
 def assembly_to_json(assembly: Assembly) -> str:
-    return json.dumps(to_json_dict(assembly), indent=2)
+    """``json.dumps(to_json_dict(assembly), indent=2)``, byte for byte.
+
+    ``indent`` makes ``json.dumps`` use its pure-Python encoder, so this
+    writes the same text block by block instead, without building
+    ``to_json_dict``: components in id order, then ``Assembly.bindings``,
+    every string escaped by the encoder's own C function.  A field or a
+    property or metadata key the model types as a string must be one;
+    anything else raises ``TypeError``.
+    """
+    comps = assembly.components
+    components = []
+    for cid in sorted(comps):
+        c = comps[cid]
+        ports = [
+            f'        {{\n          "name": {_quote(p.name)},\n          "direction": {_quote(p.direction)}\n        }}'
+            for p in c.ports
+        ]
+        components.append(
+            f'    {{\n      "id": {_quote(c.id)},\n      "type": {_quote(c.type_name)},\n'
+            f'      "properties": {_map_json(c.properties)},\n      "metadata": {_map_json(c.metadata)},\n'
+            f'      "ports": {_json_list(ports, "      ")},\n'
+            f'      "provenance": {_provenance_json(c.provenance)}\n    }}'
+        )
+    bindings = [
+        f'    {{\n      "source": {{\n        "component": {_quote(b.source.component_id)},\n'
+        f'        "port": {_quote(b.source.port_name)}\n      }},\n'
+        f'      "target": {{\n        "component": {_quote(b.target.component_id)},\n'
+        f'        "port": {_quote(b.target.port_name)}\n      }},\n'
+        f'      "provenance": {_provenance_json(b.provenance)}\n    }}'
+        for b in assembly.bindings
+    ]
+    return f'{{\n  "components": {_json_list(components, "  ")},\n  "bindings": {_json_list(bindings, "  ")}\n}}'
 
 
 def assembly_from_json(text: str) -> Assembly:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import time
 from dataclasses import replace
@@ -21,6 +22,7 @@ from aaweave.model import (
     DanglingBinding,
     DuplicateBinding,
     DuplicateComponent,
+    PortRef,
     PortSet,
     PortSpec,
     RemoveBinding,
@@ -36,9 +38,12 @@ from aaweave.model import (
     provided,
     required,
     to_dot,
+    to_json_dict,
 )
+from aaweave.cli import load_cascade_manifest
 from aaweave.sim import WorkloadSpec, generate_workload
 from aaweave.weaver import reweave, weave_cascade
+from test_fingerprints import load_workloads
 
 
 def comp(cid, *ports, prov=None):
@@ -485,6 +490,67 @@ def test_json_numbers_that_do_not_write_back_are_rejected(literal, message):
 def test_export_empty_json():
     doc = assembly_to_json(Assembly.empty())
     assert '"components": []' in doc and '"bindings": []' in doc
+
+
+def stdlib_json(a: Assembly) -> str:
+    """The spec of ``assembly_to_json``."""
+    return json.dumps(to_json_dict(a), indent=2)
+
+
+# Characters the encoder escapes or passes: non-ASCII, a quote, a backslash,
+# control characters, DEL, U+2028 and a lone surrogate; strings may be empty.
+_TEXT = st.text(st.sampled_from('aZ0_+.é中😀"\\\n\t\x00\x1f\x7f\u2028\ud800'), max_size=4)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("-inf")]) | _TEXT
+)
+_LISTS = st.lists(_SCALARS, max_size=3)
+_VALUES = _SCALARS | _LISTS | st.dictionaries(_TEXT, _SCALARS | _LISTS, max_size=3)
+_MAPS = st.dictionaries(_TEXT, _VALUES, max_size=3)
+_STAMPS = st.none() | st.builds(Woven, st.sampled_from(["a", "b", "a+b", "a+b+c"]) | _TEXT, st.integers(0, 2**70), _TEXT)
+_PORTS = st.lists(st.builds(PortSpec, _TEXT, st.sampled_from([PROVIDED, REQUIRED])), max_size=3)
+
+
+@st.composite
+def exported_assemblies(draw) -> Assembly:
+    ids = draw(st.lists(_TEXT, unique=True, max_size=5))
+    comps = [Component(cid, draw(_TEXT), draw(_MAPS), draw(_MAPS), draw(_PORTS), draw(_STAMPS)) for cid in ids]
+    ends = {d: [PortRef(c.id, p.name, d) for c in comps for p in c.ports if p.direction == d] for d in (PROVIDED, REQUIRED)}
+    pairs = []
+    if ends[PROVIDED] and ends[REQUIRED]:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(ends[REQUIRED]), st.sampled_from(ends[PROVIDED])), unique=True, max_size=6))
+    return Assembly.build(comps, [Binding(s, t, draw(_STAMPS)) for s, t in pairs])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=exported_assemblies())
+def test_the_writer_writes_what_json_dumps_writes(a):
+    assert assembly_to_json(a) == stdlib_json(a)
+
+
+def test_the_writer_writes_what_json_dumps_writes_on_fixtures_and_workloads(fixtures_dir, hospital_base):
+    tricky = Assembly.build(
+        [
+            Component(
+                'é"\\\n\u2028', "", {"": -0.0, "big": 2**90, "f": 1e16, "tiny": 5e-324, "l": [1, [], {}], "d": {"k": "v\x00"}},
+                {"b": True, "n": None}, (PortSpec("\ud800", REQUIRED),), Woven("a+b", 2, "ns"),
+            ),
+            Component("x", "t", {}, {}, (), None),
+            Component("y", "t", {}, {}, (PortSpec("in", PROVIDED),)),
+        ],
+        [Binding(required('é"\\\n\u2028', "\ud800"), provided("y", "in"), Woven("a+b"))],
+    )
+    cases = [Assembly.empty(), tricky]
+    cases += [assembly_from_json(p.read_text(encoding="utf-8")) for p in sorted(fixtures_dir.glob("*_base.json"))]
+    for manifest in sorted(fixtures_dir.glob("*.cascade.json")):
+        cases.append(weave_cascade(hospital_base, [load_cascade_manifest(str(manifest))])[0])
+    workloads = load_workloads()
+    for name in ("merge-deep", "match-wide", "replay-churn"):
+        base, cascades = workloads.generated_inputs(name, 0)
+        cases += [base, weave_cascade(base, cascades)[0]]
+    assert sum(1 for a in cases if any(c.provenance for c in a.components.values())) == 8
+    for a in cases:
+        assert assembly_to_json(a) == stdlib_json(a)
 
 
 def test_export_dot_counts():
