@@ -26,6 +26,13 @@ links already arriving there.  Operator expressions support ``if/else``,
 
 The grammar deliberately owns no deletion or negation construct; any
 negation spelling is rejected outright.
+
+One ``finditer`` pass of one expression lexes a source into flat lists of
+token kinds, texts and offsets; a line and column are worked out from an
+offset only when a position is reported, and lines end at ``\n`` alone,
+so a CRLF source reads and reports as its LF copy.  The recursive-descent
+parser reads those lists by index and allows ``MAX_NESTING`` levels of
+``if``, ``delegate`` and parentheses, however deep its caller's stack.
 """
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from decimal import Decimal
 from functools import lru_cache
 
 from .model import PROVIDED, REQUIRED, PortSet, PortSpec, canonical_ports, parse_number, value
-from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq, iter_refs, par_of, seq_of
+from .optree import CALL, NOP, Call, Delegate, If, Leaf, Nop, OperatorTree, Par, Seq
 
 # Tokens the grammar is built from, in the order the tokenizer tries them
 # (multi-character symbols first); reviewed by tests to prove there is no
@@ -330,24 +337,24 @@ class AspectOfAssembly:
 # Tokenizer
 
 
-@value
-class _Token:
-    kind: str  # IDENT, NUMBER, STRING, PATTERN, symbol text, or EOF
-    value: str
-    line: int
-    col: int
-
-
 # Numbers and names are ASCII only: any other letter or digit outside a
 # string or pattern is an unexpected character.
 _NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
-# Blanks and a comment, then at most one token, whose kind is the name of
-# the group that took it.  A match that takes none stops at the character
-# at fault.  A pattern closes on its own line.
+# Blanks and comments, then one token.  The group that takes the token
+# names its kind; a symbol's group has no name, for its text is its kind.
+# A character no other group takes is an ERROR, so the matches of one
+# ``finditer`` tile the text and the last is EOF.  No two kinds start with
+# the same character (a number's '-' is followed by a digit, the arrow's by
+# '>'), so the order of the groups, names first as the most frequent, and
+# the possessive repeats, which never give back, only save time.  \w is
+# ASCII's.  A pattern closes on its own line.
+_SYMBOL = "|".join(
+    [*(re.escape(s) for s in SYMBOLS if len(s) > 1), f"[{re.escape(''.join(s for s in SYMBOLS if len(s) == 1))}]"]
+)
 _TOKEN = re.compile(
-    rf"[ \t\r]*(?:#[^\n]*)?(?:(?P<NEWLINE>\n)|(?P<NUMBER>{_NUMBER.pattern})|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
-    rf"|(?P<STRING>'[^']*'|\"[^\"]*\")|(?P<PATTERN>/[^/\n]*/)|(?P<SYMBOL>{'|'.join(map(re.escape, SYMBOLS))})"
-    rf"|(?P<EOF>\Z))?"
+    rf"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:(?P<IDENT>[A-Za-z_]\w*+)|({_SYMBOL})|(?P<NUMBER>{_NUMBER.pattern})"
+    rf"|(?P<STRING>'[^']*+'|\"[^\"]*+\")|(?P<PATTERN>/[^/\n]*+/)|(?P<EOF>\Z)|(?P<ERROR>.))",
+    re.ASCII | re.DOTALL,
 )
 
 
@@ -359,226 +366,278 @@ def _number_value(text: str, line: int, col: int, path) -> int | float:
         raise AaSyntaxError(str(exc), line, col, path) from None
 
 
-def _tokenize(text: str, path: str | None) -> list[_Token]:
-    """The tokens of ``text``, ending in EOF.  A string runs to the next
-    quote of its own kind and may span lines; the positions of what follows
-    count its newlines.  A pattern is a token only right after ``:=``.  A
-    column counts characters from 1."""
-    tokens: list[_Token] = []
-    line, line_start, i = 1, 0, 0
-    while True:
-        m = _TOKEN.match(text, i)
-        kind, i = m.lastgroup, m.end()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, i
-            continue
-        start = m.start(kind) if kind else i
-        col = start - line_start + 1
-        if kind is None or kind == "PATTERN" and (not tokens or tokens[-1].kind != ":="):
-            ch = text[start]
-            if ch == "!":
-                raise NegationRejected("negation syntax is not part of the language", line, col, path)
-            if ch == "/" and tokens and tokens[-1].kind == ":=":
-                raise AaSyntaxError("unterminated pattern", line, col, path)
-            problem = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
-            raise AaSyntaxError(problem, line, col, path)
-        word = m.group(kind)
-        if kind == "STRING":
-            tokens.append(_Token(kind, word[1:-1], line, col))
-            if "\n" in word:
-                line, line_start = line + word.count("\n"), start + word.rfind("\n") + 1
-            continue
-        tokens.append(_Token(word if kind == "SYMBOL" else kind, word, line, col))
-        if kind == "EOF":
-            return tokens
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of ``offset`` in ``text``, both counted from 1.
+    Lines end at ``\\n`` alone, so a ``\\r`` before one is the last column
+    of its line and a CRLF source reports what its LF copy does."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str, path: str | None) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and offsets of the tokens of ``text``, ending in
+    EOF.  A kind is IDENT, NUMBER, STRING, PATTERN, EOF or a symbol's text;
+    a string's text keeps its quotes.  A string runs to the next quote of
+    its own kind and may span lines.  A pattern is a token only right
+    after ``:=``."""
+    kinds, texts, offsets = [], [], []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        word = m[group]
+        kinds.append(m.lastgroup or word)
+        texts.append(word)
+        offsets.append(m.start(group))
+    if kinds[-2:] == ["EOF", "EOF"]:
+        # A last match that takes blanks is followed by an empty one.
+        del kinds[-1], texts[-1], offsets[-1]
+    # The first ERROR, or pattern not right after ``:=``, is the lexical error.
+    first = kinds.index("ERROR") if "ERROR" in kinds else len(kinds)
+    i = 0
+    for _ in range(kinds.count("PATTERN")):
+        i = kinds.index("PATTERN", i) + 1
+        if kinds[i - 2] != ":=":
+            first = min(first, i - 1)
+            break
+    if first == len(kinds):
+        return kinds, texts, offsets
+    line, col = _position(text, offsets[first])
+    ch = text[offsets[first]]
+    if ch == "!":
+        raise NegationRejected("negation syntax is not part of the language", line, col, path)
+    if ch == "/" and kinds[first - 1 : first] == [":="]:
+        raise AaSyntaxError("unterminated pattern", line, col, path)
+    problem = "unterminated string" if ch in "'\"" else f"unexpected character {ch!r}"
+    raise AaSyntaxError(problem, line, col, path)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+# The deepest nesting of ``if``, ``delegate`` and parentheses an operator
+# expression may have.  It is at least 251, so that two 250-deep aspects
+# parse and fail their weave's fold, not the parser.  Each level takes
+# three of the parser's frames (atom, expression, sequence), so a 256-deep
+# parse needs about 780 of CPython's default limit of 1,000 frames and
+# leaves about 200 to its caller: pytest calls a test 33 frames deep.
+# Counting levels gives one verdict per source, whatever the depth of the
+# caller's stack or the recursion limit it set.
+MAX_NESTING = 256
+
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], path: str | None):
-        self.tokens = tokens
+    """Recursive descent over the flat token lists of one source.  ``pos``
+    indexes the current token; a production reads the lists at and after
+    it and leaves ``pos`` past what it took.  A keyword's or a symbol's
+    text is no other token's, so productions test ``texts`` for those and
+    ``kinds`` for the rest.  ``depth`` counts the ``if``s, ``delegate``s
+    and parentheses open at ``pos``."""
+
+    __slots__ = ("text", "path", "kinds", "texts", "offsets", "pos", "depth", "refs")
+
+    def __init__(self, text: str, path: str | None):
+        self.text = text
         self.path = path
+        self.kinds, self.texts, self.offsets = _tokenize(text, path)
         self.pos = 0
+        self.depth = 0
+        self.refs: list[PortExpr] = []  # the port expressions read, in order
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def where(self, pos: int) -> tuple[int, int]:
+        return _position(self.text, self.offsets[pos])
 
-    def peek(self) -> _Token:
-        return self.tokens[min(self.pos + 1, len(self.tokens) - 1)]
+    def fail(self, message: str, pos: int | None = None, error=AaSyntaxError):
+        raise error(message, *self.where(self.pos if pos is None else pos), self.path)
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
+    def found(self, pos: int) -> str:
+        """The token at ``pos`` as an error names it: its text, a string's
+        without quotes, or its kind when that is empty."""
+        text = self.texts[pos]
+        if self.kinds[pos] == "STRING":
+            text = text[1:-1]
+        return text or self.kinds[pos]
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.cur
-        raise AaSyntaxError(message, tok.line, tok.col, self.path)
+    def expected(self, what: str, pos: int):
+        self.fail(f"expected {what!r}, found {self.found(pos)!r}", pos)
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {what or kind!r}, found {self.cur.value or self.cur.kind!r}")
-        return self.advance()
-
-    def expect_ident(self, value: str | None = None) -> _Token:
-        tok = self.expect("IDENT", value)
-        if value is not None and tok.value != value:
-            self.fail(f"expected {value!r}, found {tok.value!r}", tok)
-        return tok
-
-    def at_ident(self, value: str) -> bool:
-        return self.cur.kind == "IDENT" and self.cur.value == value
+    def expect(self, pos: int, *words: str) -> int:
+        """The index past the keywords and symbols ``words``, read from ``pos``."""
+        for word in words:
+            if self.texts[pos] != word:
+                self.expected(word, pos)
+            pos += 1
+        return pos
 
     # -- grammar productions ------------------------------------------------
 
     def parse_aa(self) -> AspectOfAssembly:
+        kinds, texts = self.kinds, self.texts
         pointcut: list[PointcutRule] = []
-        if self.at_ident("Pointcut"):
-            self.advance()
-            self.expect(":")
-            while self.cur.kind == "IDENT" and self.cur.value != "Advice" and self.peek().kind == ":=":
-                pointcut.append(self.parse_pointcut_rule())
-        self.expect_ident("Advice")
-        self.expect(":")
-        self.expect_ident("schema")
-        name = self.expect("IDENT", "schema name").value
-        self.expect("(")
+        pos = 0
+        if texts[0] == "Pointcut":
+            pos = self.expect(1, ":")
+            while kinds[pos] == "IDENT" and texts[pos] != "Advice" and texts[pos + 1] == ":=":
+                if kinds[pos + 2] != "PATTERN":
+                    self.expected("PATTERN", pos + 2)
+                pattern, filters = parse_pattern_with_filters(texts[pos + 2], self.path, *self.where(pos + 2))
+                pointcut.append(PointcutRule(texts[pos], pattern, filters))
+                pos += 3
+        pos = self.expect(pos, "Advice", ":", "schema")
+        if kinds[pos] != "IDENT":
+            self.expected("schema name", pos)
+        name = texts[pos]
+        pos = self.expect(pos + 1, "(")
         params: list[str] = []
-        if self.cur.kind == "IDENT":
-            params.append(self.advance().value)
-            while self.cur.kind == ",":
-                self.advance()
-                params.append(self.expect("IDENT", "parameter name").value)
-        self.expect(")")
-        self.expect(":")
-        rules: list[tuple[AdviceRule, _Token]] = []
-        while self.cur.kind != "EOF":
+        if kinds[pos] == "IDENT":
+            params.append(texts[pos])
+            pos += 1
+            while texts[pos] == ",":
+                if kinds[pos + 1] != "IDENT":
+                    self.expected("parameter name", pos + 1)
+                params.append(texts[pos + 1])
+                pos += 2
+        self.pos = self.expect(pos, ")", ":")
+        rules: list[tuple[AdviceRule, int, list[PortExpr]]] = []
+        while kinds[self.pos] != "EOF":
             rules.append(self.parse_advice_rule())
         if not rules:
             self.fail("advice needs at least one rule")
         return self._assemble(name, pointcut, params, rules)
 
-    def parse_pointcut_rule(self) -> PointcutRule:
-        var = self.expect("IDENT").value
-        self.expect(":=")
-        tok = self.expect("PATTERN")
-        pattern, filters = parse_pattern_with_filters(tok.value, self.path, tok.line, tok.col)
-        return PointcutRule(var, pattern, filters)
-
-    def parse_advice_rule(self) -> tuple[AdviceRule, _Token]:
-        start = self.cur
-        if self.cur.kind != "IDENT":
-            self.fail(f"expected an advice rule, found {self.cur.value or self.cur.kind!r}")
-        if self.peek().kind == ":":
-            local = self.advance().value
-            self.advance()  # ':'
-            type_name = self.expect("STRING", "quoted type name").value
-            props: dict = {}
-            if self.cur.kind == "(":
-                self.advance()
-                while True:
-                    key = self.expect("IDENT", "property name").value
-                    self.expect("=")
-                    props[key] = self.parse_value()
-                    if self.cur.kind != ",":
-                        break
-                    self.advance()
-                self.expect(")")
-            if self.cur.kind == ";":
-                self.advance()
-            return Instantiate(local, type_name, props), start
-        lhs = self.parse_port_expr()
-        self.expect("->")
-        self.expect("(")
-        tree = self.parse_op_expr()
-        self.expect(")")
-        # Rule kind is resolved once the pointcut is known; carry the raw side.
-        return Link(lhs, tree), start
+    def parse_advice_rule(self) -> tuple[AdviceRule, int, list[PortExpr]]:
+        """A rule, the index of its first token and the port expressions
+        it reads, its left side first."""
+        kinds, texts, start = self.kinds, self.texts, self.pos
+        if kinds[start] != "IDENT":
+            self.fail(f"expected an advice rule, found {self.found(start)!r}", start)
+        if texts[start + 1] != ":":
+            refs = self.refs = []
+            lhs = self.parse_port_expr()
+            pos = self.pos
+            if texts[pos] != "->":
+                self.expected("->", pos)
+            if texts[pos + 1] != "(":
+                self.expected("(", pos + 1)
+            self.pos = pos + 2
+            tree = self.parse_op_expr()
+            pos = self.pos
+            if texts[pos] != ")":
+                self.expected(")", pos)
+            self.pos = pos + 1
+            # Rule kind is resolved once the pointcut is known; carry the raw side.
+            return Link(lhs, tree), start, refs
+        if kinds[start + 2] != "STRING":
+            self.expected("quoted type name", start + 2)
+        pos = start + 3
+        props: dict = {}
+        if texts[pos] == "(":
+            while True:
+                if kinds[pos + 1] != "IDENT":
+                    self.expected("property name", pos + 1)
+                self.pos = self.expect(pos + 2, "=")
+                props[texts[pos + 1]] = self.parse_value()
+                pos = self.pos
+                if texts[pos] != ",":
+                    break
+            pos = self.expect(pos, ")")
+        self.pos = pos + (texts[pos] == ";")
+        return Instantiate(texts[start], texts[start + 2][1:-1], props), start, []
 
     def parse_value(self):
-        tok = self.cur
-        if tok.kind == "NUMBER":
-            self.advance()
-            return _number_value(tok.value, tok.line, tok.col, self.path)
-        if tok.kind == "STRING":
-            self.advance()
-            return tok.value
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.value in ("true", "false"):
-                return tok.value == "true"
-            return tok.value
-        self.fail("expected a property value")
+        pos = self.pos
+        kind, text = self.kinds[pos], self.texts[pos]
+        self.pos = pos + 1
+        if kind == "NUMBER":
+            return _number_value(text, *self.where(pos), self.path)
+        if kind == "STRING":
+            return text[1:-1]
+        if kind == "IDENT":
+            return text == "true" if text in ("true", "false") else text
+        self.fail("expected a property value", pos)
 
     def parse_port_expr(self) -> PortExpr:
-        base = self.expect("IDENT", "port expression").value
-        if self.cur.kind != ".":
-            return PortExpr(base)
-        self.advance()
-        req = False
-        if self.cur.kind == "^":
-            self.advance()
-            req = True
-        port = self.expect("IDENT", "port name").value
-        return PortExpr(base, port, req)
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] != "IDENT":
+            self.expected("port expression", pos)
+        if texts[pos + 1] != ".":
+            self.pos = pos + 1
+            expr = PortExpr(texts[pos])
+        else:
+            required = texts[pos + 2] == "^"
+            port = pos + 2 + required
+            if kinds[port] != "IDENT":
+                self.expected("port name", port)
+            self.pos = port + 1
+            expr = PortExpr(texts[pos], texts[port], required)
+        self.refs.append(expr)
+        return expr
 
     def parse_op_expr(self) -> OperatorTree:
-        children = [self.parse_op_seq()]
-        while self.cur.kind == "||":
-            self.advance()
+        tree = self.parse_op_seq()
+        if self.texts[self.pos] != "||":
+            return tree
+        children = [tree]
+        while self.texts[self.pos] == "||":
+            self.pos += 1
             children.append(self.parse_op_seq())
-        return par_of(children)
+        return Par(tuple(children))
 
     def parse_whole_op_expr(self) -> OperatorTree:
         tree = self.parse_op_expr()
-        self.expect("EOF", "end of expression")
+        if self.kinds[self.pos] != "EOF":
+            self.expected("end of expression", self.pos)
         return tree
 
     def parse_op_seq(self) -> OperatorTree:
-        children = [self.parse_op_atom()]
-        while self.cur.kind == ";":
-            self.advance()
+        tree = self.parse_op_atom()
+        if self.texts[self.pos] != ";":
+            return tree
+        children = [tree]
+        while self.texts[self.pos] == ";":
+            self.pos += 1
             children.append(self.parse_op_atom())
-        return seq_of(children)
+        return Seq(tuple(children))
 
     def parse_op_atom(self) -> OperatorTree:
-        if self.at_ident("if"):
-            self.advance()
-            self.expect("(")
-            cond = self.parse_port_expr()
-            self.expect(")")
-            self.expect("{")
-            then = self.parse_op_expr()
-            self.expect("}")
-            self.expect_ident("else")
-            self.expect("{")
-            orelse = self.parse_op_expr()
-            self.expect("}")
-            return If(cond, then, orelse)
-        if self.at_ident("nop"):
-            self.advance()
-            return NOP
-        if self.at_ident("call"):
-            self.advance()
-            return CALL
-        if self.at_ident("delegate"):
-            self.advance()
-            self.expect("(")
-            child = self.parse_op_expr()
-            self.expect(")")
-            return Delegate(child)
-        if self.cur.kind == "(":
-            self.advance()
-            tree = self.parse_op_expr()
-            self.expect(")")
-            return tree
-        if self.cur.kind == "IDENT":
+        texts, pos = self.texts, self.pos
+        word = texts[pos]
+        if word == "nop" or word == "call":
+            self.pos = pos + 1
+            return NOP if word == "nop" else CALL
+        if word != "if" and word != "delegate" and word != "(":
+            if self.kinds[pos] != "IDENT":
+                self.fail(f"expected an operator expression, found {self.found(pos)!r}", pos)
             return Leaf(self.parse_port_expr())
-        self.fail(f"expected an operator expression, found {self.cur.value or self.cur.kind!r}")
+        if self.depth == MAX_NESTING:
+            self.fail("expression nested too deeply", pos)
+        self.depth += 1
+        if word == "(":
+            self.pos = pos + 1
+            tree = self.parse_op_expr()
+            close = ")"
+        else:
+            if texts[pos + 1] != "(":
+                self.expected("(", pos + 1)
+            self.pos = pos + 2
+            if word == "delegate":
+                tree = Delegate(self.parse_op_expr())
+                close = ")"
+            else:
+                cond = self.parse_port_expr()
+                pos = self.pos
+                if texts[pos] != ")":
+                    self.expected(")", pos)
+                if texts[pos + 1] != "{":
+                    self.expected("{", pos + 1)
+                self.pos = pos + 2
+                then = self.parse_op_expr()
+                self.pos = self.expect(self.pos, "}", "else", "{")
+                tree = If(cond, then, self.parse_op_expr())
+                close = "}"
+        pos = self.pos
+        if texts[pos] != close:
+            self.expected(close, pos)
+        self.pos = pos + 1
+        self.depth -= 1
+        return tree
 
     # -- post-parse resolution ----------------------------------------------
 
@@ -587,82 +646,74 @@ class _Parser:
         name: str,
         pointcut: list[PointcutRule],
         params: list[str],
-        raw_rules: list[tuple[AdviceRule, _Token]],
+        raw_rules: list[tuple[AdviceRule, int, list[PortExpr]]],
     ) -> AspectOfAssembly:
-        variables = [r.variable for r in pointcut]
-        if len(set(variables)) != len(variables):
-            self.fail(f"duplicate pointcut variable in aspect {name!r}")
-        if set(variables) != set(params):
-            missing = sorted(set(variables) ^ set(params))
-            tok = raw_rules[0][1]
-            raise UnboundVariable(
-                f"schema parameters and pointcut variables disagree on {missing}",
-                tok.line,
-                tok.col,
-                self.path,
-            )
-        locals_seen: list[str] = []
-        for rule, tok in raw_rules:
-            if isinstance(rule, Instantiate):
-                if rule.local_name in locals_seen or rule.local_name in params:
-                    raise AaSyntaxError(
-                        f"instantiation name {rule.local_name!r} is not unique", tok.line, tok.col, self.path
-                    )
-                locals_seen.append(rule.local_name)
         by_var = {r.variable: r for r in pointcut}
-        known = set(params) | set(locals_seen)
-        local_ports: dict[str, set[PortSpec]] = {name: set() for name in locals_seen}
-
-        def check_expr(expr: PortExpr, direction: str, tok: _Token):
-            if expr.base not in known:
-                raise UnboundVariable(
-                    f"{expr.base!r} is neither a pointcut variable nor an instantiated component",
-                    tok.line,
-                    tok.col,
-                    self.path,
-                )
-            ports = local_ports.get(expr.base)
-            if ports is not None:
-                if expr.port is None:
-                    self.fail(f"reference to {expr.base!r} needs an explicit port", tok)
-                ports.add(PortSpec(expr.port, direction))
-
+        if len(by_var) != len(pointcut):
+            self.fail(f"duplicate pointcut variable in aspect {name!r}")
+        if by_var.keys() != set(params):
+            missing = sorted(by_var.keys() ^ set(params))
+            message = f"schema parameters and pointcut variables disagree on {missing}"
+            self.fail(message, raw_rules[0][1], UnboundVariable)
+        # The advice locals, each with the ports the arrows touch it by.
+        local_ports: dict[str, set[PortSpec]] = {}
+        for rule, pos, _ in raw_rules:
+            if isinstance(rule, Instantiate):
+                if rule.local_name in local_ports or rule.local_name in by_var:
+                    self.fail(f"instantiation name {rule.local_name!r} is not unique", pos)
+                local_ports[rule.local_name] = set()
         rules: list[AdviceRule] = []
-        for rule, tok in raw_rules:
+        for rule, pos, refs in raw_rules:
             if isinstance(rule, Instantiate):
                 rules.append(rule)
                 continue
             # A local's left side names its port, so ``^`` alone decides
             # whether the rule is a link (required) or a rewrite (provided).
-            check_expr(rule.source, REQUIRED if rule.source.required else PROVIDED, tok)
-            for ref in iter_refs(rule.tree):
-                check_expr(ref, PROVIDED, tok)
-            rules.append(self._classify(rule.source, rule.tree, by_var, locals_seen, tok))
-        rules = [
-            replace(r, ports=canonical_ports(local_ports[r.local_name])) if isinstance(r, Instantiate) else r
-            for r in rules
-        ]
+            direction = REQUIRED if rule.source.required else PROVIDED
+            for expr in refs:
+                ports = local_ports.get(expr.base)
+                if ports is not None:
+                    if expr.port is None:
+                        self.fail(f"reference to {expr.base!r} needs an explicit port", pos)
+                    ports.add(PortSpec(expr.port, direction))
+                elif expr.base not in by_var:
+                    message = f"{expr.base!r} is neither a pointcut variable nor an instantiated component"
+                    self.fail(message, pos, UnboundVariable)
+                direction = PROVIDED  # every reference in the tree
+            rules.append(self._classify(rule, by_var, local_ports, pos))
+        if local_ports:
+            rules = [
+                Instantiate(r.local_name, r.type_name, r.init_props, canonical_ports(local_ports[r.local_name]))
+                if isinstance(r, Instantiate) else r
+                for r in rules
+            ]
         return AspectOfAssembly(name, tuple(pointcut), tuple(params), tuple(rules))
 
-    def _classify(self, lhs: PortExpr, tree, by_var, locals_seen, tok) -> AdviceRule:
+    def _classify(self, rule: Link, by_var, local_ports, pos) -> AdviceRule:
+        """The raw ``rule`` as the link or the rewrite it is."""
+        lhs = rule.source
         if lhs.port is not None:
-            return Link(lhs, tree) if lhs.required else Rewrite(lhs, tree)
-        if lhs.base in locals_seen:
-            self.fail(f"rule on {lhs.base!r} needs an explicit port", tok)
-        pattern = by_var[lhs.base].pattern
-        if pattern.port_atoms is None:
-            self.fail(
-                f"cannot infer the direction of {lhs.base!r}: give the pointcut a port part or write {lhs.base}.port",
-                tok,
-            )
-        return Link(lhs, tree) if pattern.port_required else Rewrite(lhs, tree)
+            required = lhs.required
+        else:
+            if lhs.base in local_ports:
+                self.fail(f"rule on {lhs.base!r} needs an explicit port", pos)
+            pattern = by_var[lhs.base].pattern
+            if pattern.port_atoms is None:
+                self.fail(
+                    f"cannot infer the direction of {lhs.base!r}: "
+                    f"give the pointcut a port part or write {lhs.base}.port",
+                    pos,
+                )
+            required = pattern.port_required
+        return rule if required else Rewrite(lhs, rule.tree)
 
 
 def _parse(text: str, path: str | None, production):
     """``production`` run on a parser over ``text``.  Nesting deeper than
-    the interpreter's stack allows is a syntax error at the token the
-    parser stopped at."""
-    parser = _Parser(_tokenize(text, path), path)
+    ``MAX_NESTING`` is a syntax error at the token that opens the level too
+    many; should the caller's stack run out first, so is that, at the token
+    the parser stopped at."""
+    parser = _Parser(text, path)
     try:
         return production(parser)
     except RecursionError:

@@ -99,16 +99,6 @@ def _key(tree: OperatorTree) -> tuple:
 sort_key = lru_cache(maxsize=0)(_key)
 
 
-def seq_of(children) -> OperatorTree:
-    children = tuple(children)
-    return children[0] if len(children) == 1 else Seq(children)
-
-
-def par_of(children) -> OperatorTree:
-    children = tuple(children)
-    return children[0] if len(children) == 1 else Par(children)
-
-
 def seq_normal(children) -> OperatorTree:
     """Sequence of normal trees, splicing in any Seq among them."""
     flat: list[OperatorTree] = []

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from aaweave.language import (
     DIGIT,
     KEYWORDS,
+    MAX_NESTING,
     STAR,
     SYMBOLS,
     AaSyntaxError,
@@ -24,6 +26,7 @@ from aaweave.language import (
     UnboundVariable,
     _parse_filter_value,
     _Parser,
+    _position,
     _tokenize,
     literal,
     parse_aa,
@@ -219,6 +222,11 @@ def test_pattern_parts(text, expected):
         assert parse_pattern_with_filters(text) == expected
 
 
+def _tokens(src: str) -> list[tuple]:
+    """The (kind, text, line, column) of each token of ``src``."""
+    return [(kind, text, *_position(src, offset)) for kind, text, offset in zip(*_tokenize(src, None))]
+
+
 @pytest.mark.parametrize(
     "src, expected",
     [
@@ -240,7 +248,7 @@ def test_tokenizer_reads_a_pattern_only_after_assignment(src, expected):
             _tokenize(src, None)
         assert type(err.value) is AaSyntaxError and (err.value.line, err.value.col, err.value.message) == expected
     else:
-        assert [(t.kind, t.value, t.line, t.col) for t in _tokenize(src, None)] == expected
+        assert _tokens(src) == expected
 
 
 def test_blanks_between_literals_and_a_lone_star_port_read_back():
@@ -333,6 +341,107 @@ def test_param_pointcut_mismatch():
         parse_aa(src)
 
 
+# Each level of nesting opens on a line of its own: level k on line 5 + k.
+_NESTERS = {"if": ("if (t.c) {", "} else {nop}"), "delegate": ("delegate(", ")"), "parentheses": ("(", ")")}
+
+
+def _nested(form: str, depth: int) -> str:
+    opener, closer = _NESTERS[form]
+    head = "Pointcut:\n  t := /t.in/\nAdvice:\nschema s(t):\n  t -> (\n"
+    return head + f"{opener}\n" * depth + "t.in" + closer * depth + ")\n"
+
+
+def _the_nesting_limit_holds(form: str, parse=parse_aa):
+    assert parse(_nested(form, MAX_NESTING), "deep.aa").rules
+    with pytest.raises(AaSyntaxError) as err:
+        parse(_nested(form, MAX_NESTING + 1), "deep.aa")
+    assert str(err.value) == f"deep.aa:{6 + MAX_NESTING}:1: expression nested too deeply"
+
+
+def _parse_from_deeper(text: str, path: str, frames: int = 120):
+    """``parse_aa`` called ``frames`` frames deeper than this call."""
+    return parse_aa(text, path) if frames == 0 else _parse_from_deeper(text, path, frames - 1)
+
+
+@pytest.mark.parametrize("form", sorted(_NESTERS))
+def test_nesting_one_level_past_the_limit_fails_at_the_level_that_opens_it(form):
+    # From a shallow and from a deep caller, under the default recursion limit.
+    assert sys.getrecursionlimit() == 1000
+    _the_nesting_limit_holds(form)
+    _the_nesting_limit_holds(form, _parse_from_deeper)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(form=st.sampled_from(sorted(_NESTERS)))
+def test_the_nesting_limit_is_the_same_inside_hypothesis(form):
+    # Hypothesis raises the recursion limit while a test runs, so only a
+    # count of levels gives the verdict a plain call gets.
+    assert sys.getrecursionlimit() > 1000
+    _the_nesting_limit_holds(form)
+
+
+def test_a_crlf_copy_of_every_fixture_aspect_reads_as_the_original(fixtures_dir):
+    for path in sorted((fixtures_dir / "aa").glob("*.aa")):
+        text = path.read_text()
+        assert "\r" not in text, path.name
+        assert parse_aa(text.replace("\n", "\r\n"), path.name) == parse_aa(text, path.name), path.name
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "Advice:\nschema s():\n  x : 'T';\n  $\n",
+        "Advice:\nschema s():\n  x : 'a\nb';\n  $\n",
+        "Advice:\nschema x():\n  ghost.p -> (nop)\n",
+        "Pointcut:\n  a := /x(@t!=1).p/\nAdvice:\nschema s(a):\n  a -> (nop)\n",
+        "Pointcut:\n  a := /x\n/\nAdvice:\n",
+        "Advice:\nschema s():\n  x : 'T' (p = 1" + "0" * 400 + ".0);\n",
+        "# only a comment\n",
+        "Advice:\nschema s():\n  a -> (\n",
+        _nested("delegate", MAX_NESTING + 1),
+    ],
+    ids=["character", "after-a-string-on-two-lines", "unbound", "negation", "pattern", "number", "eof", "open-rule",
+         "nesting"],
+)
+def test_an_error_in_a_crlf_copy_is_where_it_is_in_the_original(src):
+    def error(text):
+        with pytest.raises(AaSyntaxError) as err:
+            parse_aa(text, "f.aa")
+        return type(err.value), str(err.value)
+
+    assert error(src.replace("\n", "\r\n")) == error(src)
+
+
+# Valid aspects, or none, with pieces inserted: mostly keywords, symbols,
+# names, quotes, slashes, patterns, comment marks and line ends, and one
+# piece in eight any other character.
+_FUZZ_HEADS = st.sampled_from((
+    "",
+    "Advice:\nschema s():\n  x : 'T';\n  x.^o -> (x.p)\n",
+    "Pointcut:\n  a := /x(@t=1&u<2).^p/\n  b := /y[:digit:]*.q/\nAdvice:\nschema s(a, b):\n"
+    "  l : 'T' (k = 1.5, m = true);\n  a -> (if (l.c) {b.q ; nop} else {delegate(call || b.q)})\n  l.^o -> (b.q)\n",
+))
+_FUZZ_WORDS = (
+    *KEYWORDS, *SYMBOLS, "'", '"', "/", "#", "\n", "\r", "\r\n", " ", "!", "*", "[:digit:]", "a", "l", "p", "7", "-1.5",
+    "/x.p/", "/x(@t=1).^p/", "'T'",
+)
+_FUZZ_PIECES = st.integers(0, 7).flatmap(lambda n: st.characters() if n == 0 else st.sampled_from(_FUZZ_WORDS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(head=_FUZZ_HEADS, pieces=st.lists(_FUZZ_PIECES, max_size=12), data=st.data())
+def test_any_text_parses_or_fails_at_a_position_inside_it(head, pieces, data):
+    # Any other exception would reach the command line as a traceback.
+    at = data.draw(st.integers(0, len(head)), label="at")
+    text = head[:at] + "".join(pieces) + head[at:]
+    try:
+        parse_aa(text, "fuzz.aa")
+    except AaSyntaxError as err:
+        lines = text.split("\n")
+        assert err.path == "fuzz.aa"
+        assert 1 <= err.line <= len(lines) and 1 <= err.col <= len(lines[err.line - 1]) + 1, (str(err), text)
+
+
 def test_negation_is_rejected_everywhere():
     with pytest.raises(NegationRejected):
         parse_aa("Advice:\nschema x():\n  !a -> (nop)\n")
@@ -369,8 +478,8 @@ def test_parser_infers_the_ports_of_advice_locals(fixtures_dir):
 
 
 def test_tokenizer_reads_the_symbol_set():
-    tokens = _tokenize(" ".join(SYMBOLS), None)
-    assert tuple(t.kind for t in tokens[:-1]) == SYMBOLS
+    kinds, _, _ = _tokenize(" ".join(SYMBOLS), None)
+    assert tuple(kinds[:-1]) == SYMBOLS
 
 
 _IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
@@ -395,17 +504,17 @@ def _token_number(text: str):
     """What the tokenizer and parser read ``text`` as when it is one
     number token; None when it is not."""
     try:
-        tokens = _tokenize(text, None)
+        parser = _Parser(text, None)
     except AaSyntaxError:
         return None
-    if [t.kind for t in tokens] != ["NUMBER", "EOF"]:
+    if parser.kinds != ["NUMBER", "EOF"]:
         return None
-    return _Parser(tokens, None).parse_value()
+    return parser.parse_value()
 
 
 def _token_letter(ch: str) -> bool:
     try:
-        return len(ch) == 1 and ch != "_" and [t.kind for t in _tokenize(ch, None)] == ["IDENT", "EOF"]
+        return len(ch) == 1 and ch != "_" and _tokenize(ch, None)[0] == ["IDENT", "EOF"]
     except AaSyntaxError:
         return False
 
